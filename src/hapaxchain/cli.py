@@ -1,26 +1,23 @@
-"""Subcommand front-end wiring the pipeline stages together.
-
-Stages communicate through files in the output directory, every stage
-records its resolved configuration hash (and seed, where randomness is
-involved) next to its outputs, and the ``pipeline`` subcommand chains
-them and writes a manifest with per-stage output checksums.  Options
-may come from a JSON config file; explicit flags win.
-"""
+"""Subcommand front-end: every option is declared once, in ``OPTIONS``, and
+every stage once, in ``STAGES``; the subcommands and ``pipeline`` are built
+from them.  Stages communicate through files in the output directory and
+record their configuration hash next to their outputs."""
 
 from __future__ import annotations
 
 import json
 from importlib.metadata import version as _pkg_version
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import click
 import numpy as np
 
 from . import corpus as corpus_mod
 from . import persist
-from .markov import OrderTestConfig, OrderTestReport, order_test
-from .mh_sampler import MHConfig, convergence_study, iid_sample, run_chain
-from .ranksize import FitResult, ZMParams, fit_zm, target_distribution, zm_eval
+from .markov import OrderTestConfig, order_test
+from .mh_sampler import MHConfig, convergence_study, iid_sample
+from .ranksize import ZMParams, fit_zm, target_distribution, zm_eval
 
 OUTPUT_DIR_ENVVAR = "HAPAXCHAIN_OUTPUT_DIR"
 
@@ -32,35 +29,100 @@ def _package_version() -> str:
         return "unknown"
 
 
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
+class _Levels(click.ParamType):
+    """Comma-separated significance levels, each in (0, 1)."""
+
+    name = "levels"
+
+    def convert(self, value, param, ctx):
+        try:
+            levels = tuple(float(part) for part in value.split(",") if part.strip())
+        except ValueError:
+            self.fail(f"invalid significance levels: {value!r}", param, ctx)
+        if not levels or any(not 0 < lv < 1 for lv in levels):
+            self.fail(f"significance levels must lie in (0, 1): {value!r}", param, ctx)
+        return levels
+
+
+EXISTING_FILE = click.Path(exists=True, dir_okay=False, path_type=Path)
+EXISTING_DIR = click.Path(exists=True, file_okay=False, path_type=Path)
+ANY_PATH = click.Path(path_type=Path)
+
+
+class Opt(NamedTuple):
+    """One option: the type of its flag and config values, its default and help."""
+
+    type: click.ParamType
+    default: Any
+    help: str
+    aliases: tuple[str, ...] = ()
+
+
+OPTIONS = {
+    "manifest": Opt(EXISTING_FILE, None, "File listing document names, one per line, in order."),
+    "table": Opt(ANY_PATH, None, "Hapax table to rank against [default: <output-dir>/hapax_table.csv]."),
+    "input": Opt(ANY_PATH, None, "fit: rank,size CSV or hapax table [default: <output-dir>/hapax_table.csv]; "
+                                 "ordertest: rank sequence [default: <output-dir>/rank_sequence.txt]."),
+    "input_dir": Opt(EXISTING_DIR, None, "Directory holding the stage reports [default: --output-dir]."),
+    "level": Opt(click.FLOAT, 0.95, "Confidence level for the parameter intervals."),
+    "alpha": Opt(click.FLOAT, None, "Law parameter alpha (with --beta and --gamma, instead of --fit-json)."),
+    "beta": Opt(click.FLOAT, None, "Law parameter beta."),
+    "gamma": Opt(click.FLOAT, None, "Law parameter gamma."),
+    "fit_json": Opt(EXISTING_FILE, None, "Take the law parameters from a fit report."),
+    "rbar": Opt(click.INT, 300, "Number of ranks the distribution covers."),
+    "replicates": Opt(click.INT, 100, "Replicates per test battery."),
+    "len1": Opt(click.INT, None, "Length of first-order replicates [default: input length]."),
+    "len2": Opt(click.INT, None, "Length of second-order replicates [default: min(100000, input length)]."),
+    "seed": Opt(click.INT, 0, "Master seed of every random draw."),
+    "levels": Opt(_Levels(), "0.05,0.01,0.001", "Comma-separated significance levels.", ("--alpha-levels",)),
+    "halve_alpha": Opt(click.BOOL, True, "KS threshold parameterization: halve the level."),
+    "steps": Opt(click.INT, 100_000, "Chain length per run."),
+    "runs": Opt(click.INT, 100, "Number of chains."),
+    "reference": Opt(EXISTING_FILE, None, "Empirical rank sample; defaults to i.i.d. draws from the target."),
+    "reference_size": Opt(click.INT, 31074, "Size of the synthetic reference when --reference is absent."),
+    "save_samples": Opt(click.BOOL, False, "Also write mh_samples_<run>.txt per run."),
+}
+
+# JSON types a config value may have, by option type name; any other option takes a string.
+_JSON_TYPES = {"integer": int, "float": (int, float), "boolean": bool}
+
+
+def _load_config(path: str) -> dict:
+    """The config file's object, each key an option name and each value of that option's JSON type."""
     try:
         cfg = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise click.ClickException(f"cannot read config file {path}: {exc}")
     if not isinstance(cfg, dict):
         raise click.ClickException(f"config file {path} must hold a JSON object")
+    unknown = sorted(set(cfg) - set(OPTIONS))
+    if unknown:
+        raise click.ClickException(
+            f"config file {path}: unknown keys {', '.join(unknown)}; keys are option names: {', '.join(OPTIONS)}")
+    for name, value in cfg.items():
+        opt = OPTIONS[name]
+        want = _JSON_TYPES.get(opt.type.name, str)
+        if not (value is None and opt.default is None) and (
+                not isinstance(value, want) or (isinstance(value, bool) and want is not bool)):
+            raise click.ClickException(f"config key {name!r}: expected {opt.type.name}, got {json.dumps(value)}")
     return cfg
 
 
-def _resolve(flag_value, config: dict, key: str, default):
-    """Flags win over the config file, which wins over the default."""
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        return config[key]
-    return default
-
-
-def _parse_levels(text: str) -> tuple[float, ...]:
+def _convert(name: str, value):
+    """A config or default value, converted as its flag would be."""
     try:
-        levels = tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise click.ClickException(f"invalid significance levels: {text!r}")
-    if not levels or any(not 0 < lv < 1 for lv in levels):
-        raise click.ClickException(f"significance levels must lie in (0, 1): {text!r}")
-    return levels
+        return None if value is None else OPTIONS[name].type.convert(value, None, None)
+    except click.BadParameter as exc:
+        raise click.ClickException(f"config key {name!r}: {exc.message}")
+
+
+def _option(name: str) -> click.Option:
+    opt, flag = OPTIONS[name], name.replace("_", "-")
+    is_bool = opt.type is click.BOOL
+    decls = [f"--{flag}/--no-{flag}"] if is_bool else [f"--{flag}", *opt.aliases]
+    shown = (f"--{flag}" if opt.default else f"--no-{flag}") if is_bool else opt.default
+    return click.Option([*decls, name], type=None if is_bool else opt.type, default=None,
+                        help=opt.help if opt.default is None else f"{opt.help}  [default: {shown}]")
 
 
 def _require(path: Path, producer: str) -> Path:
@@ -69,31 +131,256 @@ def _require(path: Path, producer: str) -> Path:
     return path
 
 
-def _level_key(lv: float) -> str:
-    return format(lv, "g")
+def _keyed(by_level: dict) -> dict:
+    return {format(lv, "g"): v for lv, v in by_level.items()}
 
 
-def _threshold_columns(levels, thresholds) -> tuple[list[str], list[float]]:
-    names = [f"threshold_{_level_key(lv)}" for lv in levels]
-    vals = [thresholds[lv] for lv in levels]
-    return names, vals
+def _file_id(path: Path, key: str = "input") -> dict:
+    """A stage input by file name and content, so hashes do not depend on where it lives."""
+    return {key: path.name, f"{key}_sha256": persist.sha256_file(path)}
 
 
-output_dir_option = click.option(
-    "--output-dir",
-    type=click.Path(file_okay=False, path_type=Path),
-    default=".",
-    envvar=OUTPUT_DIR_ENVVAR,
-    show_default=True,
-    help=f"Directory for output artifacts (env: {OUTPUT_DIR_ENVVAR}).",
-)
-config_file_option = click.option(
-    "--config",
-    "config_path",
-    type=click.Path(exists=True, dir_okay=False),
-    default=None,
-    help="JSON file supplying option defaults; explicit flags win.",
-)
+def _write_meta(out: Path, stage: str, config: dict, fields: dict, paths) -> Path:
+    return persist.write_json(out / f"{stage}_meta.json", {
+        "stage": stage, "seed": None, "config_hash": persist.config_hash({"stage": stage, **config}),
+        **fields, "outputs": {p.name: persist.sha256_file(p) for p in paths}})
+
+
+def _write_stat_table(path: Path, index: str | None, column: str, values, levels, thresholds: dict) -> Path:
+    """One statistic per row (after its ``index`` column, if any), then its threshold
+    per level; ``thresholds`` is keyed like ``_keyed``."""
+    thr, skip = [thresholds[format(lv, "g")] for lv in levels], 0 if index else 1
+    return persist.write_csv(path, [index, column, *(f"threshold_{lv:g}" for lv in levels)][skip:],
+                             ([k, v, *thr][skip:] for k, v in enumerate(values)))
+
+
+# payload series, statistic column and battery of each order-test battery table
+BATTERIES = (("ks_stats_first_vs_second", "ks_stat", "ks_first_vs_second"), ("wmw_p_values", "p_value", "wmw"),
+             ("chi_square_stats", "chi_square", "chi_square"), ("ks_stats_vs_empirical", "ks_stat", "ks_vs_empirical"))
+
+
+def _write_order_tables(payload: dict, out: Path, names: tuple[str, ...]) -> dict[str, Path]:
+    """The four battery tables, then the indicator table, of an order-test payload, under
+    ``names``; the indicator columns follow the order of ``payload["indicators"]``."""
+    written = {name: _write_stat_table(out / name, "replicate", column, payload[series], payload["levels"],
+                                       payload["thresholds"][battery])
+               for name, (series, column, battery) in zip(names, BATTERIES)}
+    indicators, observed = payload["indicators"], payload["indicators_observed"]
+    columns = list(indicators)
+    written[names[4]] = persist.write_csv(
+        out / names[4], ["replicate", *columns, *(f"observed_{c}" for c in columns)],
+        ((k, *(indicators[c][k] for c in columns), *(observed[c] for c in columns))
+         for k in range(len(indicators[columns[0]]))))
+    return written
+
+
+def _params(o: dict) -> ZMParams:
+    """The law: from an earlier fit stage, a fit report (``fit_json``), or the three flags."""
+    if "params" in o:
+        return o["params"]
+    if o.get("fit_json") is not None:
+        p = persist.read_json(o["fit_json"])["params"]
+        return ZMParams(alpha=p["alpha"], beta=p["beta"], gamma=p["gamma"])
+    if None in (o.get("alpha"), o.get("beta"), o.get("gamma")):
+        raise click.ClickException("provide --alpha, --beta and --gamma, or --fit-json")
+    return ZMParams(alpha=o["alpha"], beta=o["beta"], gamma=o["gamma"])
+
+
+def _run_extract(o: dict) -> dict[str, Path]:
+    """Extract hapaxes: write hapax_table.csv and rank_sequence.txt."""
+    out, manifest = o["output_dir"], o["manifest"]
+    docs = corpus_mod.load_documents(o["corpus"], manifest)
+    table = corpus_mod.build_hapax_table(docs)
+    seq = corpus_mod.build_rank_sequence(docs, table)
+    o["alphabet_size"] = table.alphabet_size
+    counts = {"documents": len(docs), "hapaxes": len(table.entries), "occurrences": table.total_occurrences,
+              "alphabet_size": table.alphabet_size}
+    outputs = {"hapax_table.csv": persist.write_hapax_table(out / "hapax_table.csv", table),
+               "rank_sequence.txt": persist.write_rank_sequence(out / "rank_sequence.txt", seq)}
+    config = {"input_dir": str(o["corpus"]), "manifest": str(manifest) if manifest else None}
+    outputs["extract_meta.json"] = _write_meta(out, "extract", config, counts, outputs.values())
+    click.echo("extract: " + " ".join(f"{k}={v}" for k, v in counts.items()))
+    return outputs
+
+
+def _run_sequence(o: dict) -> dict[str, Path]:
+    """Rebuild rank_sequence.txt from a corpus and an existing table."""
+    out = o["output_dir"]
+    table_path = _require(o["table"] or out / "hapax_table.csv", "extract")
+    docs = corpus_mod.load_documents(o["corpus"], o["manifest"])
+    seq = corpus_mod.build_rank_sequence(docs, persist.read_hapax_table(table_path))
+    seq_path = persist.write_rank_sequence(out / "rank_sequence.txt", seq)
+    meta_path = _write_meta(out, "sequence", {"input_dir": str(o["corpus"]), **_file_id(table_path, "table")},
+                            {"length": len(seq)}, (seq_path,))
+    click.echo(f"sequence: length={len(seq)} alphabet_size={seq.alphabet_size}")
+    return {"rank_sequence.txt": seq_path, "sequence_meta.json": meta_path}
+
+
+def _run_fit(o: dict) -> dict[str, Path]:
+    """Fit the rank-size law; write fit_report.json."""
+    input_path = _require(o.get("input") or o["output_dir"] / "hapax_table.csv", "extract")
+    result = fit_zm(persist.read_rank_size_csv(input_path), level=o["level"])
+    o["params"] = p = result.params
+    source = _file_id(input_path)
+    config_hash = persist.config_hash({"stage": "fit", **source, "level": o["level"]})
+    fields = {k: v for k, v in vars(result).items() if k != "internals"}
+    report_path = persist.write_json(o["output_dir"] / "fit_report.json", {
+        "stage": "fit", "seed": None, "config_hash": config_hash, **source, **fields, "params": vars(p)})
+    click.echo(f"fit: alpha={p.alpha:.6g} beta={p.beta:.6g} gamma={p.gamma:.6g} "
+               f"rss={result.rss:.6g} r2={result.r_squared:.6f}")
+    return {"fit_report.json": report_path}
+
+
+def _run_target(o: dict) -> dict[str, Path]:
+    """Discretize the law into target_distribution.csv."""
+    out, r_bar = o["output_dir"], o["rbar"]
+    if r_bar < o.get("alphabet_size", 0):
+        raise ValueError(f"--rbar {r_bar} is below the observed alphabet size {o['alphabet_size']}")
+    params = _params(o)
+    target = target_distribution(params, r_bar)
+    target_path = persist.write_target_distribution(out / "target_distribution.csv", target)
+    meta_path = _write_meta(out, "target", {**vars(params), "r_bar": r_bar}, {"r_bar": r_bar}, (target_path,))
+    click.echo(f"target: r_bar={r_bar} head={target.probs[0]:.6g} tail={target.probs[-1]:.6g}")
+    return {"target_distribution.csv": target_path, "target_meta.json": meta_path}
+
+
+def _run_ordertest(o: dict) -> dict[str, Path]:
+    """Run the first-order Markovianity test battery on a rank sequence."""
+    out = o["output_dir"]
+    seq_path = _require(o.get("input") or out / "rank_sequence.txt", "extract")
+    settings = {name: o[name] for name in ("replicates", "len1", "len2", "seed", "levels", "halve_alpha")}
+    report = order_test(persist.read_rank_sequence(seq_path), OrderTestConfig(**settings))
+    payload = {
+        "stage": "ordertest", **vars(report),
+        "config_hash": persist.config_hash({"stage": "ordertest", **_file_id(seq_path), **settings}),
+        "thresholds": {b: _keyed(d) for b, d in report.thresholds.items()},
+        "pass_fractions": {b: _keyed(d) for b, d in report.pass_fractions.items()}}
+    outputs = {"order_test_report.json": persist.write_json(out / "order_test_report.json", payload)}
+    outputs.update(_write_order_tables(payload, out, (
+        "ks_first_vs_second.csv", "wmw_pvalues.csv", "chi_square.csv", "ks_vs_empirical.csv", "indicators.csv")))
+    first = report.levels[0]
+    fractions = " ".join(f"{b}={d[first]:.3f}" for b, d in report.pass_fractions.items())
+    click.echo(f"ordertest: replicates={report.replicates} pass@{first:g}: {fractions}")
+    return outputs
+
+
+def _run_mcmc(o: dict) -> dict[str, Path]:
+    """Run the seeded convergence study; write convergence_report.json."""
+    out, seed = o["output_dir"], o["seed"]
+    params = _params(o)
+    f = target_distribution(params, o["rbar"])
+    # Without a reference file, i.i.d. draws from the target itself, on a substream far above any run index.
+    ref, size = o.get("reference"), o["reference_size"]
+    source = str(ref) if ref else f"iid:{size}"
+    reference = (persist.read_rank_sequence(ref).values if ref
+                 else iid_sample(f, size, np.random.SeedSequence(entropy=seed, spawn_key=(2**31,))))
+    outputs: dict[str, Path] = {}
+
+    def save_samples(k, result):
+        outputs[f"mh_samples_{k}.txt"] = persist.write_rank_sequence(out / f"mh_samples_{k}.txt", result.samples)
+
+    report = convergence_study(f, o["runs"], MHConfig(n_steps=o["steps"], seed=seed), reference, levels=o["levels"],
+                               halve_alpha=o["halve_alpha"], on_run=save_samples if o.get("save_samples") else None)
+    config = {"stage": "mcmc", **vars(params), "r_bar": o["rbar"], "steps": o["steps"], "runs": o["runs"],
+              "seed": seed, "reference": source, "levels": o["levels"], "halve_alpha": o["halve_alpha"]}
+    thresholds = _keyed(report.thresholds)
+    outputs["convergence_report.json"] = persist.write_json(out / "convergence_report.json", {
+        "stage": "mcmc", **vars(report), "config_hash": persist.config_hash(config), "reference": source,
+        "thresholds": thresholds, "pass_fraction": _keyed(report.pass_fraction)})
+    outputs["ks_statistics.csv"] = _write_stat_table(
+        out / "ks_statistics.csv", "run", "ks_stat", report.ks_statistics, report.levels, thresholds)
+    first = report.levels[0]
+    click.echo(f"mcmc: runs={report.runs} steps={report.n_steps} pass@{first:g}={report.pass_fraction[first]:.3f}")
+    return outputs
+
+
+def _run_report(o: dict) -> dict[str, Path]:
+    """Reshape stage reports into per-figure CSV files."""
+    out, src = o["output_dir"], o.get("input_dir") or o["output_dir"]
+    table = persist.read_hapax_table(_require(src / "hapax_table.csv", "extract"))
+    params = _params({"fit_json": _require(src / "fit_report.json", "fit")})
+    order = persist.read_json(_require(src / "order_test_report.json", "ordertest"))
+    conv = persist.read_json(_require(src / "convergence_report.json", "mcmc"))
+    outputs = {"fig1_ranksize.csv": persist.write_csv(
+        out / "fig1_ranksize.csv", ["rank", "size_observed", "size_fitted"],
+        ((r, s, zm_eval(params, r)) for r, s in table.ordinal_points()))}
+    outputs.update(_write_order_tables(order, out, ("fig2_ks_first_vs_second.csv", "fig3_wmw_pvalues.csv",
+                                                     "fig4_chi_square.csv", "fig5_ks_vs_empirical.csv",
+                                                     "fig7_indicators.csv")))
+    outputs["fig6_ks_hist.csv"] = _write_stat_table(
+        out / "fig6_ks_hist.csv", None, "ks_stat", conv["ks_statistics"], conv["levels"], conv["thresholds"])
+    click.echo(f"report: wrote {len(outputs)} figure data files")
+    return outputs
+
+
+class Stage(NamedTuple):
+    """A subcommand.  ``run``, whose docstring is the help, takes the resolved options ``o``
+    (with ``corpus`` and ``output_dir``) and returns the files it wrote; within
+    ``pipeline``, extract leaves ``alphabet_size`` and fit leaves ``params`` in ``o``."""
+
+    name: str
+    run: Callable[[dict], dict[str, Path]]
+    options: tuple[str, ...]
+    corpus: bool = False  # takes the corpus directory as its argument
+
+
+STAGES = {s.name: s for s in (
+    Stage("extract", _run_extract, ("manifest",), corpus=True),
+    Stage("sequence", _run_sequence, ("manifest", "table"), corpus=True),
+    Stage("fit", _run_fit, ("input", "level")),
+    Stage("target", _run_target, ("alpha", "beta", "gamma", "fit_json", "rbar")),
+    Stage("ordertest", _run_ordertest, ("input", "replicates", "len1", "len2", "seed", "levels", "halve_alpha")),
+    Stage("mcmc", _run_mcmc, ("rbar", "steps", "runs", "seed", "alpha", "beta", "gamma", "fit_json",
+                              "reference", "reference_size", "levels", "halve_alpha", "save_samples")),
+    Stage("report", _run_report, ("input_dir",)),
+)}
+
+
+def _run_pipeline(o: dict) -> dict[str, Path]:
+    """Run extract, fit, target, ordertest, mcmc and report in sequence."""
+    config = {k: str(v) if isinstance(v, Path) else v for k, v in o.items() if k != "output_dir"}
+    config_hash = persist.config_hash(config)
+    stages: dict[str, dict[str, str]] = {}
+    for name in ("extract", "fit", "target", "ordertest", "mcmc", "report"):
+        try:
+            outputs = STAGES[name].run(o)
+        except click.ClickException:
+            raise
+        except Exception as exc:
+            raise click.ClickException(f"stage '{name}' failed: {exc}")
+        stages[name] = {fname: persist.sha256_file(path) for fname, path in sorted(outputs.items())}
+    manifest_path = persist.write_json(o["output_dir"] / "manifest.json", {
+        "package": "hapaxchain", "version": _package_version(), "seed": o["seed"],
+        "config_hash": config_hash, "config": config, "stages": stages})
+    click.echo(f"pipeline: complete, manifest config_hash={config_hash[:12]}")
+    return {"manifest.json": manifest_path}
+
+
+PIPELINE = Stage("pipeline", _run_pipeline, ("manifest", "seed", "level", "rbar", "steps", "runs", "replicates",
+                                             "len1", "len2", "reference_size", "levels", "halve_alpha"), corpus=True)
+
+
+def _command(stage: Stage) -> click.Command:
+    def callback(config_path, output_dir, corpus=None, **flags):
+        cfg = _load_config(config_path) if config_path else {}
+        # Flags win over the config file, which wins over the default.
+        o = {name: flags[name] if flags.get(name) is not None else _convert(name, cfg.get(name, OPTIONS[name].default))
+             for name in stage.options}
+        o.update(corpus=corpus, output_dir=output_dir)
+        try:
+            stage.run(o)
+        except (ValueError, RuntimeError, KeyError) as exc:
+            raise click.ClickException(f"missing field {exc}" if isinstance(exc, KeyError) else str(exc))
+
+    params = [click.Argument(["corpus"], type=EXISTING_DIR)] if stage.corpus else []
+    params += [_option(name) for name in stage.options] + [
+        click.Option(["--config", "config_path"], type=click.Path(exists=True, dir_okay=False),
+                     help="JSON file of option values keyed by option name; explicit flags win."),
+        click.Option(["--output-dir"], type=click.Path(file_okay=False, path_type=Path), default=".",
+                     envvar=OUTPUT_DIR_ENVVAR, show_default=True,
+                     help=f"Directory for output artifacts (env: {OUTPUT_DIR_ENVVAR})."),
+    ]
+    return click.Command(stage.name, callback=callback, params=params, help=stage.run.__doc__)
 
 
 @click.group()
@@ -103,629 +390,8 @@ def main():
     fitting, Markov order testing, and Metropolis-Hastings sampling."""
 
 
-# ----------------------------------------------------------------- extract
-
-
-def _run_extract(input_dir: Path, manifest: Path | None, output_dir: Path) -> dict[str, Path]:
-    docs = corpus_mod.load_documents(input_dir, manifest)
-    table = corpus_mod.build_hapax_table(docs)
-    seq = corpus_mod.build_rank_sequence(docs, table)
-    table_path = persist.write_hapax_table(output_dir / "hapax_table.csv", table)
-    seq_path = persist.write_rank_sequence(output_dir / "rank_sequence.txt", seq)
-    cfg_hash = persist.config_hash(
-        {"stage": "extract", "input_dir": str(input_dir), "manifest": str(manifest) if manifest else None}
-    )
-    meta_path = persist.write_json(
-        output_dir / "extract_meta.json",
-        {
-            "stage": "extract",
-            "seed": None,
-            "config_hash": cfg_hash,
-            "documents": len(docs),
-            "hapaxes": len(table.entries),
-            "occurrences": table.total_occurrences,
-            "alphabet_size": table.alphabet_size,
-            "outputs": {p.name: persist.sha256_file(p) for p in (table_path, seq_path)},
-        },
-    )
-    click.echo(
-        f"extract: documents={len(docs)} hapaxes={len(table.entries)} "
-        f"occurrences={table.total_occurrences} alphabet_size={table.alphabet_size}"
-    )
-    return {"hapax_table.csv": table_path, "rank_sequence.txt": seq_path, "extract_meta.json": meta_path}
-
-
-@main.command()
-@click.argument("input_dir", type=click.Path(exists=True, file_okay=False, path_type=Path))
-@click.option("--manifest", type=click.Path(exists=True, dir_okay=False, path_type=Path), default=None,
-              help="File listing document names, one per line, in order.")
-@output_dir_option
-def extract(input_dir: Path, manifest: Path | None, output_dir: Path):
-    """Extract hapaxes: write hapax_table.csv and rank_sequence.txt."""
-    try:
-        _run_extract(input_dir, manifest, output_dir)
-    except (corpus_mod.IngestionError, corpus_mod.EmptyTableError, ValueError) as exc:
-        raise click.ClickException(str(exc))
-
-
-@main.command()
-@click.argument("input_dir", type=click.Path(exists=True, file_okay=False, path_type=Path))
-@click.option("--manifest", type=click.Path(exists=True, dir_okay=False, path_type=Path), default=None)
-@click.option("--table", "table_path", type=click.Path(path_type=Path), default=None,
-              help="Hapax table to rank against [default: <output-dir>/hapax_table.csv].")
-@output_dir_option
-def sequence(input_dir: Path, manifest: Path | None, table_path: Path | None, output_dir: Path):
-    """Rebuild rank_sequence.txt from a corpus and an existing table."""
-    table_path = table_path or output_dir / "hapax_table.csv"
-    _require(table_path, "extract")
-    try:
-        docs = corpus_mod.load_documents(input_dir, manifest)
-        table = persist.read_hapax_table(table_path)
-        seq = corpus_mod.build_rank_sequence(docs, table)
-    except (corpus_mod.IngestionError, corpus_mod.ConsistencyError, ValueError) as exc:
-        raise click.ClickException(str(exc))
-    seq_path = persist.write_rank_sequence(output_dir / "rank_sequence.txt", seq)
-    cfg_hash = persist.config_hash(
-        {"stage": "sequence", "input_dir": str(input_dir), "table": str(table_path)}
-    )
-    persist.write_json(
-        output_dir / "sequence_meta.json",
-        {
-            "stage": "sequence",
-            "seed": None,
-            "config_hash": cfg_hash,
-            "length": len(seq),
-            "outputs": {seq_path.name: persist.sha256_file(seq_path)},
-        },
-    )
-    click.echo(f"sequence: length={len(seq)} alphabet_size={seq.alphabet_size}")
-
-
-# --------------------------------------------------------------------- fit
-
-
-def _fit_payload(result: FitResult, input_path: Path, cfg_hash: str) -> dict:
-    return {
-        "stage": "fit",
-        "seed": None,
-        "config_hash": cfg_hash,
-        "input": input_path.name,
-        "input_sha256": persist.sha256_file(input_path),
-        "params": {
-            "alpha": result.params.alpha,
-            "beta": result.params.beta,
-            "gamma": result.params.gamma,
-        },
-        "ci": {name: list(bounds) for name, bounds in result.ci.items()},
-        "level": result.level,
-        "rss": result.rss,
-        "r_squared": result.r_squared,
-        "n_points": result.n_points,
-        "n_iter": result.n_iter,
-        "ill_conditioned": result.ill_conditioned,
-    }
-
-
-def _run_fit(input_path: Path, level: float, output_dir: Path) -> dict[str, Path]:
-    points = persist.read_rank_size_csv(input_path)
-    result = fit_zm(points, level=level)
-    cfg_hash = persist.config_hash({"stage": "fit", "input": str(input_path), "level": level})
-    report_path = persist.write_json(output_dir / "fit_report.json", _fit_payload(result, input_path, cfg_hash))
-    click.echo(
-        f"fit: alpha={result.params.alpha:.6g} beta={result.params.beta:.6g} "
-        f"gamma={result.params.gamma:.6g} rss={result.rss:.6g} r2={result.r_squared:.6f}"
-    )
-    return {"fit_report.json": report_path}
-
-
-@main.command()
-@click.option("--input", "input_path", type=click.Path(path_type=Path), default=None,
-              help="rank,size CSV (or a hapax table, fitted on its ordinal ranks) "
-                   "[default: <output-dir>/hapax_table.csv].")
-@click.option("--level", type=float, default=None, show_default="0.95",
-              help="Confidence level for the parameter intervals.")
-@config_file_option
-@output_dir_option
-def fit(input_path: Path | None, level: float | None, config_path: str | None, output_dir: Path):
-    """Fit the rank-size law; write fit_report.json."""
-    cfg = _load_config_file(config_path)
-    input_path = Path(_resolve(input_path, cfg, "input", output_dir / "hapax_table.csv"))
-    level = float(_resolve(level, cfg, "level", 0.95))
-    _require(input_path, "extract")
-    try:
-        _run_fit(input_path, level, output_dir)
-    except (ValueError, RuntimeError) as exc:
-        raise click.ClickException(str(exc))
-
-
-def _params_from_options(alpha, beta, gamma, fit_json: Path | None) -> ZMParams:
-    if fit_json is not None:
-        payload = persist.read_json(fit_json)
-        p = payload["params"]
-        return ZMParams(alpha=p["alpha"], beta=p["beta"], gamma=p["gamma"])
-    if alpha is None or beta is None or gamma is None:
-        raise click.ClickException("provide --alpha, --beta and --gamma, or --fit-json")
-    return ZMParams(alpha=alpha, beta=beta, gamma=gamma)
-
-
-def _run_target(params: ZMParams, r_bar: int, output_dir: Path) -> dict[str, Path]:
-    target = target_distribution(params, r_bar)
-    target_path = persist.write_target_distribution(output_dir / "target_distribution.csv", target)
-    cfg_hash = persist.config_hash(
-        {"stage": "target", "alpha": params.alpha, "beta": params.beta, "gamma": params.gamma, "r_bar": r_bar}
-    )
-    persist.write_json(
-        output_dir / "target_meta.json",
-        {
-            "stage": "target",
-            "seed": None,
-            "config_hash": cfg_hash,
-            "r_bar": r_bar,
-            "outputs": {target_path.name: persist.sha256_file(target_path)},
-        },
-    )
-    click.echo(f"target: r_bar={r_bar} head={target.probs[0]:.6g} tail={target.probs[-1]:.6g}")
-    return {"target_distribution.csv": target_path}
-
-
-@main.command()
-@click.option("--alpha", type=float, default=None)
-@click.option("--beta", type=float, default=None)
-@click.option("--gamma", type=float, default=None)
-@click.option("--fit-json", type=click.Path(exists=True, dir_okay=False, path_type=Path), default=None,
-              help="Take the law parameters from a fit report.")
-@click.option("--rbar", "r_bar", type=int, default=None, show_default="300",
-              help="Number of ranks the distribution covers.")
-@config_file_option
-@output_dir_option
-def target(alpha, beta, gamma, fit_json, r_bar, config_path, output_dir: Path):
-    """Discretize the law into target_distribution.csv."""
-    cfg = _load_config_file(config_path)
-    r_bar = int(_resolve(r_bar, cfg, "rbar", 300))
-    alpha = _resolve(alpha, cfg, "alpha", None)
-    beta = _resolve(beta, cfg, "beta", None)
-    gamma = _resolve(gamma, cfg, "gamma", None)
-    try:
-        params = _params_from_options(alpha, beta, gamma, fit_json)
-        _run_target(params, r_bar, output_dir)
-    except (ValueError, KeyError) as exc:
-        raise click.ClickException(str(exc))
-
-
-# --------------------------------------------------------------- ordertest
-
-
-def _ordertest_payload(report: OrderTestReport, cfg_hash: str) -> dict:
-    return {
-        "stage": "ordertest",
-        "seed": report.seed,
-        "config_hash": cfg_hash,
-        "replicates": report.replicates,
-        "len1": report.len1,
-        "len2": report.len2,
-        "levels": list(report.levels),
-        "halve_alpha": report.halve_alpha,
-        "df": report.df,
-        "ks_stats_first_vs_second": report.ks_stats_first_vs_second,
-        "wmw_p_values": report.wmw_p_values,
-        "chi_square_stats": report.chi_square_stats,
-        "ks_stats_vs_empirical": report.ks_stats_vs_empirical,
-        "indicators": report.indicators,
-        "indicators_observed": report.indicators_observed,
-        "thresholds": {
-            battery: {_level_key(lv): thr for lv, thr in by_level.items()}
-            for battery, by_level in report.thresholds.items()
-        },
-        "pass_fractions": {
-            battery: {_level_key(lv): frac for lv, frac in by_level.items()}
-            for battery, by_level in report.pass_fractions.items()
-        },
-    }
-
-
-def _write_ordertest_csvs(report: OrderTestReport, output_dir: Path) -> dict[str, Path]:
-    out: dict[str, Path] = {}
-
-    def battery_csv(filename: str, column: str, values: list[float], battery: str):
-        names, thr = _threshold_columns(report.levels, report.thresholds[battery])
-        path = persist.write_csv(
-            output_dir / filename,
-            ["replicate", column, *names],
-            ((k, v, *thr) for k, v in enumerate(values)),
-        )
-        out[filename] = path
-
-    battery_csv("ks_first_vs_second.csv", "ks_stat", report.ks_stats_first_vs_second, "ks_first_vs_second")
-    battery_csv("wmw_pvalues.csv", "p_value", report.wmw_p_values, "wmw")
-    battery_csv("chi_square.csv", "chi_square", report.chi_square_stats, "chi_square")
-    battery_csv("ks_vs_empirical.csv", "ks_stat", report.ks_stats_vs_empirical, "ks_vs_empirical")
-
-    names = list(report.indicators.keys())
-    observed = [report.indicators_observed[n] for n in names]
-    rows = (
-        (k, *(report.indicators[n][k] for n in names), *observed)
-        for k in range(report.replicates)
-    )
-    out["indicators.csv"] = persist.write_csv(
-        output_dir / "indicators.csv",
-        ["replicate", *names, *(f"observed_{n}" for n in names)],
-        rows,
-    )
-    return out
-
-
-def _run_ordertest(seq_path: Path, config: OrderTestConfig, output_dir: Path) -> dict[str, Path]:
-    seq = persist.read_rank_sequence(seq_path)
-    report = order_test(seq, config)
-    cfg_hash = persist.config_hash(
-        {
-            "stage": "ordertest",
-            "input": str(seq_path),
-            "replicates": config.replicates,
-            "len1": config.len1,
-            "len2": config.len2,
-            "seed": config.seed,
-            "levels": list(config.levels),
-            "halve_alpha": config.halve_alpha,
-        }
-    )
-    outputs = {"order_test_report.json": persist.write_json(
-        output_dir / "order_test_report.json", _ordertest_payload(report, cfg_hash)
-    )}
-    outputs.update(_write_ordertest_csvs(report, output_dir))
-    fractions = " ".join(
-        f"{battery}={report.pass_fractions[battery][report.levels[0]]:.3f}"
-        for battery in report.pass_fractions
-    )
-    click.echo(f"ordertest: replicates={report.replicates} pass@{report.levels[0]:g}: {fractions}")
-    return outputs
-
-
-@main.command()
-@click.option("--input", "input_path", type=click.Path(path_type=Path), default=None,
-              help="Rank sequence file [default: <output-dir>/rank_sequence.txt].")
-@click.option("--replicates", type=int, default=None, show_default="100")
-@click.option("--len1", type=int, default=None, help="Length of first-order replicates [default: input length].")
-@click.option("--len2", type=int, default=None, help="Length of second-order replicates [default: min(100000, input length)].")
-@click.option("--seed", type=int, default=None, show_default="0")
-@click.option("--alpha-levels", type=str, default=None, show_default="0.05,0.01,0.001",
-              help="Comma-separated significance levels.")
-@click.option("--halve-alpha/--no-halve-alpha", "halve_alpha", default=None,
-              help="KS threshold parameterization [default: halve].")
-@config_file_option
-@output_dir_option
-def ordertest(input_path, replicates, len1, len2, seed, alpha_levels, halve_alpha, config_path, output_dir: Path):
-    """Run the first-order Markovianity test battery on a rank sequence."""
-    cfg = _load_config_file(config_path)
-    input_path = Path(_resolve(input_path, cfg, "input", output_dir / "rank_sequence.txt"))
-    _require(input_path, "extract")
-    config = OrderTestConfig(
-        replicates=int(_resolve(replicates, cfg, "replicates", 100)),
-        len1=_resolve(len1, cfg, "len1", None),
-        len2=_resolve(len2, cfg, "len2", None),
-        seed=int(_resolve(seed, cfg, "seed", 0)),
-        levels=_parse_levels(_resolve(alpha_levels, cfg, "alpha_levels", "0.05,0.01,0.001")),
-        halve_alpha=bool(_resolve(halve_alpha, cfg, "halve_alpha", True)),
-    )
-    try:
-        _run_ordertest(input_path, config, output_dir)
-    except (ValueError, RuntimeError) as exc:
-        raise click.ClickException(str(exc))
-
-
-# -------------------------------------------------------------------- mcmc
-
-
-def _run_mcmc(
-    params: ZMParams,
-    r_bar: int,
-    steps: int,
-    runs: int,
-    seed: int,
-    reference_path: Path | None,
-    reference_size: int,
-    levels: tuple[float, ...],
-    halve_alpha: bool,
-    save_samples: bool,
-    output_dir: Path,
-) -> dict[str, Path]:
-    f = target_distribution(params, r_bar)
-    if reference_path is not None:
-        reference = persist.read_rank_sequence(reference_path).values
-        reference_source = str(reference_path)
-    else:
-        # Synthetic reference: i.i.d. draws from the target itself.  The
-        # substream key is far above any run index.
-        ref_seed = np.random.SeedSequence(entropy=seed, spawn_key=(2**31,))
-        reference = iid_sample(f, reference_size, ref_seed)
-        reference_source = f"iid:{reference_size}"
-    report = convergence_study(
-        f, runs, MHConfig(n_steps=steps, seed=seed), reference, levels=levels, halve_alpha=halve_alpha
-    )
-    cfg_hash = persist.config_hash(
-        {
-            "stage": "mcmc",
-            "alpha": params.alpha,
-            "beta": params.beta,
-            "gamma": params.gamma,
-            "r_bar": r_bar,
-            "steps": steps,
-            "runs": runs,
-            "seed": seed,
-            "reference": reference_source,
-            "levels": list(levels),
-            "halve_alpha": halve_alpha,
-        }
-    )
-    outputs: dict[str, Path] = {}
-    payload = {
-        "stage": "mcmc",
-        "seed": seed,
-        "config_hash": cfg_hash,
-        "reference": reference_source,
-        "reference_size": report.reference_size,
-        "runs": report.runs,
-        "n_steps": report.n_steps,
-        "levels": list(report.levels),
-        "halve_alpha": report.halve_alpha,
-        "ks_statistics": report.ks_statistics,
-        "thresholds": {_level_key(lv): thr for lv, thr in report.thresholds.items()},
-        "pass_fraction": {_level_key(lv): frac for lv, frac in report.pass_fraction.items()},
-    }
-    outputs["convergence_report.json"] = persist.write_json(output_dir / "convergence_report.json", payload)
-    names, thr = _threshold_columns(report.levels, report.thresholds)
-    outputs["ks_statistics.csv"] = persist.write_csv(
-        output_dir / "ks_statistics.csv",
-        ["run", "ks_stat", *names],
-        ((k, v, *thr) for k, v in enumerate(report.ks_statistics)),
-    )
-    if save_samples:
-        for k in range(runs):
-            result = run_chain(
-                f, MHConfig(n_steps=steps, seed=np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
-            )
-            name = f"mh_samples_{k}.txt"
-            outputs[name] = persist.write_rank_sequence(output_dir / name, result.samples)
-    frac = report.pass_fraction[levels[0]]
-    click.echo(f"mcmc: runs={runs} steps={steps} pass@{levels[0]:g}={frac:.3f}")
-    return outputs
-
-
-@main.command()
-@click.option("--rbar", "r_bar", type=int, default=None, show_default="300")
-@click.option("--steps", type=int, default=None, show_default="100000", help="Chain length per run.")
-@click.option("--runs", type=int, default=None, show_default="100")
-@click.option("--seed", type=int, default=None, show_default="0")
-@click.option("--alpha", type=float, default=None)
-@click.option("--beta", type=float, default=None)
-@click.option("--gamma", type=float, default=None)
-@click.option("--fit-json", type=click.Path(exists=True, dir_okay=False, path_type=Path), default=None)
-@click.option("--reference", "reference_path", type=click.Path(exists=True, dir_okay=False, path_type=Path),
-              default=None, help="Empirical rank sample; defaults to i.i.d. draws from the target.")
-@click.option("--reference-size", type=int, default=None, show_default="31074",
-              help="Size of the synthetic reference when --reference is absent.")
-@click.option("--levels", type=str, default=None, show_default="0.05,0.01,0.001")
-@click.option("--halve-alpha/--no-halve-alpha", "halve_alpha", default=None)
-@click.option("--save-samples", is_flag=True, default=False, help="Also write mh_samples_<run>.txt per run.")
-@config_file_option
-@output_dir_option
-def mcmc(r_bar, steps, runs, seed, alpha, beta, gamma, fit_json, reference_path, reference_size,
-         levels, halve_alpha, save_samples, config_path, output_dir: Path):
-    """Run the seeded convergence study; write convergence_report.json."""
-    cfg = _load_config_file(config_path)
-    try:
-        params = _params_from_options(
-            _resolve(alpha, cfg, "alpha", None),
-            _resolve(beta, cfg, "beta", None),
-            _resolve(gamma, cfg, "gamma", None),
-            fit_json,
-        )
-        _run_mcmc(
-            params=params,
-            r_bar=int(_resolve(r_bar, cfg, "rbar", 300)),
-            steps=int(_resolve(steps, cfg, "steps", 100_000)),
-            runs=int(_resolve(runs, cfg, "runs", 100)),
-            seed=int(_resolve(seed, cfg, "seed", 0)),
-            reference_path=reference_path,
-            reference_size=int(_resolve(reference_size, cfg, "reference_size", 31074)),
-            levels=_parse_levels(_resolve(levels, cfg, "levels", "0.05,0.01,0.001")),
-            halve_alpha=bool(_resolve(halve_alpha, cfg, "halve_alpha", True)),
-            save_samples=save_samples,
-            output_dir=output_dir,
-        )
-    except (ValueError, RuntimeError, KeyError) as exc:
-        raise click.ClickException(str(exc))
-
-
-# ------------------------------------------------------------------ report
-
-
-def _run_report(input_dir: Path, output_dir: Path) -> dict[str, Path]:
-    table_path = _require(input_dir / "hapax_table.csv", "extract")
-    fit_path = _require(input_dir / "fit_report.json", "fit")
-    order_path = _require(input_dir / "order_test_report.json", "ordertest")
-    conv_path = _require(input_dir / "convergence_report.json", "mcmc")
-
-    outputs: dict[str, Path] = {}
-
-    table = persist.read_hapax_table(table_path)
-    fit_payload = persist.read_json(fit_path)
-    p = fit_payload["params"]
-    params = ZMParams(alpha=p["alpha"], beta=p["beta"], gamma=p["gamma"])
-    points = table.ordinal_points()
-    outputs["fig1_ranksize.csv"] = persist.write_csv(
-        output_dir / "fig1_ranksize.csv",
-        ["rank", "size_observed", "size_fitted"],
-        ((r, s, zm_eval(params, r)) for r, s in points),
-    )
-
-    order_payload = persist.read_json(order_path)
-    levels = [_level_key(lv) for lv in order_payload["levels"]]
-
-    def order_fig(filename: str, column: str, series_key: str, battery: str):
-        thr = [order_payload["thresholds"][battery][lv] for lv in levels]
-        names = [f"threshold_{lv}" for lv in levels]
-        outputs[filename] = persist.write_csv(
-            output_dir / filename,
-            ["replicate", column, *names],
-            ((k, v, *thr) for k, v in enumerate(order_payload[series_key])),
-        )
-
-    order_fig("fig2_ks_first_vs_second.csv", "ks_stat", "ks_stats_first_vs_second", "ks_first_vs_second")
-    order_fig("fig3_wmw_pvalues.csv", "p_value", "wmw_p_values", "wmw")
-    order_fig("fig4_chi_square.csv", "chi_square", "chi_square_stats", "chi_square")
-    order_fig("fig5_ks_vs_empirical.csv", "ks_stat", "ks_stats_vs_empirical", "ks_vs_empirical")
-
-    indicators = order_payload["indicators"]
-    observed = order_payload["indicators_observed"]
-    names = list(indicators.keys())
-    outputs["fig7_indicators.csv"] = persist.write_csv(
-        output_dir / "fig7_indicators.csv",
-        ["replicate", *names, *(f"observed_{n}" for n in names)],
-        (
-            (k, *(indicators[n][k] for n in names), *(observed[n] for n in names))
-            for k in range(len(indicators[names[0]]))
-        ),
-    )
-
-    conv_payload = persist.read_json(conv_path)
-    conv_levels = [_level_key(lv) for lv in conv_payload["levels"]]
-    thr = [conv_payload["thresholds"][lv] for lv in conv_levels]
-    outputs["fig6_ks_hist.csv"] = persist.write_csv(
-        output_dir / "fig6_ks_hist.csv",
-        ["ks_stat", *(f"threshold_{lv}" for lv in conv_levels)],
-        ((v, *thr) for v in conv_payload["ks_statistics"]),
-    )
-    click.echo(f"report: wrote {len(outputs)} figure data files")
-    return outputs
-
-
-@main.command("report")
-@click.option("--input-dir", type=click.Path(exists=True, file_okay=False, path_type=Path), default=None,
-              help="Directory holding the stage reports [default: --output-dir].")
-@output_dir_option
-def report_cmd(input_dir: Path | None, output_dir: Path):
-    """Reshape stage reports into per-figure CSV files."""
-    try:
-        _run_report(input_dir or output_dir, output_dir)
-    except (ValueError, KeyError) as exc:
-        raise click.ClickException(f"malformed report input: {exc}")
-
-
-# ---------------------------------------------------------------- pipeline
-
-
-@main.command()
-@click.argument("input_dir", type=click.Path(exists=True, file_okay=False, path_type=Path))
-@click.option("--manifest", type=click.Path(exists=True, dir_okay=False, path_type=Path), default=None)
-@click.option("--seed", type=int, default=None, show_default="0")
-@click.option("--level", type=float, default=None, show_default="0.95")
-@click.option("--rbar", "r_bar", type=int, default=None, show_default="300")
-@click.option("--steps", type=int, default=None, show_default="100000")
-@click.option("--runs", type=int, default=None, show_default="100")
-@click.option("--replicates", type=int, default=None, show_default="100")
-@click.option("--len1", type=int, default=None)
-@click.option("--len2", type=int, default=None)
-@click.option("--reference-size", type=int, default=None, show_default="31074")
-@click.option("--levels", "alpha_levels", type=str, default=None, show_default="0.05,0.01,0.001")
-@click.option("--halve-alpha/--no-halve-alpha", "halve_alpha", default=None)
-@config_file_option
-@output_dir_option
-def pipeline(input_dir, manifest, seed, level, r_bar, steps, runs, replicates, len1, len2,
-             reference_size, alpha_levels, halve_alpha, config_path, output_dir: Path):
-    """Run extract, fit, target, ordertest, mcmc and report in sequence."""
-    cfg = _load_config_file(config_path)
-    seed = int(_resolve(seed, cfg, "seed", 0))
-    level = float(_resolve(level, cfg, "level", 0.95))
-    r_bar = int(_resolve(r_bar, cfg, "rbar", 300))
-    steps = int(_resolve(steps, cfg, "steps", 100_000))
-    runs = int(_resolve(runs, cfg, "runs", 100))
-    replicates = int(_resolve(replicates, cfg, "replicates", 100))
-    len1 = _resolve(len1, cfg, "len1", None)
-    len2 = _resolve(len2, cfg, "len2", None)
-    reference_size = int(_resolve(reference_size, cfg, "reference_size", 31074))
-    levels = _parse_levels(_resolve(alpha_levels, cfg, "levels", "0.05,0.01,0.001"))
-    halve_alpha = bool(_resolve(halve_alpha, cfg, "halve_alpha", True))
-
-    resolved = {
-        "input_dir": str(input_dir),
-        "manifest": str(manifest) if manifest else None,
-        "seed": seed,
-        "level": level,
-        "rbar": r_bar,
-        "steps": steps,
-        "runs": runs,
-        "replicates": replicates,
-        "len1": len1,
-        "len2": len2,
-        "reference_size": reference_size,
-        "levels": list(levels),
-        "halve_alpha": halve_alpha,
-        "output_dir": str(output_dir),
-    }
-    manifest_hash = persist.config_hash(resolved)
-    stages: dict[str, dict[str, str]] = {}
-
-    def run_stage(name: str, fn, *args, **kwargs):
-        try:
-            outputs = fn(*args, **kwargs)
-        except click.ClickException:
-            raise
-        except Exception as exc:
-            raise click.ClickException(f"stage '{name}' failed: {exc}")
-        stages[name] = {fname: persist.sha256_file(path) for fname, path in sorted(outputs.items())}
-        return outputs
-
-    run_stage("extract", _run_extract, input_dir, manifest, output_dir)
-
-    table = persist.read_hapax_table(output_dir / "hapax_table.csv")
-    if r_bar < table.alphabet_size:
-        raise click.ClickException(
-            f"stage 'target' failed: --rbar {r_bar} is below the observed alphabet size {table.alphabet_size}"
-        )
-
-    run_stage("fit", _run_fit, output_dir / "hapax_table.csv", level, output_dir)
-    fit_payload = persist.read_json(output_dir / "fit_report.json")
-    p = fit_payload["params"]
-    params = ZMParams(alpha=p["alpha"], beta=p["beta"], gamma=p["gamma"])
-
-    run_stage("target", _run_target, params, r_bar, output_dir)
-
-    order_config = OrderTestConfig(
-        replicates=replicates, len1=len1, len2=len2, seed=seed, levels=levels, halve_alpha=halve_alpha
-    )
-    run_stage("ordertest", _run_ordertest, output_dir / "rank_sequence.txt", order_config, output_dir)
-
-    run_stage(
-        "mcmc",
-        _run_mcmc,
-        params=params,
-        r_bar=r_bar,
-        steps=steps,
-        runs=runs,
-        seed=seed,
-        reference_path=None,
-        reference_size=reference_size,
-        levels=levels,
-        halve_alpha=halve_alpha,
-        save_samples=False,
-        output_dir=output_dir,
-    )
-
-    run_stage("report", _run_report, output_dir, output_dir)
-
-    persist.write_json(
-        output_dir / "manifest.json",
-        {
-            "package": "hapaxchain",
-            "version": _package_version(),
-            "seed": seed,
-            "config_hash": manifest_hash,
-            "config": resolved,
-            "stages": stages,
-        },
-    )
-    click.echo(f"pipeline: complete, manifest config_hash={manifest_hash[:12]}")
+for _stage in (*STAGES.values(), PIPELINE):
+    main.add_command(_command(_stage))
 
 
 if __name__ == "__main__":

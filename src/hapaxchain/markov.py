@@ -250,6 +250,16 @@ class OrderTestConfig:
     levels: tuple[float, ...] = DEFAULT_LEVELS
     halve_alpha: bool = True
 
+    def __post_init__(self):
+        if self.replicates < 1:
+            raise ValueError(f"replicates must be >= 1, got {self.replicates}")
+        for name in ("len1", "len2"):
+            length = getattr(self, name)
+            if length is not None and length < 1:
+                raise ValueError(f"{name} must be >= 1, got {length}")
+        if not self.levels or any(not 0 < lv < 1 for lv in self.levels):
+            raise ValueError(f"levels must be non-empty and lie in (0, 1), got {self.levels}")
+
 
 @dataclass(frozen=True)
 class OrderTestReport:

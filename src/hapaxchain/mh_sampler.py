@@ -12,6 +12,7 @@ each to a reference sample with the KS statistic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -169,11 +170,14 @@ def convergence_study(
     reference,
     levels=DEFAULT_LEVELS,
     halve_alpha: bool = True,
+    on_run: Callable[[int, MHRunResult], None] | None = None,
 ) -> ConvergenceReport:
     """Run independent seeded chains and KS-compare each to ``reference``.
 
     Run k uses the substream (config.seed, k), so the study is
-    reproducible as a whole and each chain individually.
+    reproducible as a whole and each chain individually.  ``on_run``,
+    when given, is called with k and each chain's result as it
+    finishes; no chain is kept otherwise.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
@@ -190,6 +194,8 @@ def convergence_study(
         )
         result = run_chain(f, run_cfg)
         ks_stats.append(ks_two_sample(result.samples.values, reference))
+        if on_run is not None:
+            on_run(k, result)
 
     thresholds = {
         lv: ks_threshold(lv, config.n_steps, reference.size, halve_alpha) for lv in levels

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -371,3 +372,109 @@ def test_pipeline_names_failing_stage(runner, tmp_path):
     )
     assert result.exit_code != 0
     assert "stage 'fit' failed" in result.output
+
+
+# ------------------------------------------------------- options and config
+
+
+@pytest.mark.parametrize(
+    "cfg, key",
+    [({"bogus": 1}, "bogus"), ({"alpha_levels": "0.2"}, "alpha_levels"), ({"len1": "abc"}, "len1"),
+     ({"replicates": 2.7}, "replicates"), ({"replicates": True}, "replicates"),
+     ({"halve_alpha": "yes"}, "halve_alpha"), ({"levels": "0.2,x"}, "levels")],
+)
+def test_config_rejects_unknown_keys_and_wrong_types(runner, tmp_path, cfg, key):
+    write_sequence_file(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    result = runner.invoke(
+        main, ["ordertest", "--input", str(tmp_path / "rank_sequence.txt"), "--config", str(cfg_path),
+               "--replicates", "1", "--output-dir", str(tmp_path / "out")],
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # a ClickException, not a traceback
+    assert result.output.startswith("Error:") and key in result.output
+    assert not (tmp_path / "out" / "order_test_report.json").exists()
+
+
+def test_config_accepts_keys_of_other_commands(runner, tmp_path):
+    write_sequence_file(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"steps": 10, "rbar": 20, "replicates": 1, "len1": 300, "len2": 300}),
+                        encoding="utf-8")
+    result = runner.invoke(
+        main, ["ordertest", "--input", str(tmp_path / "rank_sequence.txt"), "--config", str(cfg_path),
+               "--output-dir", str(tmp_path / "out")],
+    )
+    assert result.exit_code == 0, result.output
+    assert json.loads(read(tmp_path / "out" / "order_test_report.json"))["len1"] == 300
+
+
+@pytest.mark.parametrize("source", ["config", "alias"])
+def test_ordertest_takes_levels_from_config_or_alias(runner, tmp_path, source):
+    write_sequence_file(tmp_path)
+    args = ["ordertest", "--input", str(tmp_path / "rank_sequence.txt"), "--replicates", "2",
+            "--len1", "500", "--len2", "500", "--output-dir", str(tmp_path / "out")]
+    if source == "config":
+        (tmp_path / "cfg.json").write_text(json.dumps({"levels": "0.2"}), encoding="utf-8")
+        args += ["--config", str(tmp_path / "cfg.json")]
+    else:
+        args += ["--alpha-levels", "0.2"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert json.loads(read(tmp_path / "out" / "order_test_report.json"))["levels"] == [0.2]
+    assert read(tmp_path / "out" / "wmw_pvalues.csv").splitlines()[0] == "replicate,p_value,threshold_0.2"
+
+
+def test_ordertest_rejects_zero_replicates(runner, tmp_path):
+    write_sequence_file(tmp_path)
+    result = runner.invoke(
+        main, ["ordertest", "--input", str(tmp_path / "rank_sequence.txt"), "--replicates", "0",
+               "--output-dir", str(tmp_path / "out")],
+    )
+    assert result.exit_code == 1
+    assert "Error: replicates must be >= 1" in result.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_mcmc_saved_samples_match_recorded_digests(runner, tmp_path):
+    # Digests of the files written by the earlier implementation, which re-ran
+    # every chain after the study, for exactly these arguments.
+    expected = {
+        "mh_samples_0.txt": "458f34c9797a1bad32e45fb4a879885c2a7328ba18b79e9506ca05a608432215",
+        "mh_samples_1.txt": "3fc88cef7e490df20ba8fce0deedae69ac9e4ff2d2dd468a27604999f233a380",
+        "mh_samples_2.txt": "c9f5e5a797686de31523152203276fe73187724e1a9160ad6f1df37457815c9e",
+    }
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main, ["mcmc", "--alpha", "1.0", "--beta", "0", "--gamma", "1.5", "--rbar", "10", "--steps", "500",
+               "--runs", "3", "--seed", "5", "--reference-size", "200", "--save-samples", "--output-dir", str(out)],
+    )
+    assert result.exit_code == 0, result.output
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in expected} == expected
+
+
+PIPELINE_ARGS = ["--seed", "7", "--rbar", "10", "--steps", "1500", "--runs", "2", "--replicates", "2",
+                 "--reference-size", "400"]
+
+
+def test_report_figures_share_the_stage_table_writers(runner, rich_corpus_dir, tmp_path):
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["pipeline", str(rich_corpus_dir), "--output-dir", str(out), *PIPELINE_ARGS])
+    assert result.exit_code == 0, result.output
+    for fig, table in (("fig2_ks_first_vs_second.csv", "ks_first_vs_second.csv"),
+                       ("fig3_wmw_pvalues.csv", "wmw_pvalues.csv"),
+                       ("fig4_chi_square.csv", "chi_square.csv"),
+                       ("fig5_ks_vs_empirical.csv", "ks_vs_empirical.csv")):
+        assert (out / fig).read_bytes() == (out / table).read_bytes(), fig
+    ks_rows = [line.split(",", 1)[1] for line in read(out / "ks_statistics.csv").splitlines()]
+    assert read(out / "fig6_ks_hist.csv").splitlines() == ks_rows
+
+
+def test_pipeline_output_is_independent_of_output_dir(runner, rich_corpus_dir, tmp_path):
+    for name in ("a", "deeper/b"):
+        args = ["pipeline", str(rich_corpus_dir), "--output-dir", str(tmp_path / name), *PIPELINE_ARGS]
+        assert runner.invoke(main, args).exit_code == 0
+    assert snapshot(tmp_path / "a") == snapshot(tmp_path / "deeper" / "b")
+    manifest = json.loads(read(tmp_path / "a" / "manifest.json"))
+    assert "output_dir" not in manifest["config"]

@@ -238,3 +238,12 @@ def test_order_test_thresholds_follow_lengths():
     assert report.thresholds["ks_vs_empirical"][0.05] == pytest.approx(
         ks_threshold(0.05, 2500, 3000, True)
     )
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"replicates": 0}, {"len1": 0}, {"len2": 0}, {"levels": ()}, {"levels": (0.05, 1.0)}, {"levels": (0.0,)}],
+)
+def test_order_test_config_rejects_invalid_settings(kwargs):
+    with pytest.raises(ValueError):
+        OrderTestConfig(**kwargs)

@@ -222,6 +222,17 @@ def test_study_flags_wrong_reference():
     assert np.mean(report_flat.ks_statistics) < np.mean(report.ks_statistics) / 5
 
 
+def test_study_hands_each_run_to_callback():
+    f = target(0.5, 0.3, 0.2)
+    seen = []
+    report = convergence_study(f, 3, MHConfig(n_steps=400, seed=4), [1, 2, 3], on_run=lambda k, r: seen.append((k, r)))
+    assert [k for k, _ in seen] == [0, 1, 2]
+    for k, result in seen:
+        alone = run_chain(f, MHConfig(n_steps=400, seed=np.random.SeedSequence(entropy=4, spawn_key=(k,))))
+        assert np.array_equal(result.samples.values, alone.samples.values)
+    assert report == convergence_study(f, 3, MHConfig(n_steps=400, seed=4), [1, 2, 3])
+
+
 def test_study_validates_inputs():
     f = target(0.6, 0.4)
     with pytest.raises(ValueError):
