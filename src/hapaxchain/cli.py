@@ -6,27 +6,19 @@ record their configuration hash next to their outputs."""
 from __future__ import annotations
 
 import json
-from importlib.metadata import version as _pkg_version
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 import click
 import numpy as np
 
+from . import __version__, persist
 from . import corpus as corpus_mod
-from . import persist
 from .markov import OrderTestConfig, order_test
 from .mh_sampler import MHConfig, convergence_study, iid_sample
 from .ranksize import ZMParams, fit_zm, target_distribution, zm_eval
 
 OUTPUT_DIR_ENVVAR = "HAPAXCHAIN_OUTPUT_DIR"
-
-
-def _package_version() -> str:
-    try:
-        return _pkg_version("hapaxchain")
-    except Exception:
-        return "unknown"
 
 
 class _Levels(click.ParamType):
@@ -350,7 +342,7 @@ def _run_pipeline(o: dict) -> dict[str, Path]:
             raise click.ClickException(f"stage '{name}' failed: {exc}")
         stages[name] = {fname: persist.sha256_file(path) for fname, path in sorted(outputs.items())}
     manifest_path = persist.write_json(o["output_dir"] / "manifest.json", {
-        "package": "hapaxchain", "version": _package_version(), "seed": o["seed"],
+        "package": "hapaxchain", "version": __version__, "seed": o["seed"],
         "config_hash": config_hash, "config": config, "stages": stages})
     click.echo(f"pipeline: complete, manifest config_hash={config_hash[:12]}")
     return {"manifest.json": manifest_path}
@@ -384,7 +376,7 @@ def _command(stage: Stage) -> click.Command:
 
 
 @click.group()
-@click.version_option(_package_version(), prog_name="hapaxchain")
+@click.version_option(__version__, prog_name="hapaxchain")
 def main():
     """Rank-size analysis of hapax legomena: extraction, Zipf-Mandelbrot
     fitting, Markov order testing, and Metropolis-Hastings sampling."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,12 +43,32 @@ __all__ = [
 INDICATOR_NAMES = ("mean", "std_dev", "kurtosis", "skewness", "entropy")
 
 
+def _row_cumsum(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Running sums of each CSR row, added left to right within the row.
+
+    The additions happen in the order a dense ``row.cumsum()`` makes them
+    (its zero cells add exactly ``+0.0``), so every value equals the dense
+    cumulative value at its column.  Rows advance together one position
+    at a time: the loop runs once per position of the longest row.
+    """
+    cum = np.array(values, dtype=float)
+    lengths = np.diff(indptr)
+    by_length = np.argsort(lengths, kind="stable")
+    starts = indptr[:-1][by_length]
+    sorted_lengths = lengths[by_length]
+    for k in range(1, int(sorted_lengths[-1]) if sorted_lengths.size else 0):
+        at = starts[np.searchsorted(sorted_lengths, k, side="right"):] + k
+        cum[at] += cum[at - 1]
+    return cum
+
+
 @dataclass(frozen=True)
 class TransitionMatrix1:
     """Row-stochastic first-order transition matrix over observed states.
 
     ``counts`` is None for exact (non-estimated) kernels.  ``marginal``
     is the state distribution used to draw unsupplied initial states.
+    Entries of ``probs`` must be non-negative.
     """
 
     states: np.ndarray
@@ -65,27 +86,71 @@ class TransitionMatrix1:
             raise ValueError(f"state {state} not in transition matrix")
         return idx
 
+    @cached_property
+    def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(indptr, indices, cum)``: the non-zero columns of each row and
+        their cumulative probabilities, built on first use."""
+        rows, indices = np.nonzero(self.probs)
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=self.n_states))))
+        return indptr, indices, _row_cumsum(self.probs[rows, indices], indptr)
+
+    @cached_property
+    def _walk(self) -> tuple[list[list[float]], list[list[int]]]:
+        """Each row's cumulative probabilities and columns as Python lists;
+        the column list ends in the last state, taken by a draw at or
+        above the row's sum."""
+        indptr, indices, cum = self._csr
+        bounds = list(zip(indptr[:-1].tolist(), indptr[1:].tolist()))
+        cum, indices, last = cum.tolist(), indices.tolist(), [self.n_states - 1]
+        return [cum[lo:hi] for lo, hi in bounds], [indices[lo:hi] + last for lo, hi in bounds]
+
 
 @dataclass(frozen=True)
 class TransitionMatrix2:
-    """Second-order transition counts/probabilities.
+    """Second-order transition counts/probabilities as CSR rows.
 
-    Rows are indexed by observed ordered state pairs via ``pair_index``.
-    ``fallback`` holds the first-order matrix estimated from the same
-    sequence; simulation uses its row for the current state whenever a
-    pair has no observed continuation.
+    Row ``r`` belongs to the observed ordered pair of state indices
+    ``(i, j)`` with ``pair_codes[r] == i * n_states + j`` (sorted).  Its
+    non-zero entries sit at ``indptr[r]:indptr[r + 1]`` of ``indices``
+    (next-state index), ``counts``, ``probs`` and ``cum`` (running sum of
+    the row's probabilities).  A pair seen only at the end of the
+    sequence has an empty row.  ``fallback`` holds the first-order matrix
+    estimated from the same sequence; simulation uses its row for the
+    current state whenever a pair has no observed continuation.
     """
 
     states: np.ndarray
-    pair_index: dict[tuple[int, int], int]
+    pair_codes: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
     counts: np.ndarray
     probs: np.ndarray
+    cum: np.ndarray
     pair_marginal: np.ndarray
     fallback: TransitionMatrix1
 
     @property
     def n_states(self) -> int:
         return int(self.states.size)
+
+    @cached_property
+    def _walk(self) -> tuple[dict[int, int], list[int], list[int], memoryview]:
+        """Row lookup, and ``(indptr, indices, cum)`` of the order-2 rows
+        followed by the fallback rows: lists for what each step indexes
+        once, a zero-copy view of the sums it bisects.
+
+        The lookup maps the code of each pair with an observed
+        continuation to its row; the fallback row of state ``j`` is
+        ``pair_codes.size + j``.
+        """
+        f_indptr, f_indices, f_cum = self.fallback._csr
+        rows = np.flatnonzero(np.diff(self.indptr))
+        return (
+            dict(zip(self.pair_codes[rows].tolist(), rows.tolist())),
+            np.concatenate((self.indptr, f_indptr[1:] + self.indptr[-1])).tolist(),
+            np.concatenate((self.indices, f_indices)).tolist(),
+            memoryview(np.concatenate((self.cum, f_cum))),
+        )
 
 
 def _as_values(seq) -> np.ndarray:
@@ -105,47 +170,45 @@ def estimate_order1(seq) -> TransitionMatrix1:
         raise ValueError(f"need a sequence of length >= 2, got {values.size}")
     states, idx = np.unique(values, return_inverse=True)
     n = states.size
-    counts = np.zeros((n, n), dtype=np.int64)
-    np.add.at(counts, (idx[:-1], idx[1:]), 1)
+    counts = np.bincount(idx[:-1] * n + idx[1:], minlength=n * n).reshape(n, n)
+    row_sums = counts.sum(axis=1, keepdims=True)
     probs = np.zeros((n, n), dtype=float)
-    row_sums = counts.sum(axis=1)
-    for i in range(n):
-        if row_sums[i] > 0:
-            probs[i] = counts[i] / row_sums[i]
-        else:
-            probs[i, i] = 1.0
+    np.divide(counts, row_sums, out=probs, where=row_sums > 0)
+    terminal = np.flatnonzero(row_sums == 0)
+    probs[terminal, terminal] = 1.0
     marginal = np.bincount(idx, minlength=n) / values.size
     return TransitionMatrix1(states=states, counts=counts, probs=probs, marginal=marginal)
 
 
 def estimate_order2(seq) -> TransitionMatrix2:
-    """Estimate next-state probabilities conditioned on the last two states."""
+    """Estimate next-state probabilities conditioned on the last two states.
+
+    Storage is O(observed pairs + observed triples); no table spans all
+    pairs of states.
+    """
     values = _as_values(seq)
     if values.size < 3:
         raise ValueError(f"need a sequence of length >= 3, got {values.size}")
-    states, idx = np.unique(values, return_inverse=True)
+    fallback = estimate_order1(values)
+    states = fallback.states
+    idx = np.searchsorted(states, values)
     n = states.size
-    pair_codes = idx[:-1] * n + idx[1:]
-    observed_pairs, pair_rows, pair_counts = np.unique(
-        pair_codes, return_inverse=True, return_counts=True
-    )
-    counts = np.zeros((observed_pairs.size, n), dtype=np.int64)
-    np.add.at(counts, (pair_rows[:-1], idx[2:]), 1)
-    probs = np.zeros_like(counts, dtype=float)
-    row_sums = counts.sum(axis=1)
-    nz = row_sums > 0
-    probs[nz] = counts[nz] / row_sums[nz, None]
-    pair_index = {
-        (int(states[code // n]), int(states[code % n])): row
-        for row, code in enumerate(observed_pairs)
-    }
+    codes = idx[:-1] * n + idx[1:]
+    pair_codes, pair_rows, pair_counts = np.unique(codes, return_inverse=True, return_counts=True)
+    triples, counts = np.unique(pair_rows[:-1] * n + idx[2:], return_counts=True)
+    rows, indices = np.divmod(triples, n)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=pair_codes.size))))
+    probs = counts / np.bincount(pair_rows[:-1], minlength=pair_codes.size)[rows]
     return TransitionMatrix2(
         states=states,
-        pair_index=pair_index,
+        pair_codes=pair_codes,
+        indptr=indptr,
+        indices=indices,
         counts=counts,
         probs=probs,
-        pair_marginal=pair_counts / pair_codes.size,
-        fallback=estimate_order1(values),
+        cum=_row_cumsum(probs, indptr),
+        pair_marginal=pair_counts / codes.size,
+        fallback=fallback,
     )
 
 
@@ -155,15 +218,13 @@ def _rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
-def _cumulative_rows(probs: np.ndarray) -> list[list[float]]:
-    return [row.cumsum().tolist() for row in probs]
-
-
 def simulate_order1(tm: TransitionMatrix1, length: int, seed, initial: int | None = None) -> RankSequence:
     """Sample a seeded realization of the chain.
 
     The initial state is drawn from ``tm.marginal`` (uniform over states
-    when no marginal is attached) unless supplied explicitly.
+    when no marginal is attached) unless supplied explicitly.  Each step
+    takes the first non-zero column whose cumulative probability exceeds
+    a uniform draw (the last state if the row's sum falls short of it).
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
@@ -174,17 +235,13 @@ def simulate_order1(tm: TransitionMatrix1, length: int, seed, initial: int | Non
     else:
         weights = tm.marginal if tm.marginal is not None else np.full(n, 1.0 / n)
         current = int(rng.choice(n, p=weights))
-    out = np.empty(length, dtype=np.int64)
-    out[0] = current
+    path = [current]
     if length > 1:
-        cum = _cumulative_rows(tm.probs)
-        us = rng.random(length - 1).tolist()
-        for t, u in enumerate(us, start=1):
-            current = bisect_right(cum[current], u)
-            if current >= n:  # guard against cumulative rounding at 1.0
-                current = n - 1
-            out[t] = current
-    return RankSequence(values=tm.states[out], alphabet_size=int(tm.states.max()))
+        cum, columns = tm._walk
+        for u in rng.random(length - 1).tolist():
+            current = columns[current][bisect_right(cum[current], u)]
+            path.append(current)
+    return RankSequence(values=tm.states[path], alphabet_size=int(tm.states.max()))
 
 
 def simulate_order2(
@@ -194,45 +251,34 @@ def simulate_order2(
 
     The initial pair is drawn from the empirical pair distribution when
     not supplied.  Unobserved (or continuation-free) pairs fall back to
-    the first-order row of the current state.
+    the first-order row of the current state.  Steps draw as in
+    :func:`simulate_order1`.
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     rng = _rng(seed)
     n = tm.n_states
-    state_pos = {int(s): i for i, s in enumerate(tm.states)}
     if initial_pair is not None:
         try:
-            prev, current = (state_pos[int(s)] for s in initial_pair)
-        except KeyError:
+            prev, current = (tm.fallback.state_index(int(s)) for s in initial_pair)
+        except ValueError:
             raise ValueError(f"initial pair {initial_pair} contains an unknown state") from None
     else:
-        pairs = list(tm.pair_index.keys())
-        pick = pairs[int(rng.choice(len(pairs), p=tm.pair_marginal))]
-        prev, current = state_pos[pick[0]], state_pos[pick[1]]
+        code = int(tm.pair_codes[rng.choice(tm.pair_codes.size, p=tm.pair_marginal)])
+        prev, current = divmod(code, n)
 
-    out = np.empty(length, dtype=np.int64)
-    out[0] = prev
-    if length > 1:
-        out[1] = current
-        cum2 = _cumulative_rows(tm.probs)
-        cum1 = _cumulative_rows(tm.fallback.probs)
-        row_has_mass = tm.counts.sum(axis=1) > 0
-        pair_row = {
-            (state_pos[i], state_pos[j]): row for (i, j), row in tm.pair_index.items()
-        }
-        us = rng.random(length - 2).tolist()
-        for t, u in enumerate(us, start=2):
-            row = pair_row.get((prev, current))
-            if row is not None and row_has_mass[row]:
-                nxt = bisect_right(cum2[row], u)
-            else:
-                nxt = bisect_right(cum1[current], u)
-            if nxt >= n:
-                nxt = n - 1
-            out[t] = nxt
-            prev, current = current, nxt
-    return RankSequence(values=tm.states[out[:length]], alphabet_size=int(tm.states.max()))
+    path = [prev, current]
+    if length > 2:
+        row_of, indptr, indices, cum = tm._walk
+        fallback_row = tm.pair_codes.size
+        last = n - 1
+        for u in rng.random(length - 2).tolist():
+            r = row_of.get(prev * n + current, fallback_row + current)
+            hi = indptr[r + 1]
+            k = bisect_right(cum, u, indptr[r], hi)
+            prev, current = current, (indices[k] if k < hi else last)
+            path.append(current)
+    return RankSequence(values=tm.states[path[:length]], alphabet_size=int(tm.states.max()))
 
 
 @dataclass(frozen=True)
@@ -304,8 +350,8 @@ def order_test(seq, config: OrderTestConfig | None = None) -> OrderTestReport:
     if config is None:
         config = OrderTestConfig()
     values = _as_values(seq)
-    tm1 = estimate_order1(values)
     tm2 = estimate_order2(values)
+    tm1 = tm2.fallback
     len1 = config.len1 if config.len1 is not None else int(values.size)
     len2 = config.len2 if config.len2 is not None else min(100_000, int(values.size))
     n_states = tm1.n_states

@@ -80,14 +80,19 @@ def descriptive_stats(values) -> DescriptiveStats:
         raise ValueError(f"descriptive_stats requires at least 2 values, got {n}")
 
     mean = float(x.mean())
-    variance = float(x.var(ddof=1))
-    std_dev = math.sqrt(variance)
+    # Residuals corrected for the rounding of the mean: a constant sample
+    # gets exact zeros, and the moments are not skewed by a rounded mean.
     centered = x - mean
-    m2 = float(np.mean(centered**2))
-    if m2 > 0.0:
-        z = centered / math.sqrt(m2)  # standardizing avoids moment underflow
-        skewness = float(np.mean(z**3))
-        kurtosis = float(np.mean(z**4))
+    centered -= centered.mean()
+    variance = float(np.sum(centered**2)) / (n - 1)
+    std_dev = math.sqrt(variance)
+    # Scaled by their largest magnitude so that no power underflows.
+    scale = float(np.abs(centered).max())
+    if scale > 0.0:
+        z = centered / scale
+        m2 = float(np.mean(z**2))
+        skewness = float(np.mean(z**3)) / m2**1.5
+        kurtosis = float(np.mean(z**4)) / m2**2
     else:
         skewness = math.nan
         kurtosis = math.nan

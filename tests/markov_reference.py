@@ -1,0 +1,143 @@
+"""Dense reference implementation of order-1/order-2 estimation and simulation.
+
+This is the straightforward kernel the package's CSR rows replace: dense
+``(observed pairs x states)`` count and probability tables, cumulative
+rows rebuilt as Python lists on every simulation, and a per-row loop for
+the first-order probabilities.  The tests compare the package's seeded
+outputs against it with exact equality.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_right
+from dataclasses import dataclass
+
+import numpy as np
+
+from hapaxchain.corpus import RankSequence
+from hapaxchain.markov import TransitionMatrix1, _as_values, _rng
+
+
+@dataclass(frozen=True)
+class DenseTransitionMatrix2:
+    states: np.ndarray
+    pair_index: dict[tuple[int, int], int]
+    counts: np.ndarray
+    probs: np.ndarray
+    pair_marginal: np.ndarray
+    fallback: TransitionMatrix1
+
+    @property
+    def n_states(self) -> int:
+        return int(self.states.size)
+
+
+def estimate_order1(seq) -> TransitionMatrix1:
+    values = _as_values(seq)
+    if values.size < 2:
+        raise ValueError(f"need a sequence of length >= 2, got {values.size}")
+    states, idx = np.unique(values, return_inverse=True)
+    n = states.size
+    counts = np.zeros((n, n), dtype=np.int64)
+    np.add.at(counts, (idx[:-1], idx[1:]), 1)
+    probs = np.zeros((n, n), dtype=float)
+    row_sums = counts.sum(axis=1)
+    for i in range(n):
+        if row_sums[i] > 0:
+            probs[i] = counts[i] / row_sums[i]
+        else:
+            probs[i, i] = 1.0
+    marginal = np.bincount(idx, minlength=n) / values.size
+    return TransitionMatrix1(states=states, counts=counts, probs=probs, marginal=marginal)
+
+
+def estimate_order2(seq) -> DenseTransitionMatrix2:
+    values = _as_values(seq)
+    if values.size < 3:
+        raise ValueError(f"need a sequence of length >= 3, got {values.size}")
+    states, idx = np.unique(values, return_inverse=True)
+    n = states.size
+    pair_codes = idx[:-1] * n + idx[1:]
+    observed_pairs, pair_rows, pair_counts = np.unique(
+        pair_codes, return_inverse=True, return_counts=True
+    )
+    counts = np.zeros((observed_pairs.size, n), dtype=np.int64)
+    np.add.at(counts, (pair_rows[:-1], idx[2:]), 1)
+    probs = np.zeros_like(counts, dtype=float)
+    row_sums = counts.sum(axis=1)
+    nz = row_sums > 0
+    probs[nz] = counts[nz] / row_sums[nz, None]
+    pair_index = {
+        (int(states[code // n]), int(states[code % n])): row
+        for row, code in enumerate(observed_pairs)
+    }
+    return DenseTransitionMatrix2(
+        states=states,
+        pair_index=pair_index,
+        counts=counts,
+        probs=probs,
+        pair_marginal=pair_counts / pair_codes.size,
+        fallback=estimate_order1(values),
+    )
+
+
+def _cumulative_rows(probs: np.ndarray) -> list[list[float]]:
+    return [row.cumsum().tolist() for row in probs]
+
+
+def simulate_order1(tm: TransitionMatrix1, length: int, seed, initial: int | None = None) -> RankSequence:
+    rng = _rng(seed)
+    n = tm.n_states
+    if initial is not None:
+        current = tm.state_index(initial)
+    else:
+        weights = tm.marginal if tm.marginal is not None else np.full(n, 1.0 / n)
+        current = int(rng.choice(n, p=weights))
+    out = np.empty(length, dtype=np.int64)
+    out[0] = current
+    if length > 1:
+        cum = _cumulative_rows(tm.probs)
+        us = rng.random(length - 1).tolist()
+        for t, u in enumerate(us, start=1):
+            current = bisect_right(cum[current], u)
+            if current >= n:
+                current = n - 1
+            out[t] = current
+    return RankSequence(values=tm.states[out], alphabet_size=int(tm.states.max()))
+
+
+def simulate_order2(
+    tm: DenseTransitionMatrix2, length: int, seed, initial_pair: tuple[int, int] | None = None
+) -> RankSequence:
+    rng = _rng(seed)
+    n = tm.n_states
+    state_pos = {int(s): i for i, s in enumerate(tm.states)}
+    if initial_pair is not None:
+        prev, current = (state_pos[int(s)] for s in initial_pair)
+    else:
+        pairs = list(tm.pair_index.keys())
+        pick = pairs[int(rng.choice(len(pairs), p=tm.pair_marginal))]
+        prev, current = state_pos[pick[0]], state_pos[pick[1]]
+
+    out = np.empty(length, dtype=np.int64)
+    out[0] = prev
+    if length > 1:
+        out[1] = current
+        cum2 = _cumulative_rows(tm.probs)
+        cum1 = _cumulative_rows(tm.fallback.probs)
+        row_has_mass = tm.counts.sum(axis=1) > 0
+        pair_row = {
+            (state_pos[i], state_pos[j]): row for (i, j), row in tm.pair_index.items()
+        }
+        us = rng.random(length - 2).tolist()
+        for t, u in enumerate(us, start=2):
+            row = pair_row.get((prev, current))
+            if row is not None and row_has_mass[row]:
+                nxt = bisect_right(cum2[row], u)
+            else:
+                nxt = bisect_right(cum1[current], u)
+            if nxt >= n:
+                nxt = n - 1
+            out[t] = nxt
+            prev, current = current, nxt
+    return RankSequence(values=tm.states[out[:length]], alphabet_size=int(tm.states.max()))

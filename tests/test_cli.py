@@ -323,6 +323,18 @@ def test_report_requires_stage_outputs(runner, tmp_path):
     assert "run 'extract' first" in result.output
 
 
+def test_version_comes_from_the_package(runner, rich_corpus_dir, tmp_path):
+    result = runner.invoke(main, ["--version"])
+    assert result.exit_code == 0, result.output
+    assert result.output.strip() == "hapaxchain, version 0.1.0"
+    out = tmp_path / "out"
+    args = ["pipeline", str(rich_corpus_dir), "--output-dir", str(out), "--rbar", "10", "--steps", "200",
+            "--runs", "2", "--replicates", "1", "--reference-size", "50"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert json.loads(read(out / "manifest.json"))["version"] == "0.1.0"
+
+
 def test_report_after_pipeline_and_manifest_determinism(runner, rich_corpus_dir, tmp_path):
     out = tmp_path / "out"
     args = [

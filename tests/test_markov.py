@@ -1,10 +1,15 @@
 """Transition estimation, chain simulation and order-test battery tests."""
 
+import dataclasses
+import tracemalloc
+
+import markov_reference as ref
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hapaxchain import markov
 from hapaxchain.corpus import RankSequence
 from hapaxchain.markov import (
     OrderTestConfig,
@@ -24,6 +29,21 @@ def seq(values):
 
 def row(tm, i, j):
     return tm.probs[tm.state_index(i), tm.state_index(j)]
+
+
+def pair_row(tm, i, j):
+    """Row of the order-2 matrix for the observed state pair (i, j), or None."""
+    code = tm.fallback.state_index(i) * tm.n_states + tm.fallback.state_index(j)
+    r = int(np.searchsorted(tm.pair_codes, code))
+    return r if r < tm.pair_codes.size and tm.pair_codes[r] == code else None
+
+
+def dense_row(tm, r, field="probs"):
+    """Row ``r`` of the order-2 ``probs`` (or ``counts``) over all states."""
+    lo, hi = tm.indptr[r], tm.indptr[r + 1]
+    dense = np.zeros(tm.n_states, dtype=getattr(tm, field).dtype)
+    dense[tm.indices[lo:hi]] = getattr(tm, field)[lo:hi]
+    return dense
 
 
 # -------------------------------------------------------------- estimation
@@ -59,26 +79,26 @@ def test_estimate_order1_terminal_state_gets_self_loop():
 
 def test_estimate_order2_alternating():
     tm = estimate_order2(seq([1, 2, 1, 2, 1]))
-    r12 = tm.pair_index[(1, 2)]
-    r21 = tm.pair_index[(2, 1)]
+    r12 = pair_row(tm, 1, 2)
+    r21 = pair_row(tm, 2, 1)
     i1 = int(np.searchsorted(tm.states, 1))
     i2 = int(np.searchsorted(tm.states, 2))
-    assert tm.probs[r12, i1] == 1.0
-    assert tm.probs[r21, i2] == 1.0
+    assert dense_row(tm, r12)[i1] == 1.0
+    assert dense_row(tm, r21)[i2] == 1.0
 
 
 def test_estimate_order2_constant():
     tm = estimate_order2(seq([1, 1, 1, 1]))
-    assert tm.probs[tm.pair_index[(1, 1)], 0] == 1.0
+    assert dense_row(tm, pair_row(tm, 1, 1))[0] == 1.0
 
 
 def test_estimate_order2_single_triple():
     tm = estimate_order2(seq([1, 2, 3]))
-    r12 = tm.pair_index[(1, 2)]
+    r12 = pair_row(tm, 1, 2)
     i3 = int(np.searchsorted(tm.states, 3))
-    assert tm.probs[r12, i3] == 1.0
+    assert dense_row(tm, r12)[i3] == 1.0
     # the final pair (2, 3) is observed but has no continuation
-    assert tm.counts[tm.pair_index[(2, 3)]].sum() == 0
+    assert dense_row(tm, pair_row(tm, 2, 3), "counts").sum() == 0
 
 
 def test_estimate_order2_too_short():
@@ -92,8 +112,9 @@ def test_estimated_rows_are_stochastic(values):
     tm1 = estimate_order1(seq(values))
     np.testing.assert_allclose(tm1.probs.sum(axis=1), 1.0, atol=1e-12)
     tm2 = estimate_order2(seq(values))
-    sums = tm2.probs.sum(axis=1)
-    mass = tm2.counts.sum(axis=1) > 0
+    rows = range(tm2.pair_codes.size)
+    sums = np.array([dense_row(tm2, r).sum() for r in rows])
+    mass = np.array([dense_row(tm2, r, "counts").sum() > 0 for r in rows])
     np.testing.assert_allclose(sums[mass], 1.0, atol=1e-12)
 
 
@@ -168,7 +189,7 @@ def test_simulate_order2_unseen_pair_falls_back():
     # (2, 2) never occurs in the source; the fallback row of state 2
     # forces the successor of that pair to be 1.
     tm = estimate_order2(seq([1, 1, 2, 1, 1, 2, 1]))
-    assert (2, 2) not in tm.pair_index
+    assert pair_row(tm, 2, 2) is None
     out = simulate_order2(tm, 3, seed=0, initial_pair=(2, 2))
     assert out.values.tolist()[:2] == [2, 2]
     assert out.values.tolist()[2] == 1
@@ -178,6 +199,113 @@ def test_simulate_order2_unknown_initial_pair_state():
     tm = estimate_order2(seq([1, 2, 1, 2]))
     with pytest.raises(ValueError):
         simulate_order2(tm, 5, seed=0, initial_pair=(1, 9))
+
+
+# ------------------------------------- cross-check against the dense reference
+
+
+def assert_order2_matches(tm, dense, length, seed, initial_pair=None):
+    got = simulate_order2(tm, length, seed, initial_pair=initial_pair).values
+    want = ref.simulate_order2(dense, length, seed, initial_pair=initial_pair).values
+    assert got.tolist() == want.tolist()
+    return got.tolist()
+
+
+def assert_simulations_match(values, length, seed, initial_pair=None):
+    tm, dense = estimate_order2(values), ref.estimate_order2(values)
+    assert_order2_matches(tm, dense, length, seed, initial_pair)
+    initial = None if initial_pair is None else initial_pair[1]
+    got = simulate_order1(tm.fallback, length, seed, initial=initial).values
+    want = ref.simulate_order1(dense.fallback, length, seed, initial=initial).values
+    assert got.tolist() == want.tolist()
+
+
+@settings(max_examples=60)
+@given(st.lists(st.integers(min_value=1, max_value=6), min_size=3, max_size=120), st.integers(0, 2**32 - 1))
+def test_estimates_equal_dense_reference(values, seed):
+    tm, dense = estimate_order2(values), ref.estimate_order2(values)
+    tm1, dense1 = estimate_order1(values), ref.estimate_order1(values)
+    for a, b in ((tm1, dense1), (tm.fallback, dense1)):
+        assert a.probs.tolist() == b.probs.tolist()
+        assert a.counts.tolist() == b.counts.tolist()
+        assert a.marginal.tolist() == b.marginal.tolist()
+    assert tm.pair_marginal.tolist() == dense.pair_marginal.tolist()
+    for (i, j), r in dense.pair_index.items():
+        assert dense_row(tm, pair_row(tm, i, j)).tolist() == dense.probs[r].tolist()
+        assert dense_row(tm, pair_row(tm, i, j), "counts").tolist() == dense.counts[r].tolist()
+    assert len(dense.pair_index) == tm.pair_codes.size
+    assert_simulations_match(values, 60, seed)
+
+
+def test_simulations_equal_dense_reference_with_drawn_initial_pair():
+    values = np.random.default_rng(0).integers(1, 30, size=5000)
+    assert_simulations_match(values, 20_000, 17)
+
+
+def test_simulations_equal_dense_reference_with_supplied_initial_pair():
+    values = np.random.default_rng(1).integers(1, 30, size=5000)
+    assert_simulations_match(values, 20_000, 18, initial_pair=(int(values[7]), int(values[8])))
+
+
+def test_simulations_equal_dense_reference_when_most_pairs_are_unseen():
+    # 400 observations over 200 states, and a fallback that reaches every
+    # state: once the chain leaves the observed pairs, it mostly lands on
+    # pairs that were never observed, and hundreds of steps use the fallback.
+    values = np.random.default_rng(2).integers(1, 201, size=400)
+    tm, dense = estimate_order2(values), ref.estimate_order2(values)
+    n = tm.n_states
+    uniform = TransitionMatrix1(states=tm.states, counts=None, probs=np.full((n, n), 1.0 / n))
+    tm, dense = dataclasses.replace(tm, fallback=uniform), dataclasses.replace(dense, fallback=uniform)
+    for initial_pair in (None, (int(values[0]), int(values[0]))):
+        out = assert_order2_matches(tm, dense, 5_000, 19, initial_pair)
+        unseen = sum(pair_row(tm, i, j) is None for i, j in zip(out[:-2], out[1:-1]))
+        assert unseen > 0.1 * len(out)
+    assert_simulations_match(values, 5_000, 20, initial_pair=(int(values[0]), int(values[0])))
+
+
+def test_simulations_equal_dense_reference_from_continuation_free_final_pair():
+    values = [1, 2, 3, 1, 2, 1, 3, 3, 2, 4]
+    tm = estimate_order2(values)
+    assert dense_row(tm, pair_row(tm, 2, 4), "counts").sum() == 0
+    assert_simulations_match(values, 500, 21, initial_pair=(2, 4))
+
+
+def test_simulations_equal_dense_reference_on_single_state():
+    assert_simulations_match([4] * 10, 100, 22)
+    assert simulate_order2(estimate_order2([4] * 10), 5, 0).values.tolist() == [4] * 5
+
+
+def test_simulations_equal_dense_reference_when_rows_sum_below_one():
+    # Rows whose cumulative sum ends below 1.0: a uniform above it takes
+    # the last state, in the reference and in the CSR kernel alike.
+    probs = np.array([[0.2, 0.3, 0.0], [0.0, 0.25, 0.0], [0.1, 0.0, 0.3]])
+    short = TransitionMatrix1(states=np.array([1, 2, 3]), counts=None, probs=probs)
+    got = simulate_order1(short, 3_000, seed=23).values
+    assert got.tolist() == ref.simulate_order1(short, 3_000, seed=23).values.tolist()
+    assert np.mean(got == 3) > 0.5
+
+    values = np.random.default_rng(3).integers(1, 4, size=30)
+    tm, dense = estimate_order2(values), ref.estimate_order2(values)
+    half = tm.probs / 2
+    tm = dataclasses.replace(tm, probs=half, cum=markov._row_cumsum(half, tm.indptr), fallback=short)
+    dense = dataclasses.replace(dense, probs=dense.probs / 2, fallback=short)
+    for initial_pair in (None, (3, 3)):
+        assert_order2_matches(tm, dense, 3_000, 24, initial_pair)
+
+
+def test_order2_on_thousands_of_states_stays_small():
+    # A dense (observed pairs x states) table would need about 5 GB here.
+    values = np.random.default_rng(4).integers(1, 2_101, size=150_000)
+    tracemalloc.start()
+    try:
+        tm = estimate_order2(values)
+        out = simulate_order2(tm, 100_000, seed=25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tm.n_states > 2_000
+    assert len(out) == 100_000
+    assert peak < 200e6
 
 
 # -------------------------------------------------------------- order test
@@ -200,6 +328,18 @@ def test_order_test_report_shapes():
     assert set(report.pass_fractions) == {
         "ks_first_vs_second", "wmw", "chi_square", "ks_vs_empirical",
     }
+
+
+def test_order_test_estimates_order1_once(monkeypatch):
+    calls = []
+
+    def counted(seq):
+        calls.append(1)
+        return estimate_order1(seq)
+
+    monkeypatch.setattr(markov, "estimate_order1", counted)
+    order_test(order1_source(n=500), OrderTestConfig(replicates=2, seed=0))
+    assert len(calls) == 1
 
 
 def test_order_test_reproducible():

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
@@ -42,6 +42,27 @@ def test_descriptive_degenerate_sample_flags_nan():
     assert math.isnan(d.mean_over_sd)
 
 
+@pytest.mark.parametrize(
+    "values, skewness, kurtosis",
+    [
+        ([0.0, 4.2612682273689035e-158], 0.0, 1.0),
+        ([6553.943, 6553.943, float(np.nextafter(6553.943, np.inf))], math.sqrt(0.5), 1.5),
+    ],
+)
+def test_descriptive_moments_of_tiny_spreads(values, skewness, kurtosis):
+    d = descriptive_stats(values)
+    assert d.skewness == pytest.approx(skewness, rel=1e-12, abs=1e-12)
+    assert d.kurtosis == pytest.approx(kurtosis, rel=1e-12)
+
+
+def test_descriptive_constant_sample_whose_mean_rounds():
+    values = [5461.602684874075] * 3
+    assert float(np.mean(values)) != values[0]
+    d = descriptive_stats(values)
+    assert d.variance == 0.0
+    assert math.isnan(d.skewness) and math.isnan(d.kurtosis)
+
+
 def test_descriptive_requires_two_values():
     with pytest.raises(ValueError):
         descriptive_stats([1.0])
@@ -69,6 +90,9 @@ def test_derived_indicators_reproduce_reference_summary():
 @given(
     st.lists(st.floats(min_value=-1e4, max_value=1e4, allow_nan=False), min_size=2, max_size=80)
 )
+@example([0.0, 4.2612682273689035e-158])  # subnormal variance
+@example([6553.943, 6553.943, float(np.nextafter(6553.943, np.inf))])  # the mean rounds
+@example([5461.602684874075] * 3)  # constant, but the mean rounds up
 def test_descriptive_identities(values):
     d = descriptive_stats(values)
     rms_sq = (d.n - 1) / d.n * d.variance + d.mean**2
