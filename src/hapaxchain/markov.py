@@ -63,18 +63,19 @@ def _row_cumsum(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class TransitionMatrix1:
-    """Row-stochastic first-order transition matrix over observed states.
+class _TransitionRows:
+    """Transition counts and probabilities as CSR rows over observed states.
 
-    ``counts`` is None for exact (non-estimated) kernels.  ``marginal``
-    is the state distribution used to draw unsupplied initial states.
-    Entries of ``probs`` must be non-negative.
+    Row ``r`` keeps its non-zero entries at ``indptr[r]:indptr[r + 1]`` of
+    ``indices`` (next-state index), ``counts`` (None for a kernel given by
+    its probabilities) and ``probs`` (non-negative).
     """
 
     states: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
     counts: np.ndarray | None
     probs: np.ndarray
-    marginal: np.ndarray | None = None
 
     @property
     def n_states(self) -> int:
@@ -87,51 +88,50 @@ class TransitionMatrix1:
         return idx
 
     @cached_property
-    def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(indptr, indices, cum)``: the non-zero columns of each row and
-        their cumulative probabilities, built on first use."""
-        rows, indices = np.nonzero(self.probs)
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=self.n_states))))
-        return indptr, indices, _row_cumsum(self.probs[rows, indices], indptr)
+    def cum(self) -> np.ndarray:
+        """Running sum of each row's probabilities, built on first use."""
+        return _row_cumsum(self.probs, self.indptr)
+
+
+@dataclass(frozen=True)
+class TransitionMatrix1(_TransitionRows):
+    """Row-stochastic first-order matrix; row ``i`` belongs to state index
+    ``i``.  ``marginal`` draws the initial state when none is supplied."""
+
+    marginal: np.ndarray | None = None
+
+    @classmethod
+    def from_dense(cls, states, probs, marginal=None) -> TransitionMatrix1:
+        """Kernel given by a dense ``n x n`` probability table; its
+        non-zero entries become the rows."""
+        probs = np.asarray(probs, dtype=float)
+        rows, indices = np.nonzero(probs)
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(probs)))))
+        return cls(np.asarray(states), indptr, indices, None, probs[rows, indices], marginal)
 
     @cached_property
     def _walk(self) -> tuple[list[list[float]], list[list[int]]]:
         """Each row's cumulative probabilities and columns as Python lists;
         the column list ends in the last state, taken by a draw at or
         above the row's sum."""
-        indptr, indices, cum = self._csr
-        bounds = list(zip(indptr[:-1].tolist(), indptr[1:].tolist()))
-        cum, indices, last = cum.tolist(), indices.tolist(), [self.n_states - 1]
+        bounds = list(zip(self.indptr[:-1].tolist(), self.indptr[1:].tolist()))
+        cum, indices, last = self.cum.tolist(), self.indices.tolist(), [self.n_states - 1]
         return [cum[lo:hi] for lo, hi in bounds], [indices[lo:hi] + last for lo, hi in bounds]
 
 
 @dataclass(frozen=True)
-class TransitionMatrix2:
-    """Second-order transition counts/probabilities as CSR rows.
-
-    Row ``r`` belongs to the observed ordered pair of state indices
-    ``(i, j)`` with ``pair_codes[r] == i * n_states + j`` (sorted).  Its
-    non-zero entries sit at ``indptr[r]:indptr[r + 1]`` of ``indices``
-    (next-state index), ``counts``, ``probs`` and ``cum`` (running sum of
-    the row's probabilities).  A pair seen only at the end of the
-    sequence has an empty row.  ``fallback`` holds the first-order matrix
-    estimated from the same sequence; simulation uses its row for the
-    current state whenever a pair has no observed continuation.
+class TransitionMatrix2(_TransitionRows):
+    """Second-order matrix; row ``r`` belongs to the observed ordered pair
+    of state indices ``(i, j)`` with ``pair_codes[r] == i * n_states + j``
+    (sorted), drawn from the empirical pair distribution ``pair_marginal``.
+    A pair seen only at the end of the sequence has an empty row.
+    ``fallback`` is the first-order matrix of the same sequence; simulation
+    uses its row for the current state whenever a pair has no continuation.
     """
 
-    states: np.ndarray
     pair_codes: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
-    counts: np.ndarray
-    probs: np.ndarray
-    cum: np.ndarray
     pair_marginal: np.ndarray
     fallback: TransitionMatrix1
-
-    @property
-    def n_states(self) -> int:
-        return int(self.states.size)
 
     @cached_property
     def _walk(self) -> tuple[dict[int, int], list[int], list[int], memoryview]:
@@ -143,13 +143,12 @@ class TransitionMatrix2:
         continuation to its row; the fallback row of state ``j`` is
         ``pair_codes.size + j``.
         """
-        f_indptr, f_indices, f_cum = self.fallback._csr
         rows = np.flatnonzero(np.diff(self.indptr))
         return (
             dict(zip(self.pair_codes[rows].tolist(), rows.tolist())),
-            np.concatenate((self.indptr, f_indptr[1:] + self.indptr[-1])).tolist(),
-            np.concatenate((self.indices, f_indices)).tolist(),
-            memoryview(np.concatenate((self.cum, f_cum))),
+            np.concatenate((self.indptr, self.fallback.indptr[1:] + self.indptr[-1])).tolist(),
+            np.concatenate((self.indices, self.fallback.indices)).tolist(),
+            memoryview(np.concatenate((self.cum, self.fallback.cum))),
         )
 
 
@@ -159,25 +158,39 @@ def _as_values(seq) -> np.ndarray:
     return np.asarray(seq, dtype=np.int64)
 
 
+def _count_rows(context: np.ndarray, following: np.ndarray, n_rows: int, n_states: int):
+    """CSR ``(indptr, indices, counts, probs)`` of the observed transitions
+    ``context[t] -> following[t]``, in O(observed transitions); a context
+    row never followed by a state is empty."""
+    codes, counts = np.unique(context * n_states + following, return_counts=True)
+    rows, indices = np.divmod(codes, n_states)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows))))
+    return indptr, indices, counts, counts / np.bincount(context, minlength=n_rows)[rows]
+
+
 def estimate_order1(seq) -> TransitionMatrix1:
     """Estimate transition probabilities from consecutive observations.
 
-    Rows with no observed outgoing transition (a state seen only at the
-    end of the sequence) get a self-loop so the matrix stays stochastic.
+    A state with no observed outgoing transition (seen only at the end
+    of the sequence) gets a self-loop of count 0 and probability 1 so
+    the matrix stays stochastic.
     """
     values = _as_values(seq)
     if values.size < 2:
         raise ValueError(f"need a sequence of length >= 2, got {values.size}")
     states, idx = np.unique(values, return_inverse=True)
     n = states.size
-    counts = np.bincount(idx[:-1] * n + idx[1:], minlength=n * n).reshape(n, n)
-    row_sums = counts.sum(axis=1, keepdims=True)
-    probs = np.zeros((n, n), dtype=float)
-    np.divide(counts, row_sums, out=probs, where=row_sums > 0)
-    terminal = np.flatnonzero(row_sums == 0)
-    probs[terminal, terminal] = 1.0
-    marginal = np.bincount(idx, minlength=n) / values.size
-    return TransitionMatrix1(states=states, counts=counts, probs=probs, marginal=marginal)
+    indptr, indices, counts, probs = _count_rows(idx[:-1], idx[1:], n, n)
+    empty = np.diff(indptr) == 0
+    terminal, at = np.flatnonzero(empty), indptr[:-1][empty]
+    return TransitionMatrix1(
+        states=states,
+        indptr=indptr + np.concatenate(([0], np.cumsum(empty))),
+        indices=np.insert(indices, at, terminal),
+        counts=np.insert(counts, at, 0),
+        probs=np.insert(probs, at, 1.0),
+        marginal=np.bincount(idx, minlength=n) / values.size,
+    )
 
 
 def estimate_order2(seq) -> TransitionMatrix2:
@@ -195,27 +208,13 @@ def estimate_order2(seq) -> TransitionMatrix2:
     n = states.size
     codes = idx[:-1] * n + idx[1:]
     pair_codes, pair_rows, pair_counts = np.unique(codes, return_inverse=True, return_counts=True)
-    triples, counts = np.unique(pair_rows[:-1] * n + idx[2:], return_counts=True)
-    rows, indices = np.divmod(triples, n)
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=pair_codes.size))))
-    probs = counts / np.bincount(pair_rows[:-1], minlength=pair_codes.size)[rows]
     return TransitionMatrix2(
-        states=states,
+        states,
+        *_count_rows(pair_rows[:-1], idx[2:], pair_codes.size, n),
         pair_codes=pair_codes,
-        indptr=indptr,
-        indices=indices,
-        counts=counts,
-        probs=probs,
-        cum=_row_cumsum(probs, indptr),
         pair_marginal=pair_counts / codes.size,
         fallback=fallback,
     )
-
-
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.Generator(np.random.PCG64(seed))
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
 def simulate_order1(tm: TransitionMatrix1, length: int, seed, initial: int | None = None) -> RankSequence:
@@ -228,7 +227,7 @@ def simulate_order1(tm: TransitionMatrix1, length: int, seed, initial: int | Non
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     n = tm.n_states
     if initial is not None:
         current = tm.state_index(initial)
@@ -256,11 +255,11 @@ def simulate_order2(
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     n = tm.n_states
     if initial_pair is not None:
         try:
-            prev, current = (tm.fallback.state_index(int(s)) for s in initial_pair)
+            prev, current = (tm.state_index(int(s)) for s in initial_pair)
         except ValueError:
             raise ValueError(f"initial pair {initial_pair} contains an unknown state") from None
     else:

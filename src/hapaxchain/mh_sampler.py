@@ -17,7 +17,6 @@ from typing import Callable
 import numpy as np
 
 from .corpus import RankSequence
-from .markov import TransitionMatrix1
 from .ranksize import TargetDistribution
 from .stats import DEFAULT_LEVELS, ks_threshold, ks_two_sample
 
@@ -68,7 +67,7 @@ def run_chain(f: TargetDistribution, config: MHConfig) -> MHRunResult:
     accepts when u <= min(1, F_j / F_x).  No burn-in is discarded.
     """
     r_bar = f.r_bar
-    rng = np.random.Generator(np.random.PCG64(_as_seedseq(config.seed)))
+    rng = np.random.default_rng(config.seed)
     if config.initial_state is not None:
         if not 1 <= config.initial_state <= r_bar:
             raise ValueError(f"initial state {config.initial_state} outside 1..{r_bar}")
@@ -99,30 +98,26 @@ def run_chain(f: TargetDistribution, config: MHConfig) -> MHRunResult:
     )
 
 
-def mh_transition_matrix(f: TargetDistribution) -> TransitionMatrix1:
-    """Exact kernel of the chain: off-diagonal (1/r_bar) * min(1, F_j/F_i),
-    diagonal absorbing the rejected mass.  Satisfies detailed balance."""
+def mh_transition_matrix(f: TargetDistribution) -> np.ndarray:
+    """Exact kernel of the chain as a dense ``r_bar x r_bar`` array:
+    off-diagonal (1/r_bar) * min(1, F_j/F_i), diagonal absorbing the
+    rejected mass.  Satisfies detailed balance."""
     p = np.asarray(f.probs, dtype=float)
     r_bar = f.r_bar
     accept = np.minimum(1.0, p[None, :] / p[:, None])
     kernel = accept / r_bar
     off_diag_sums = kernel.sum(axis=1) - np.diag(kernel)
     np.fill_diagonal(kernel, 1.0 - off_diag_sums)
-    return TransitionMatrix1(
-        states=np.arange(1, r_bar + 1, dtype=np.int64),
-        counts=None,
-        probs=kernel,
-        marginal=p.copy(),
-    )
+    return kernel
 
 
-def stationary_oracle(tm: TransitionMatrix1, tol: float = 1e-13, max_iter: int = 1_000_000) -> np.ndarray:
-    """Fixed point of v -> v P by power iteration from the uniform vector.
+def stationary_oracle(p: np.ndarray, tol: float = 1e-13, max_iter: int = 1_000_000) -> np.ndarray:
+    """Fixed point of v -> v P of a dense row-stochastic array ``p``, by
+    power iteration from the uniform vector.
 
     Stops when successive iterates differ by less than ``tol`` in max
     norm; raises if the iteration cap is hit first.
     """
-    p = tm.probs
     v = np.full(p.shape[0], 1.0 / p.shape[0])
     for _ in range(max_iter):
         v_next = v @ p
@@ -144,7 +139,7 @@ def iid_sample(f: TargetDistribution, size: int, seed) -> np.ndarray:
     """Independent draws of ranks distributed according to F."""
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
-    rng = np.random.Generator(np.random.PCG64(_as_seedseq(seed)))
+    rng = np.random.default_rng(seed)
     return rng.choice(np.arange(1, f.r_bar + 1), size=size, p=f.probs)
 
 
@@ -213,9 +208,3 @@ def convergence_study(
         levels=tuple(levels),
         halve_alpha=halve_alpha,
     )
-
-
-def _as_seedseq(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)

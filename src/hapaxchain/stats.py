@@ -209,20 +209,6 @@ def chi_square_threshold(alpha: float, df: int) -> float:
     return float(_chi2_dist.ppf(1.0 - alpha, df))
 
 
-def _midranks(x: np.ndarray) -> np.ndarray:
-    """Ranks 1..n with ties assigned the mean rank of their group."""
-    order = np.argsort(x, kind="stable")
-    sx = x[order]
-    new_group = np.r_[True, sx[1:] != sx[:-1]]
-    group = np.cumsum(new_group) - 1
-    counts = np.bincount(group)
-    ends = np.cumsum(counts)
-    mid = ends - (counts - 1) / 2.0
-    ranks = np.empty(x.size, dtype=float)
-    ranks[order] = mid[group]
-    return ranks
-
-
 def wmw_test(a, b) -> tuple[float, float]:
     """Wilcoxon-Mann-Whitney test, two-sided.
 
@@ -239,12 +225,13 @@ def wmw_test(a, b) -> tuple[float, float]:
     n1, n2 = a.size, b.size
     n = n1 + n2
     pooled = np.concatenate([a, b])
-    ranks = _midranks(pooled)
+    _, inverse, tie_counts = np.unique(pooled, return_inverse=True, return_counts=True)
+    # Midranks: each tie group takes the mean of the ranks 1..n it spans.
+    ranks = (np.cumsum(tie_counts) - (tie_counts - 1) / 2.0)[inverse]
     r1 = float(ranks[:n1].sum())
     u = r1 - n1 * (n1 + 1) / 2.0
     mu = n1 * n2 / 2.0
 
-    _, tie_counts = np.unique(pooled, return_counts=True)
     tie_counts = tie_counts.astype(float)
     tie_term = float((tie_counts**3 - tie_counts).sum())
     variance = n1 * n2 / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))

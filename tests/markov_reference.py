@@ -1,9 +1,9 @@
 """Dense reference implementation of order-1/order-2 estimation and simulation.
 
 This is the straightforward kernel the package's CSR rows replace: dense
-``(observed pairs x states)`` count and probability tables, cumulative
-rows rebuilt as Python lists on every simulation, and a per-row loop for
-the first-order probabilities.  The tests compare the package's seeded
+``states x states`` and ``(observed pairs x states)`` count and
+probability tables, cumulative rows rebuilt as Python lists on every
+simulation, and a per-row loop for the first-order probabilities.  The tests compare the package's seeded
 outputs against it with exact equality.
 """
 
@@ -15,7 +15,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from hapaxchain.corpus import RankSequence
-from hapaxchain.markov import TransitionMatrix1, _as_values, _rng
+from hapaxchain.markov import _as_values
+
+
+@dataclass(frozen=True)
+class DenseTransitionMatrix1:
+    states: np.ndarray
+    counts: np.ndarray | None
+    probs: np.ndarray
+    marginal: np.ndarray | None = None
+
+    @property
+    def n_states(self) -> int:
+        return int(self.states.size)
+
+    def state_index(self, state: int) -> int:
+        idx = int(np.searchsorted(self.states, state))
+        if idx >= self.states.size or self.states[idx] != state:
+            raise ValueError(f"state {state} not in transition matrix")
+        return idx
 
 
 @dataclass(frozen=True)
@@ -25,14 +43,14 @@ class DenseTransitionMatrix2:
     counts: np.ndarray
     probs: np.ndarray
     pair_marginal: np.ndarray
-    fallback: TransitionMatrix1
+    fallback: DenseTransitionMatrix1
 
     @property
     def n_states(self) -> int:
         return int(self.states.size)
 
 
-def estimate_order1(seq) -> TransitionMatrix1:
+def estimate_order1(seq) -> DenseTransitionMatrix1:
     values = _as_values(seq)
     if values.size < 2:
         raise ValueError(f"need a sequence of length >= 2, got {values.size}")
@@ -48,7 +66,7 @@ def estimate_order1(seq) -> TransitionMatrix1:
         else:
             probs[i, i] = 1.0
     marginal = np.bincount(idx, minlength=n) / values.size
-    return TransitionMatrix1(states=states, counts=counts, probs=probs, marginal=marginal)
+    return DenseTransitionMatrix1(states=states, counts=counts, probs=probs, marginal=marginal)
 
 
 def estimate_order2(seq) -> DenseTransitionMatrix2:
@@ -85,8 +103,8 @@ def _cumulative_rows(probs: np.ndarray) -> list[list[float]]:
     return [row.cumsum().tolist() for row in probs]
 
 
-def simulate_order1(tm: TransitionMatrix1, length: int, seed, initial: int | None = None) -> RankSequence:
-    rng = _rng(seed)
+def simulate_order1(tm: DenseTransitionMatrix1, length: int, seed, initial: int | None = None) -> RankSequence:
+    rng = np.random.default_rng(seed)
     n = tm.n_states
     if initial is not None:
         current = tm.state_index(initial)
@@ -109,7 +127,7 @@ def simulate_order1(tm: TransitionMatrix1, length: int, seed, initial: int | Non
 def simulate_order2(
     tm: DenseTransitionMatrix2, length: int, seed, initial_pair: tuple[int, int] | None = None
 ) -> RankSequence:
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     n = tm.n_states
     state_pos = {int(s): i for i, s in enumerate(tm.states)}
     if initial_pair is not None:

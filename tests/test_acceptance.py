@@ -68,10 +68,10 @@ def test_c3_mh_exactness_oracle():
     worst_stationary = 0.0
     worst_balance = 0.0
     for f in targets:
-        tm = mh_transition_matrix(f)
-        pi = stationary_oracle(tm, tol=1e-13)
+        kernel = mh_transition_matrix(f)
+        pi = stationary_oracle(kernel, tol=1e-13)
         worst_stationary = max(worst_stationary, float(np.abs(pi - f.probs).max()))
-        flux = f.probs[:, None] * tm.probs
+        flux = f.probs[:, None] * kernel
         off = ~np.eye(f.r_bar, dtype=bool)
         worst_balance = max(worst_balance, float(np.abs(flux - flux.T)[off].max()))
     ok = worst_stationary < 1e-10 and worst_balance < 1e-14
@@ -112,7 +112,7 @@ def _copy_two_back_sequence(n: int, seed: int, p_copy: float = 0.995) -> RankSeq
 def test_c6_order_test_calibration_and_violation():
     # calibration: data genuinely of order one
     probs = np.array([[0.5, 0.3, 0.2], [0.3, 0.4, 0.3], [0.25, 0.25, 0.5]])
-    tm = TransitionMatrix1(states=np.array([1, 2, 3]), counts=None, probs=probs, marginal=None)
+    tm = TransitionMatrix1.from_dense(np.array([1, 2, 3]), probs)
     source = simulate_order1(tm, 500_000, seed=999)
     report = order_test(source, OrderTestConfig(replicates=100, len1=10_000, len2=10_000, seed=555))
     wmw_above = float(np.mean(np.asarray(report.wmw_p_values) > 0.05))

@@ -32,7 +32,7 @@ def snapshot(directory: Path) -> dict[str, bytes]:
 
 def write_sequence_file(tmp_path: Path, n=4000, seed=3) -> Path:
     probs = np.array([[0.5, 0.3, 0.2], [0.3, 0.4, 0.3], [0.25, 0.25, 0.5]])
-    tm = TransitionMatrix1(states=np.array([1, 2, 3]), counts=None, probs=probs, marginal=None)
+    tm = TransitionMatrix1.from_dense(np.array([1, 2, 3]), probs)
     seq = simulate_order1(tm, n, seed=seed)
     path = tmp_path / "rank_sequence.txt"
     write_rank_sequence(path, seq)

@@ -27,8 +27,18 @@ def seq(values):
     return RankSequence(values=v, alphabet_size=int(v.max()))
 
 
+def densify(tm, field="probs"):
+    """``tm.probs`` (or ``tm.counts``) as a dense table: one row per CSR
+    row, one column per state."""
+    n_rows = tm.indptr.size - 1
+    rows = np.repeat(np.arange(n_rows), np.diff(tm.indptr))
+    dense = np.zeros((n_rows, tm.n_states), dtype=getattr(tm, field).dtype)
+    dense[rows, tm.indices] = getattr(tm, field)
+    return dense
+
+
 def row(tm, i, j):
-    return tm.probs[tm.state_index(i), tm.state_index(j)]
+    return densify(tm)[tm.state_index(i), tm.state_index(j)]
 
 
 def pair_row(tm, i, j):
@@ -40,10 +50,7 @@ def pair_row(tm, i, j):
 
 def dense_row(tm, r, field="probs"):
     """Row ``r`` of the order-2 ``probs`` (or ``counts``) over all states."""
-    lo, hi = tm.indptr[r], tm.indptr[r + 1]
-    dense = np.zeros(tm.n_states, dtype=getattr(tm, field).dtype)
-    dense[tm.indices[lo:hi]] = getattr(tm, field)[lo:hi]
-    return dense
+    return densify(tm, field)[r]
 
 
 # -------------------------------------------------------------- estimation
@@ -64,7 +71,7 @@ def test_estimate_order1_mixed():
 
 def test_estimate_order1_single_state():
     tm = estimate_order1(seq([1, 1, 1]))
-    assert tm.probs.tolist() == [[1.0]]
+    assert densify(tm).tolist() == [[1.0]]
 
 
 def test_estimate_order1_too_short():
@@ -110,7 +117,7 @@ def test_estimate_order2_too_short():
 @given(st.lists(st.integers(min_value=1, max_value=5), min_size=3, max_size=200))
 def test_estimated_rows_are_stochastic(values):
     tm1 = estimate_order1(seq(values))
-    np.testing.assert_allclose(tm1.probs.sum(axis=1), 1.0, atol=1e-12)
+    np.testing.assert_allclose(densify(tm1).sum(axis=1), 1.0, atol=1e-12)
     tm2 = estimate_order2(seq(values))
     rows = range(tm2.pair_codes.size)
     sums = np.array([dense_row(tm2, r).sum() for r in rows])
@@ -151,10 +158,10 @@ def test_simulate_order1_iid_uniform_frequencies():
 
 def test_estimate_of_simulation_recovers_matrix():
     probs = np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.4, 0.1, 0.5]])
-    tm = TransitionMatrix1(states=np.array([1, 2, 3]), counts=None, probs=probs, marginal=None)
+    tm = TransitionMatrix1.from_dense(np.array([1, 2, 3]), probs)
     sim = simulate_order1(tm, 100_000, seed=99)
     est = estimate_order1(sim)
-    assert np.abs(est.probs - probs).max() < 0.02
+    assert np.abs(densify(est) - probs).max() < 0.02
 
 
 def test_simulate_order2_deterministic():
@@ -175,7 +182,7 @@ def test_simulate_order2_collapses_to_order1():
     # When P(k | i, j) depends only on j the chain is first order.
     rng = np.random.default_rng(8)
     base = np.array([[0.7, 0.3], [0.4, 0.6]])
-    tm1 = TransitionMatrix1(states=np.array([1, 2]), counts=None, probs=base, marginal=None)
+    tm1 = TransitionMatrix1.from_dense(np.array([1, 2]), base)
     source = simulate_order1(tm1, 60_000, seed=3)
     tm2 = estimate_order2(source)
     sim2 = simulate_order2(tm2, 60_000, seed=4)
@@ -226,8 +233,8 @@ def test_estimates_equal_dense_reference(values, seed):
     tm, dense = estimate_order2(values), ref.estimate_order2(values)
     tm1, dense1 = estimate_order1(values), ref.estimate_order1(values)
     for a, b in ((tm1, dense1), (tm.fallback, dense1)):
-        assert a.probs.tolist() == b.probs.tolist()
-        assert a.counts.tolist() == b.counts.tolist()
+        assert densify(a).tolist() == b.probs.tolist()
+        assert densify(a, "counts").tolist() == b.counts.tolist()
         assert a.marginal.tolist() == b.marginal.tolist()
     assert tm.pair_marginal.tolist() == dense.pair_marginal.tolist()
     for (i, j), r in dense.pair_index.items():
@@ -254,8 +261,9 @@ def test_simulations_equal_dense_reference_when_most_pairs_are_unseen():
     values = np.random.default_rng(2).integers(1, 201, size=400)
     tm, dense = estimate_order2(values), ref.estimate_order2(values)
     n = tm.n_states
-    uniform = TransitionMatrix1(states=tm.states, counts=None, probs=np.full((n, n), 1.0 / n))
-    tm, dense = dataclasses.replace(tm, fallback=uniform), dataclasses.replace(dense, fallback=uniform)
+    uniform = np.full((n, n), 1.0 / n)
+    tm = dataclasses.replace(tm, fallback=TransitionMatrix1.from_dense(tm.states, uniform))
+    dense = dataclasses.replace(dense, fallback=ref.DenseTransitionMatrix1(tm.states, None, uniform))
     for initial_pair in (None, (int(values[0]), int(values[0]))):
         out = assert_order2_matches(tm, dense, 5_000, 19, initial_pair)
         unseen = sum(pair_row(tm, i, j) is None for i, j in zip(out[:-2], out[1:-1]))
@@ -279,16 +287,16 @@ def test_simulations_equal_dense_reference_when_rows_sum_below_one():
     # Rows whose cumulative sum ends below 1.0: a uniform above it takes
     # the last state, in the reference and in the CSR kernel alike.
     probs = np.array([[0.2, 0.3, 0.0], [0.0, 0.25, 0.0], [0.1, 0.0, 0.3]])
-    short = TransitionMatrix1(states=np.array([1, 2, 3]), counts=None, probs=probs)
+    short = TransitionMatrix1.from_dense(np.array([1, 2, 3]), probs)
+    dense_short = ref.DenseTransitionMatrix1(np.array([1, 2, 3]), None, probs)
     got = simulate_order1(short, 3_000, seed=23).values
-    assert got.tolist() == ref.simulate_order1(short, 3_000, seed=23).values.tolist()
+    assert got.tolist() == ref.simulate_order1(dense_short, 3_000, seed=23).values.tolist()
     assert np.mean(got == 3) > 0.5
 
     values = np.random.default_rng(3).integers(1, 4, size=30)
     tm, dense = estimate_order2(values), ref.estimate_order2(values)
-    half = tm.probs / 2
-    tm = dataclasses.replace(tm, probs=half, cum=markov._row_cumsum(half, tm.indptr), fallback=short)
-    dense = dataclasses.replace(dense, probs=dense.probs / 2, fallback=short)
+    tm = dataclasses.replace(tm, probs=tm.probs / 2, fallback=short)
+    dense = dataclasses.replace(dense, probs=dense.probs / 2, fallback=dense_short)
     for initial_pair in (None, (3, 3)):
         assert_order2_matches(tm, dense, 3_000, 24, initial_pair)
 
@@ -308,12 +316,30 @@ def test_order2_on_thousands_of_states_stays_small():
     assert peak < 200e6
 
 
+def test_both_orders_on_five_thousand_states_stay_small():
+    # A dense first-order table alone would take 400 MB here (16 bytes per
+    # state pair); the CSR rows of both orders grow with the observations.
+    values = np.random.default_rng(26).integers(1, 5_201, size=150_000)
+    tracemalloc.start()
+    try:
+        tm1 = estimate_order1(values)
+        out1 = simulate_order1(tm1, 100_000, seed=27)
+        tm2 = estimate_order2(values)
+        out2 = simulate_order2(tm2, 100_000, seed=28)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tm1.n_states >= 5_000
+    assert len(out1) == len(out2) == 100_000
+    assert peak < 100e6
+
+
 # -------------------------------------------------------------- order test
 
 
 def order1_source(n=6000, seed=2):
     probs = np.array([[0.5, 0.3, 0.2], [0.3, 0.4, 0.3], [0.25, 0.25, 0.5]])
-    tm = TransitionMatrix1(states=np.array([1, 2, 3]), counts=None, probs=probs, marginal=None)
+    tm = TransitionMatrix1.from_dense(np.array([1, 2, 3]), probs)
     return simulate_order1(tm, n, seed=seed)
 
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hapaxchain.markov import TransitionMatrix1
 from hapaxchain.mh_sampler import (
     MHConfig,
     acceptance_prob,
@@ -117,10 +116,10 @@ def test_chain_acceptance_rate_matches_exact_mean():
 
 def test_kernel_hand_rows():
     f = target(0.5, 0.3, 0.2)
-    tm = mh_transition_matrix(f)
-    np.testing.assert_allclose(tm.probs[0], [2 / 3, 0.2, 2 / 15], atol=1e-15)
-    np.testing.assert_allclose(tm.probs[1], [1 / 3, 4 / 9, 2 / 9], atol=1e-15)
-    np.testing.assert_allclose(tm.probs[2], [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
+    kernel = mh_transition_matrix(f)
+    np.testing.assert_allclose(kernel[0], [2 / 3, 0.2, 2 / 15], atol=1e-15)
+    np.testing.assert_allclose(kernel[1], [1 / 3, 4 / 9, 2 / 9], atol=1e-15)
+    np.testing.assert_allclose(kernel[2], [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
 
 
 def test_kernel_near_uniform_target_is_near_uniform():
@@ -129,41 +128,39 @@ def test_kernel_near_uniform_target_is_near_uniform():
     eps = 1e-9
     raw = 1.0 + eps * np.arange(4, 0, -1)
     f = TargetDistribution(probs=raw / raw.sum(), r_bar=4)
-    tm = mh_transition_matrix(f)
-    np.testing.assert_allclose(tm.probs, 0.25, atol=1e-8)
-    np.testing.assert_allclose(tm.probs.sum(axis=1), 1.0, atol=1e-12)
+    kernel = mh_transition_matrix(f)
+    np.testing.assert_allclose(kernel, 0.25, atol=1e-8)
+    np.testing.assert_allclose(kernel.sum(axis=1), 1.0, atol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=2, max_value=300), st.integers(min_value=0, max_value=10_000))
 def test_kernel_detailed_balance(size, seed):
     f = random_target(np.random.default_rng(seed), size)
-    tm = mh_transition_matrix(f)
+    kernel = mh_transition_matrix(f)
     p = f.probs
-    flux = p[:, None] * tm.probs
-    np.testing.assert_allclose(tm.probs.sum(axis=1), 1.0, atol=1e-12)
+    flux = p[:, None] * kernel
+    np.testing.assert_allclose(kernel.sum(axis=1), 1.0, atol=1e-12)
     off = ~np.eye(size, dtype=bool)
     assert np.abs(flux - flux.T)[off].max() < 1e-14
 
 
 def test_kernel_stationarity_direct():
     f = target_distribution(REFERENCE_PARAMS, 300)
-    tm = mh_transition_matrix(f)
-    assert np.abs(f.probs @ tm.probs - f.probs).max() < 1e-12
+    kernel = mh_transition_matrix(f)
+    assert np.abs(f.probs @ kernel - f.probs).max() < 1e-12
 
 
 # ----------------------------------------------------------------- oracle
 
 
 def test_oracle_one_state():
-    tm = TransitionMatrix1(states=np.array([1]), counts=None, probs=np.array([[1.0]]))
-    np.testing.assert_allclose(stationary_oracle(tm), [1.0])
+    np.testing.assert_allclose(stationary_oracle(np.array([[1.0]])), [1.0])
 
 
 def test_oracle_doubly_stochastic_uniform():
     probs = np.array([[0.2, 0.5, 0.3], [0.5, 0.3, 0.2], [0.3, 0.2, 0.5]])
-    tm = TransitionMatrix1(states=np.array([1, 2, 3]), counts=None, probs=probs)
-    np.testing.assert_allclose(stationary_oracle(tm), np.full(3, 1 / 3), atol=1e-10)
+    np.testing.assert_allclose(stationary_oracle(probs), np.full(3, 1 / 3), atol=1e-10)
 
 
 def test_oracle_recovers_mh_target():
@@ -176,9 +173,8 @@ def test_oracle_iteration_cap():
     # nearly-absorbing asymmetric chain mixes far too slowly for the cap
     a, b = 1e-7, 2e-7
     probs = np.array([[1 - a, a], [b, 1 - b]])
-    tm = TransitionMatrix1(states=np.array([1, 2]), counts=None, probs=probs)
     with pytest.raises(RuntimeError):
-        stationary_oracle(tm, tol=1e-13, max_iter=500)
+        stationary_oracle(probs, tol=1e-13, max_iter=500)
 
 
 # ------------------------------------------------------------------- study

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import stats_reference as ref
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
@@ -297,6 +298,21 @@ def test_wmw_matches_scipy_asymptotic():
         _, p = wmw_test(a, b)
         ref = sps.mannwhitneyu(a, b, alternative="two-sided", method="asymptotic")
         assert p == pytest.approx(ref.pvalue, rel=1e-9, abs=1e-12)
+
+
+_SAMPLE_VALUES = st.one_of(
+    st.integers(-5, 5),
+    st.sampled_from([0.25, 0.5, 1.5, 2.75]),
+    st.floats(-1e6, 1e6, allow_nan=False),
+)
+_PAPER_LIKE = np.random.default_rng(29).integers(1, 301, size=(2, 100_000))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_SAMPLE_VALUES, min_size=1, max_size=80), st.lists(_SAMPLE_VALUES, min_size=1, max_size=80))
+@example(_PAPER_LIKE[0], _PAPER_LIKE[1, :31_074])
+def test_wmw_equals_sort_based_reference(a, b):
+    assert wmw_test(a, b) == ref.wmw_test(a, b)
 
 
 def test_wmw_null_calibration():
