@@ -42,7 +42,6 @@ from .mh_sampler import (
     stationary_oracle,
 )
 from .ranksize import (
-    FitConfig,
     FitResult,
     TargetDistribution,
     ZMParams,
@@ -53,11 +52,9 @@ from .ranksize import (
 )
 from .stats import (
     DescriptiveStats,
-    KSResult,
     chi_square_gof,
     chi_square_threshold,
     descriptive_stats,
-    ks_compare,
     ks_threshold,
     ks_two_sample,
     shannon_entropy,

@@ -215,9 +215,8 @@ def _run_fit(o: dict) -> dict[str, Path]:
     o["params"] = p = result.params
     source = _file_id(input_path)
     config_hash = persist.config_hash({"stage": "fit", **source, "level": o["level"]})
-    fields = {k: v for k, v in vars(result).items() if k != "internals"}
     report_path = persist.write_json(o["output_dir"] / "fit_report.json", {
-        "stage": "fit", "seed": None, "config_hash": config_hash, **source, **fields, "params": vars(p)})
+        "stage": "fit", "seed": None, "config_hash": config_hash, **source, **vars(result), "params": vars(p)})
     click.echo(f"fit: alpha={p.alpha:.6g} beta={p.beta:.6g} gamma={p.gamma:.6g} "
                f"rss={result.rss:.6g} r2={result.r_squared:.6f}")
     return {"fit_report.json": report_path}
@@ -263,7 +262,7 @@ def _run_mcmc(o: dict) -> dict[str, Path]:
     f = target_distribution(params, o["rbar"])
     # Without a reference file, i.i.d. draws from the target itself, on a substream far above any run index.
     ref, size = o.get("reference"), o["reference_size"]
-    source = str(ref) if ref else f"iid:{size}"
+    source = _file_id(ref, "reference") if ref else {"reference": f"iid:{size}"}
     reference = (persist.read_rank_sequence(ref).values if ref
                  else iid_sample(f, size, np.random.SeedSequence(entropy=seed, spawn_key=(2**31,))))
     outputs: dict[str, Path] = {}
@@ -274,10 +273,10 @@ def _run_mcmc(o: dict) -> dict[str, Path]:
     report = convergence_study(f, o["runs"], MHConfig(n_steps=o["steps"], seed=seed), reference, levels=o["levels"],
                                halve_alpha=o["halve_alpha"], on_run=save_samples if o.get("save_samples") else None)
     config = {"stage": "mcmc", **vars(params), "r_bar": o["rbar"], "steps": o["steps"], "runs": o["runs"],
-              "seed": seed, "reference": source, "levels": o["levels"], "halve_alpha": o["halve_alpha"]}
+              "seed": seed, **source, "levels": o["levels"], "halve_alpha": o["halve_alpha"]}
     thresholds = _keyed(report.thresholds)
     outputs["convergence_report.json"] = persist.write_json(out / "convergence_report.json", {
-        "stage": "mcmc", **vars(report), "config_hash": persist.config_hash(config), "reference": source,
+        "stage": "mcmc", **vars(report), "config_hash": persist.config_hash(config), **source,
         "thresholds": thresholds, "pass_fraction": _keyed(report.pass_fraction)})
     outputs["ks_statistics.csv"] = _write_stat_table(
         out / "ks_statistics.csv", "run", "ks_stat", report.ks_statistics, report.levels, thresholds)

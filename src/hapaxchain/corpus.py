@@ -101,9 +101,6 @@ class HapaxTable:
     def dense_rank_of(self) -> dict[str, int]:
         return {e.word: e.dense_rank for e in self.entries}
 
-    def frequencies(self) -> np.ndarray:
-        return np.array([e.frequency for e in self.entries], dtype=int)
-
     def ordinal_points(self) -> list[tuple[int, int]]:
         """(ordinal_rank, frequency) pairs, the fitting view of the table."""
         return [(e.ordinal_rank, e.frequency) for e in self.entries]

@@ -24,6 +24,7 @@ from .stats import (
     descriptive_stats,
     ks_threshold,
     ks_two_sample,
+    pass_fractions,
     shannon_entropy,
     wmw_test,
 )
@@ -153,19 +154,45 @@ class TransitionMatrix2(_TransitionRows):
 
 
 def _as_values(seq) -> np.ndarray:
-    if isinstance(seq, RankSequence):
-        return np.asarray(seq.values, dtype=np.int64)
-    return np.asarray(seq, dtype=np.int64)
+    return np.asarray(seq.values if isinstance(seq, RankSequence) else seq, dtype=np.int64)
 
 
-def _count_rows(context: np.ndarray, following: np.ndarray, n_rows: int, n_states: int):
-    """CSR ``(indptr, indices, counts, probs)`` of the observed transitions
-    ``context[t] -> following[t]``, in O(observed transitions); a context
-    row never followed by a state is empty."""
-    codes, counts = np.unique(context * n_states + following, return_counts=True)
+def _count_pairs(values: np.ndarray):
+    """The one counting pass over a sequence: its sorted distinct
+    ``states``, the state index ``idx`` of each observation, the sorted
+    codes ``i * n + j`` of the observed transitions ``pair_codes`` with
+    their ``pair_counts``, and the row in ``pair_codes`` of each step."""
+    states, idx = np.unique(values, return_inverse=True)
+    pair_codes, pair_rows, pair_counts = np.unique(
+        idx[:-1] * states.size + idx[1:], return_inverse=True, return_counts=True
+    )
+    return states, idx, pair_codes, pair_counts, pair_rows
+
+
+def _count_rows(codes: np.ndarray, counts: np.ndarray, n_rows: int, n_states: int):
+    """CSR ``(indptr, indices, counts, probs)`` of the transitions with the
+    sorted codes ``row * n_states + next``, seen ``counts`` times each; a
+    row with no transition is empty."""
     rows, indices = np.divmod(codes, n_states)
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows))))
-    return indptr, indices, counts, counts / np.bincount(context, minlength=n_rows)[rows]
+    return indptr, indices, counts, counts / np.bincount(rows, weights=counts, minlength=n_rows)[rows]
+
+
+def _order1(counted) -> TransitionMatrix1:
+    """First-order matrix of a sequence counted by :func:`_count_pairs`."""
+    states, idx, pair_codes, pair_counts, _ = counted
+    n = states.size
+    indptr, indices, counts, probs = _count_rows(pair_codes, pair_counts, n, n)
+    empty = np.diff(indptr) == 0
+    terminal, at = np.flatnonzero(empty), indptr[:-1][empty]
+    return TransitionMatrix1(
+        states=states,
+        indptr=indptr + np.concatenate(([0], np.cumsum(empty))),
+        indices=np.insert(indices, at, terminal),
+        counts=np.insert(counts, at, 0),
+        probs=np.insert(probs, at, 1.0),
+        marginal=np.bincount(idx, minlength=n) / idx.size,
+    )
 
 
 def estimate_order1(seq) -> TransitionMatrix1:
@@ -178,42 +205,27 @@ def estimate_order1(seq) -> TransitionMatrix1:
     values = _as_values(seq)
     if values.size < 2:
         raise ValueError(f"need a sequence of length >= 2, got {values.size}")
-    states, idx = np.unique(values, return_inverse=True)
-    n = states.size
-    indptr, indices, counts, probs = _count_rows(idx[:-1], idx[1:], n, n)
-    empty = np.diff(indptr) == 0
-    terminal, at = np.flatnonzero(empty), indptr[:-1][empty]
-    return TransitionMatrix1(
-        states=states,
-        indptr=indptr + np.concatenate(([0], np.cumsum(empty))),
-        indices=np.insert(indices, at, terminal),
-        counts=np.insert(counts, at, 0),
-        probs=np.insert(probs, at, 1.0),
-        marginal=np.bincount(idx, minlength=n) / values.size,
-    )
+    return _order1(_count_pairs(values))
 
 
 def estimate_order2(seq) -> TransitionMatrix2:
     """Estimate next-state probabilities conditioned on the last two states.
 
     Storage is O(observed pairs + observed triples); no table spans all
-    pairs of states.
+    pairs of states.  ``fallback`` is the sequence's first-order matrix.
     """
     values = _as_values(seq)
     if values.size < 3:
         raise ValueError(f"need a sequence of length >= 3, got {values.size}")
-    fallback = estimate_order1(values)
-    states = fallback.states
-    idx = np.searchsorted(states, values)
+    states, idx, pair_codes, pair_counts, pair_rows = counted = _count_pairs(values)
     n = states.size
-    codes = idx[:-1] * n + idx[1:]
-    pair_codes, pair_rows, pair_counts = np.unique(codes, return_inverse=True, return_counts=True)
+    codes, counts = np.unique(pair_rows[:-1] * n + idx[2:], return_counts=True)
     return TransitionMatrix2(
         states,
-        *_count_rows(pair_rows[:-1], idx[2:], pair_codes.size, n),
+        *_count_rows(codes, counts, pair_codes.size, n),
         pair_codes=pair_codes,
-        pair_marginal=pair_counts / codes.size,
-        fallback=fallback,
+        pair_marginal=pair_counts / pair_rows.size,
+        fallback=_order1(counted),
     )
 
 
@@ -325,9 +337,8 @@ class OrderTestReport:
     halve_alpha: bool
 
 
-def _indicators_of(values: np.ndarray, n_states: int, index_of: np.ndarray) -> dict[str, float]:
+def _indicators_of(values: np.ndarray, counts: np.ndarray) -> dict[str, float]:
     d = descriptive_stats(values)
-    counts = np.bincount(index_of, minlength=n_states)
     return {
         "mean": d.mean,
         "std_dev": d.std_dev,
@@ -354,7 +365,6 @@ def order_test(seq, config: OrderTestConfig | None = None) -> OrderTestReport:
     len1 = config.len1 if config.len1 is not None else int(values.size)
     len2 = config.len2 if config.len2 is not None else min(100_000, int(values.size))
     n_states = tm1.n_states
-    empirical_probs = tm1.marginal
     df = n_states - 1
 
     ks_pairs: list[float] = []
@@ -374,15 +384,14 @@ def order_test(seq, config: OrderTestConfig | None = None) -> OrderTestReport:
         ks_pairs.append(ks_two_sample(sim1, sim2))
         wmw_ps.append(wmw_test(sim1, sim2)[1])
 
-        sim1_idx = np.searchsorted(tm1.states, sim1)
-        sim1_counts = np.bincount(sim1_idx, minlength=n_states)
-        stat, _ = chi_square_gof(sim1_counts, empirical_probs)
-        chi_stats.append(stat)
+        sim1_counts = np.bincount(np.searchsorted(tm1.states, sim1), minlength=n_states)
+        chi_stats.append(chi_square_gof(sim1_counts, tm1.marginal)[0])
         ks_emp.append(ks_two_sample(sim1, values))
-        for name, val in _indicators_of(sim1, n_states, sim1_idx).items():
+        for name, val in _indicators_of(sim1, sim1_counts).items():
             indicator_lists[name].append(val)
 
-    observed = _indicators_of(values, n_states, np.searchsorted(tm1.states, values))
+    observed_counts = np.bincount(np.searchsorted(tm1.states, values), minlength=n_states)
+    observed = _indicators_of(values, observed_counts)
 
     thresholds = {
         "ks_first_vs_second": {
@@ -395,22 +404,6 @@ def order_test(seq, config: OrderTestConfig | None = None) -> OrderTestReport:
             for lv in config.levels
         },
     }
-    batteries = {
-        "ks_first_vs_second": (ks_pairs, "stat_below"),
-        "wmw": (wmw_ps, "p_above"),
-        "chi_square": (chi_stats, "stat_below"),
-        "ks_vs_empirical": (ks_emp, "stat_below"),
-    }
-    pass_fractions: dict[str, dict[float, float]] = {}
-    for name, (stats_list, mode) in batteries.items():
-        arr = np.asarray(stats_list)
-        per_level = {}
-        for lv in config.levels:
-            thr = thresholds[name][lv]
-            passed = (arr > thr) if mode == "p_above" else (arr <= thr)
-            per_level[lv] = float(passed.mean())
-        pass_fractions[name] = per_level
-
     return OrderTestReport(
         ks_stats_first_vs_second=ks_pairs,
         wmw_p_values=wmw_ps,
@@ -419,7 +412,12 @@ def order_test(seq, config: OrderTestConfig | None = None) -> OrderTestReport:
         indicators=indicator_lists,
         indicators_observed=observed,
         thresholds=thresholds,
-        pass_fractions=pass_fractions,
+        pass_fractions={
+            "ks_first_vs_second": pass_fractions(ks_pairs, thresholds["ks_first_vs_second"]),
+            "wmw": pass_fractions(wmw_ps, thresholds["wmw"], p_values=True),
+            "chi_square": pass_fractions(chi_stats, thresholds["chi_square"]),
+            "ks_vs_empirical": pass_fractions(ks_emp, thresholds["ks_vs_empirical"]),
+        },
         df=df,
         replicates=config.replicates,
         len1=len1,

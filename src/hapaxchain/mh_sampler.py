@@ -12,13 +12,14 @@ each to a reference sample with the KS statistic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
 
 from .corpus import RankSequence
 from .ranksize import TargetDistribution
-from .stats import DEFAULT_LEVELS, ks_threshold, ks_two_sample
+from .stats import DEFAULT_LEVELS, ks_threshold, ks_two_sample, pass_fractions
 
 __all__ = [
     "MHConfig",
@@ -145,7 +146,8 @@ def iid_sample(f: TargetDistribution, size: int, seed) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """KS statistics of many chains against a reference sample."""
+    """KS statistics of many chains against a reference sample; ``seed``
+    is -1 when the master seed is not an integer but a sequence of them."""
 
     ks_statistics: list[float]
     thresholds: dict[float, float]
@@ -195,16 +197,14 @@ def convergence_study(
     thresholds = {
         lv: ks_threshold(lv, config.n_steps, reference.size, halve_alpha) for lv in levels
     }
-    arr = np.asarray(ks_stats)
-    pass_fraction = {lv: float((arr <= thr).mean()) for lv, thr in thresholds.items()}
     return ConvergenceReport(
         ks_statistics=ks_stats,
         thresholds=thresholds,
-        pass_fraction=pass_fraction,
+        pass_fraction=pass_fractions(ks_stats, thresholds),
         runs=runs,
         n_steps=config.n_steps,
         reference_size=int(reference.size),
-        seed=config.seed if isinstance(config.seed, int) else -1,
+        seed=int(config.seed) if isinstance(config.seed, Integral) else -1,
         levels=tuple(levels),
         halve_alpha=halve_alpha,
     )

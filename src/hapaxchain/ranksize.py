@@ -12,15 +12,13 @@ log gamma) which keeps every iterate inside the valid domain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import t as _t_dist
 
 __all__ = [
     "ZMParams",
-    "FitConfig",
-    "FitInternals",
     "FitResult",
     "TargetDistribution",
     "ParameterDomainError",
@@ -33,6 +31,13 @@ __all__ = [
 ]
 
 PARAM_NAMES = ("alpha", "beta", "gamma")
+
+# Fit settings: iteration cap, relative rss improvement that stops the
+# iteration, initial damping, and the factor damping grows or shrinks by.
+MAX_ITER = 500
+REL_TOL = 1e-10
+DAMPING_INIT = 1e-3
+DAMPING_STEP = 10.0
 
 
 class ParameterDomainError(ValueError):
@@ -122,27 +127,6 @@ def target_distribution(params: ZMParams, r_bar: int) -> TargetDistribution:
 
 
 @dataclass(frozen=True)
-class FitConfig:
-    """Deterministic fit settings: damping schedule and stopping rules."""
-
-    max_iter: int = 500
-    rel_tol: float = 1e-10
-    damping_init: float = 1e-3
-    damping_up: float = 10.0
-    damping_down: float = 10.0
-
-
-@dataclass(frozen=True)
-class FitInternals:
-    """Solution-point quantities needed for interval construction."""
-
-    params: "ZMParams"
-    jacobian: np.ndarray  # d f / d (alpha, beta, gamma) at the solution, n x 3
-    residuals: np.ndarray
-    n_points: int
-
-
-@dataclass(frozen=True)
 class FitResult:
     params: ZMParams
     ci: dict[str, tuple[float, float]]
@@ -152,7 +136,6 @@ class FitResult:
     n_points: int
     n_iter: int
     ill_conditioned: bool = False
-    internals: FitInternals | None = field(repr=False, default=None)
 
 
 def _model_and_jacobian_log(theta: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -187,7 +170,7 @@ def _initial_theta(ranks: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return np.array([math.log(alpha0), 0.0, math.log(gamma0)])
 
 
-def fit_zm(points, level: float = 0.95, config: FitConfig | None = None) -> FitResult:
+def fit_zm(points, level: float = 0.95) -> FitResult:
     """Least-squares fit of the rank-size law to (rank, size) points.
 
     Needs at least 4 points with strictly increasing positive integer
@@ -197,8 +180,6 @@ def fit_zm(points, level: float = 0.95, config: FitConfig | None = None) -> FitR
     ``ill_conditioned`` with NaN intervals; exhausting the iteration cap
     raises :class:`FitConvergenceError` carrying the best point so far.
     """
-    if config is None:
-        config = FitConfig()
     pts = np.asarray(list(points), dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be (rank, size) pairs")
@@ -219,11 +200,11 @@ def fit_zm(points, level: float = 0.95, config: FitConfig | None = None) -> FitR
     f, jac = _model_and_jacobian_log(theta, ranks)
     residuals = sizes - f
     rss = float(residuals @ residuals)
-    damping = config.damping_init
+    damping = DAMPING_INIT
 
     converged = False
     n_iter = 0
-    for n_iter in range(1, config.max_iter + 1):
+    for n_iter in range(1, MAX_ITER + 1):
         jtj = jac.T @ jac
         jtr = jac.T @ residuals
         step_ok = False
@@ -233,11 +214,11 @@ def fit_zm(points, level: float = 0.95, config: FitConfig | None = None) -> FitR
             try:
                 delta = np.linalg.solve(lhs, jtr)
             except np.linalg.LinAlgError:
-                damping *= config.damping_up
+                damping *= DAMPING_STEP
                 continue
             theta_new = theta + delta
             if np.any(np.abs(theta_new) > 700):  # exp overflow guard
-                damping *= config.damping_up
+                damping *= DAMPING_STEP
                 continue
             f_new, jac_new = _model_and_jacobian_log(theta_new, ranks)
             residuals_new = sizes - f_new
@@ -245,7 +226,7 @@ def fit_zm(points, level: float = 0.95, config: FitConfig | None = None) -> FitR
             if math.isfinite(rss_new) and rss_new <= rss:
                 step_ok = True
                 break
-            damping *= config.damping_up
+            damping *= DAMPING_STEP
         if not step_ok:
             # No downhill direction at any damping: local minimum.
             converged = True
@@ -253,15 +234,15 @@ def fit_zm(points, level: float = 0.95, config: FitConfig | None = None) -> FitR
         improvement = rss - rss_new
         theta, f, jac, residuals = theta_new, f_new, jac_new, residuals_new
         rss_prev, rss = rss, rss_new
-        damping = max(damping / config.damping_down, 1e-15)
-        if rss == 0.0 or improvement <= config.rel_tol * max(rss_prev, 1e-300):
+        damping = max(damping / DAMPING_STEP, 1e-15)
+        if rss == 0.0 or improvement <= REL_TOL * max(rss_prev, 1e-300):
             converged = True
             break
 
     params = _theta_to_params(theta)
     if not converged:
         raise FitConvergenceError(
-            f"no convergence within {config.max_iter} iterations (rss={rss:.6g})",
+            f"no convergence within {MAX_ITER} iterations (rss={rss:.6g})",
             best_params=params,
             rss=rss,
             n_iter=n_iter,
@@ -272,16 +253,13 @@ def fit_zm(points, level: float = 0.95, config: FitConfig | None = None) -> FitR
     jac_orig[:, 0] = f / params.alpha
     jac_orig[:, 1] = -params.gamma * f / denom
     jac_orig[:, 2] = -f * np.log(denom)
-    internals = FitInternals(
-        params=params, jacobian=jac_orig, residuals=residuals, n_points=int(ranks.size)
-    )
 
     tss = float(((sizes - sizes.mean()) ** 2).sum())
     ill = tss == 0.0  # constant sizes pin the fit to the gamma -> 0 boundary
     r_squared = 1.0 - rss / tss if tss > 0 else math.nan
     if not ill:
         try:
-            ci = confidence_intervals(internals, level)
+            ci = confidence_intervals(params, jac_orig, residuals, level)
         except UnidentifiableParameterError:
             ill = True
     if ill:
@@ -296,35 +274,35 @@ def fit_zm(points, level: float = 0.95, config: FitConfig | None = None) -> FitR
         n_points=int(ranks.size),
         n_iter=n_iter,
         ill_conditioned=ill,
-        internals=internals,
     )
 
 
-def confidence_intervals(internals: FitInternals, level: float) -> dict[str, tuple[float, float]]:
-    """Symmetric t-based intervals around the point estimates.
+def confidence_intervals(
+    params: ZMParams, jacobian: np.ndarray, residuals: np.ndarray, level: float
+) -> dict[str, tuple[float, float]]:
+    """Symmetric t-based intervals around the point estimates ``params``.
 
-    The covariance is the Jacobian-based one, s^2 (J'J)^-1 with
-    s^2 = rss / (n - 3).  Columns are rescaled before inversion so the
+    ``jacobian`` is d f / d (alpha, beta, gamma) at the solution, one row
+    per point, and ``residuals`` the sizes minus the fitted values.  The
+    covariance is s^2 (J'J)^-1 with s^2 = rss / (n - 3).  Columns are rescaled before inversion so the
     singularity check reflects genuine collinearity rather than the very
     different natural scales of the three parameters.
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"confidence level must be in (0, 1), got {level}")
-    jac = internals.jacobian
-    n, p = jac.shape
+    n, p = jacobian.shape
     if n <= p:
         raise UnidentifiableParameterError(f"{n} points cannot identify {p} parameters")
-    col_scale = np.linalg.norm(jac, axis=0)
+    col_scale = np.linalg.norm(jacobian, axis=0)
     if np.any(col_scale == 0) or not np.all(np.isfinite(col_scale)):
         raise UnidentifiableParameterError("unidentifiable parameter: degenerate Jacobian column")
-    jac_scaled = jac / col_scale
+    jac_scaled = jacobian / col_scale
     jtj = jac_scaled.T @ jac_scaled
     if np.linalg.cond(jtj) > 1e12:
         raise UnidentifiableParameterError("unidentifiable parameter: singular normal equations")
     cov_scaled = np.linalg.inv(jtj)
-    rss = float(internals.residuals @ internals.residuals)
+    rss = float(residuals @ residuals)
     s2 = rss / (n - p)
     half = _t_dist.ppf(1.0 - (1.0 - level) / 2.0, n - p) * np.sqrt(s2 * np.diag(cov_scaled)) / col_scale
-    point = internals.params
-    estimates = (point.alpha, point.beta, point.gamma)
+    estimates = (params.alpha, params.beta, params.gamma)
     return {name: (est - h, est + h) for name, est, h in zip(PARAM_NAMES, estimates, half)}

@@ -4,7 +4,7 @@ Everything in this module is a pure function of its inputs: descriptive
 indicators, the two-sample Kolmogorov-Smirnov statistic with its
 closed-form threshold family, a chi-square goodness-of-fit statistic,
 the Wilcoxon-Mann-Whitney rank-sum test (normal approximation with tie
-correction), and Shannon entropy.
+correction), Shannon entropy, and per-level pass fractions.
 """
 
 from __future__ import annotations
@@ -17,12 +17,11 @@ from scipy.stats import chi2 as _chi2_dist
 
 __all__ = [
     "DescriptiveStats",
-    "KSResult",
     "descriptive_stats",
     "derived_indicators",
     "ks_two_sample",
     "ks_threshold",
-    "ks_compare",
+    "pass_fractions",
     "chi_square_gof",
     "chi_square_threshold",
     "wmw_test",
@@ -148,25 +147,14 @@ def ks_threshold(alpha: float, n: int, m: int, halve_alpha: bool = True) -> floa
     return math.sqrt(-0.5 * math.log(a) * (n + m) / (n * m))
 
 
-@dataclass(frozen=True)
-class KSResult:
-    """KS statistic together with its per-level thresholds and decisions."""
+def pass_fractions(values, thresholds: dict[float, float], p_values: bool = False) -> dict[float, float]:
+    """Share of ``values`` that pass at each level of ``thresholds``.
 
-    statistic: float
-    n: int
-    m: int
-    thresholds: dict[float, float]
-    reject: dict[float, bool]
-
-
-def ks_compare(a, b, levels=DEFAULT_LEVELS, halve_alpha: bool = True) -> KSResult:
-    """Run the two-sample KS test against the threshold family."""
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    stat = ks_two_sample(a, b)
-    thresholds = {lv: ks_threshold(lv, a.size, b.size, halve_alpha) for lv in levels}
-    reject = {lv: stat > thr for lv, thr in thresholds.items()}
-    return KSResult(statistic=stat, n=int(a.size), m=int(b.size), thresholds=thresholds, reject=reject)
+    A statistic passes when it is at or below its threshold; with
+    ``p_values`` a value passes when it is above its threshold, the level.
+    """
+    arr = np.asarray(values)
+    return {lv: float(((arr > thr) if p_values else (arr <= thr)).mean()) for lv, thr in thresholds.items()}
 
 
 def chi_square_gof(observed_counts, expected_probs) -> tuple[float, int]:

@@ -309,6 +309,32 @@ def test_mcmc_uses_reference_file(runner, tmp_path):
     assert payload["reference"].endswith("reference.txt")
 
 
+def test_mcmc_reference_hashed_by_content(runner, tmp_path):
+    def run(ref: Path, out: Path) -> dict:
+        result = runner.invoke(
+            main,
+            ["mcmc", "--alpha", "1.0", "--beta", "0", "--gamma", "1.0", "--rbar", "10", "--steps", "200",
+             "--runs", "1", "--reference", str(ref), "--output-dir", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        return json.loads(read(out / "convergence_report.json"))
+
+    content = "\n".join(str(1 + i % 10) for i in range(300)) + "\n"
+    refs = [tmp_path / side / "reference.txt" for side in ("a", "b")]
+    for ref in refs:
+        ref.parent.mkdir()
+        ref.write_text(content, encoding="utf-8")
+    first, copy = run(refs[0], tmp_path / "out1"), run(refs[1], tmp_path / "out2")
+    assert first["config_hash"] == copy["config_hash"]
+    assert first["reference"] == "reference.txt"
+    assert first["reference_sha256"] == hashlib.sha256(content.encode()).hexdigest()
+
+    refs[0].write_text(content.replace("\n1\n", "\n2\n", 1), encoding="utf-8")
+    edited = run(refs[0], tmp_path / "out3")
+    assert edited["config_hash"] != first["config_hash"]
+    assert edited["reference_sha256"] != first["reference_sha256"]
+
+
 def test_mcmc_requires_params(runner, tmp_path):
     result = runner.invoke(main, ["mcmc", "--rbar", "10", "--output-dir", str(tmp_path)])
     assert result.exit_code != 0

@@ -358,12 +358,13 @@ def test_order_test_report_shapes():
 
 def test_order_test_estimates_order1_once(monkeypatch):
     calls = []
+    count_pairs = markov._count_pairs
 
-    def counted(seq):
+    def counted(values):
         calls.append(1)
-        return estimate_order1(seq)
+        return count_pairs(values)
 
-    monkeypatch.setattr(markov, "estimate_order1", counted)
+    monkeypatch.setattr(markov, "_count_pairs", counted)
     order_test(order1_source(n=500), OrderTestConfig(replicates=2, seed=0))
     assert len(calls) == 1
 

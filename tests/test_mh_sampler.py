@@ -229,6 +229,14 @@ def test_study_hands_each_run_to_callback():
     assert report == convergence_study(f, 3, MHConfig(n_steps=400, seed=4), [1, 2, 3])
 
 
+def test_study_records_integral_seeds():
+    f = target(0.5, 0.3, 0.2)
+    report = convergence_study(f, 2, MHConfig(n_steps=500, seed=np.int64(7)), [1, 2, 3])
+    assert report.seed == 7 and type(report.seed) is int
+    assert report == convergence_study(f, 2, MHConfig(n_steps=500, seed=7), [1, 2, 3])
+    assert convergence_study(f, 2, MHConfig(n_steps=500, seed=[7, 8]), [1, 2, 3]).seed == -1
+
+
 def test_study_validates_inputs():
     f = target(0.6, 0.4)
     with pytest.raises(ValueError):

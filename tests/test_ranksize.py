@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from hapaxchain.ranksize import (
-    FitConfig,
     ParameterDomainError,
     UnidentifiableParameterError,
     ZMParams,
@@ -208,24 +207,20 @@ def test_ci_level_nesting():
 
 def test_ci_singular_covariance_raises():
     true = ZMParams(alpha=100.0, beta=5.0, gamma=1.5)
-    result = fit_zm(synthetic_points(true, range(1, 51)))
-    internals = result.internals
-    broken = type(internals)(
-        params=internals.params,
-        jacobian=np.ones_like(internals.jacobian),  # perfectly collinear columns
-        residuals=internals.residuals,
-        n_points=internals.n_points,
-    )
+    residuals = np.linspace(-1.0, 1.0, 50)
+    collinear = np.ones((50, 3))  # perfectly collinear columns
     with pytest.raises(UnidentifiableParameterError):
-        confidence_intervals(broken, 0.95)
+        confidence_intervals(true, collinear, residuals, 0.95)
 
 
-def test_fit_nonconvergence_carries_diagnostics():
+def test_fit_nonconvergence_carries_diagnostics(monkeypatch):
+    from hapaxchain import ranksize
     from hapaxchain.ranksize import FitConvergenceError
 
     true = ZMParams(alpha=6.029e8, beta=2540.0, gamma=1.896)
     points = synthetic_points(true, np.unique(np.geomspace(1, 31074, 300).astype(int)))
+    monkeypatch.setattr(ranksize, "MAX_ITER", 3)
     with pytest.raises(FitConvergenceError) as err:
-        fit_zm(points, config=FitConfig(max_iter=3))
+        fit_zm(points)
     assert err.value.n_iter == 3
     assert err.value.best_params.alpha > 0

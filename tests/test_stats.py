@@ -16,9 +16,9 @@ from hapaxchain.stats import (
     chi_square_threshold,
     descriptive_stats,
     derived_indicators,
-    ks_compare,
     ks_threshold,
     ks_two_sample,
+    pass_fractions,
     shannon_entropy,
     wmw_test,
 )
@@ -179,14 +179,20 @@ def test_ks_threshold_domain():
         ks_threshold(0.05, 0, 10, True)
 
 
-def test_ks_compare_reject_consistency():
-    rng = np.random.default_rng(11)
-    a = rng.normal(size=300)
-    b = rng.normal(loc=2.0, size=300)
-    res = ks_compare(a, b)
-    for lv, thr in res.thresholds.items():
-        assert res.reject[lv] == (res.statistic > thr)
-    assert res.reject[0.05]  # location shift of 2 sigma is unmissable
+@pytest.mark.parametrize(
+    "values, thresholds, p_values, expected",
+    [
+        ([0.1, 0.2, 0.3, 0.4], {0.05: 0.2, 0.01: 0.3}, False, {0.05: 0.5, 0.01: 0.75}),
+        ([0.2], {0.05: 0.2}, False, {0.05: 1.0}),  # a statistic at its threshold passes
+        ([0.05], {0.05: 0.05}, True, {0.05: 0.0}),  # a p-value at its level fails
+        ([0.001, 0.01, 0.5, 0.9], {0.05: 0.05, 0.01: 0.01, 0.001: 0.001}, True,
+         {0.05: 0.5, 0.01: 0.5, 0.001: 0.75}),
+    ],
+)
+def test_pass_fractions_boundaries(values, thresholds, p_values, expected):
+    fractions = pass_fractions(values, thresholds, p_values=p_values)
+    assert fractions == expected
+    assert list(fractions) == list(thresholds)
 
 
 # -------------------------------------------------------------- chi-square
