@@ -65,7 +65,7 @@ OPTIONS = {
     "replicates": Opt(click.INT, 100, "Replicates per test battery."),
     "len1": Opt(click.INT, None, "Length of first-order replicates [default: input length]."),
     "len2": Opt(click.INT, None, "Length of second-order replicates [default: min(100000, input length)]."),
-    "seed": Opt(click.INT, 0, "Master seed of every random draw."),
+    "seed": Opt(click.IntRange(min=0), 0, "Master seed of every random draw."),
     "levels": Opt(_Levels(), "0.05,0.01,0.001", "Comma-separated significance levels.", ("--alpha-levels",)),
     "halve_alpha": Opt(click.BOOL, True, "KS threshold parameterization: halve the level."),
     "steps": Opt(click.INT, 100_000, "Chain length per run."),
@@ -76,7 +76,7 @@ OPTIONS = {
 }
 
 # JSON types a config value may have, by option type name; any other option takes a string.
-_JSON_TYPES = {"integer": int, "float": (int, float), "boolean": bool}
+_JSON_TYPES = {"integer": int, "integer range": int, "float": (int, float), "boolean": bool}
 
 
 def _load_config(path: str) -> dict:
@@ -265,6 +265,8 @@ def _run_mcmc(o: dict) -> dict[str, Path]:
     source = _file_id(ref, "reference") if ref else {"reference": f"iid:{size}"}
     reference = (persist.read_rank_sequence(ref).values if ref
                  else iid_sample(f, size, np.random.SeedSequence(entropy=seed, spawn_key=(2**31,))))
+    if ref and not np.all((reference >= 1) & (reference <= o["rbar"])):
+        raise click.ClickException(f"--reference {ref}: ranks must lie in 1..{o['rbar']} (--rbar)")
     outputs: dict[str, Path] = {}
 
     def save_samples(k, result):

@@ -19,6 +19,7 @@ import numpy as np
 from .corpus import RankSequence
 from .stats import (
     DEFAULT_LEVELS,
+    _tally,
     chi_square_gof,
     chi_square_threshold,
     descriptive_stats,
@@ -337,15 +338,13 @@ class OrderTestReport:
     halve_alpha: bool
 
 
-def _indicators_of(values: np.ndarray, counts: np.ndarray) -> dict[str, float]:
+def _indicators_of(values: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
+    """The count of each of ``states`` in ``values``, a sequence over them,
+    and the sequence's indicators."""
+    counts = _tally(states, values)[1][1]
     d = descriptive_stats(values)
-    return {
-        "mean": d.mean,
-        "std_dev": d.std_dev,
-        "kurtosis": d.kurtosis,
-        "skewness": d.skewness,
-        "entropy": shannon_entropy(counts),
-    }
+    return counts, {"mean": d.mean, "std_dev": d.std_dev, "kurtosis": d.kurtosis, "skewness": d.skewness,
+                    "entropy": shannon_entropy(counts)}
 
 
 def order_test(seq, config: OrderTestConfig | None = None) -> OrderTestReport:
@@ -364,8 +363,7 @@ def order_test(seq, config: OrderTestConfig | None = None) -> OrderTestReport:
     tm1 = tm2.fallback
     len1 = config.len1 if config.len1 is not None else int(values.size)
     len2 = config.len2 if config.len2 is not None else min(100_000, int(values.size))
-    n_states = tm1.n_states
-    df = n_states - 1
+    df = tm1.n_states - 1
 
     ks_pairs: list[float] = []
     wmw_ps: list[float] = []
@@ -384,14 +382,13 @@ def order_test(seq, config: OrderTestConfig | None = None) -> OrderTestReport:
         ks_pairs.append(ks_two_sample(sim1, sim2))
         wmw_ps.append(wmw_test(sim1, sim2)[1])
 
-        sim1_counts = np.bincount(np.searchsorted(tm1.states, sim1), minlength=n_states)
+        sim1_counts, indicators = _indicators_of(sim1, tm1.states)
         chi_stats.append(chi_square_gof(sim1_counts, tm1.marginal)[0])
         ks_emp.append(ks_two_sample(sim1, values))
-        for name, val in _indicators_of(sim1, sim1_counts).items():
+        for name, val in indicators.items():
             indicator_lists[name].append(val)
 
-    observed_counts = np.bincount(np.searchsorted(tm1.states, values), minlength=n_states)
-    observed = _indicators_of(values, observed_counts)
+    observed = _indicators_of(values, tm1.states)[1]
 
     thresholds = {
         "ks_first_vs_second": {

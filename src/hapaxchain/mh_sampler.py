@@ -147,7 +147,7 @@ def iid_sample(f: TargetDistribution, size: int, seed) -> np.ndarray:
 @dataclass(frozen=True)
 class ConvergenceReport:
     """KS statistics of many chains against a reference sample; ``seed``
-    is -1 when the master seed is not an integer but a sequence of them."""
+    is -1 when the master seed is not an integer."""
 
     ks_statistics: list[float]
     thresholds: dict[float, float]
@@ -171,8 +171,9 @@ def convergence_study(
 ) -> ConvergenceReport:
     """Run independent seeded chains and KS-compare each to ``reference``.
 
-    Run k uses the substream (config.seed, k), so the study is
-    reproducible as a whole and each chain individually.  ``on_run``,
+    Run k uses child k of the master seed ``config.seed`` (an integer, a
+    sequence of them, or a ``SeedSequence``), spawn key (..., k), so the
+    study is reproducible as a whole and each chain individually.  ``on_run``,
     when given, is called with k and each chain's result as it
     finishes; no chain is kept otherwise.
     """
@@ -182,11 +183,12 @@ def convergence_study(
     if reference.size == 0:
         raise ValueError("reference sample must be non-empty")
 
+    master = config.seed if isinstance(config.seed, np.random.SeedSequence) else np.random.SeedSequence(config.seed)
     ks_stats = []
     for k in range(runs):
         run_cfg = MHConfig(
             n_steps=config.n_steps,
-            seed=np.random.SeedSequence(entropy=config.seed, spawn_key=(k,)),
+            seed=np.random.SeedSequence(master.entropy, spawn_key=(*master.spawn_key, k), pool_size=master.pool_size),
             initial_state=config.initial_state,
         )
         result = run_chain(f, run_cfg)

@@ -84,7 +84,8 @@ def zm_eval(params: ZMParams, r) -> float:
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr < 1):
         raise ParameterDomainError(f"rank must be >= 1, got {r}")
-    out = params.alpha / (params.beta + r_arr) ** params.gamma
+    with np.errstate(over="ignore"):  # a power beyond the float range reads as inf
+        out = params.alpha / (params.beta + r_arr) ** params.gamma
     if np.isscalar(r) or r_arr.ndim == 0:
         return float(out)
     return out
@@ -145,7 +146,8 @@ def _model_and_jacobian_log(theta: np.ndarray, r: np.ndarray) -> tuple[np.ndarra
     beta_p1 = math.exp(b)  # beta + 1, positive by construction
     gamma = math.exp(g)
     denom = beta_p1 + (r - 1.0)  # = beta + r, always > 0
-    f = alpha * denom ** (-gamma)
+    with np.errstate(over="ignore"):
+        f = alpha * denom ** (-gamma)
     jac = np.empty((r.size, 3))
     jac[:, 0] = f
     jac[:, 1] = -gamma * f * beta_p1 / denom

@@ -55,6 +55,15 @@ class DescriptiveStats:
     pearson_skew: float
 
 
+def _tally(*samples) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct values of the pooled samples, and one row per sample of
+    its count of each (as floats): the only place this module sorts a sample."""
+    tallies = [np.unique(np.asarray(s, dtype=float).ravel(), return_counts=True) for s in samples]
+    values = np.unique(np.concatenate([seen for seen, _ in tallies]))
+    counts = [np.bincount(np.searchsorted(values, seen), weights=c, minlength=values.size) for seen, c in tallies]
+    return values, np.array(counts)
+
+
 def derived_indicators(mean: float, std_dev: float, median: float, n: int) -> tuple[float, float, float]:
     """Return (mean/sd, Pearson skew 3*(mean-median)/sd, standard error).
 
@@ -71,32 +80,30 @@ def derived_indicators(mean: float, std_dev: float, median: float, n: int) -> tu
 
 def descriptive_stats(values) -> DescriptiveStats:
     """Compute the full indicator set for a sample of size >= 2."""
-    x = np.asarray(values, dtype=float)
-    if x.ndim != 1:
-        x = x.ravel()
-    n = x.size
+    x, (c,) = _tally(values)
+    n = int(c.sum())
     if n < 2:
         raise ValueError(f"descriptive_stats requires at least 2 values, got {n}")
 
-    mean = float(x.mean())
+    mean = float(c @ x) / n
     # Residuals corrected for the rounding of the mean: a constant sample
     # gets exact zeros, and the moments are not skewed by a rounded mean.
     centered = x - mean
-    centered -= centered.mean()
-    variance = float(np.sum(centered**2)) / (n - 1)
+    centered -= float(c @ centered) / n
+    variance = float(c @ centered**2) / (n - 1)
     std_dev = math.sqrt(variance)
     # Scaled by their largest magnitude so that no power underflows.
     scale = float(np.abs(centered).max())
     if scale > 0.0:
         z = centered / scale
-        m2 = float(np.mean(z**2))
-        skewness = float(np.mean(z**3)) / m2**1.5
-        kurtosis = float(np.mean(z**4)) / m2**2
+        m2 = float(c @ z**2) / n
+        skewness = float(c @ z**3) / n / m2**1.5
+        kurtosis = float(c @ z**4) / n / m2**2
     else:
-        skewness = math.nan
-        kurtosis = math.nan
-    median = float(np.median(x))
-    rms = math.sqrt(float(np.mean(x**2)))
+        skewness = kurtosis = math.nan
+    # The sorted sample's middle one or two observations.
+    median = float(x[np.searchsorted(np.cumsum(c), [(n - 1) // 2, n // 2], side="right")].mean())
+    rms = math.sqrt(float(c @ x**2) / n)
     mean_over_sd, pearson, std_error = derived_indicators(mean, std_dev, median, n)
     return DescriptiveStats(
         n=n,
@@ -106,8 +113,8 @@ def descriptive_stats(values) -> DescriptiveStats:
         skewness=skewness,
         kurtosis=kurtosis,
         median=median,
-        max=float(x.max()),
-        min=float(x.min()),
+        max=float(x[-1]),
+        min=float(x[0]),
         rms=rms,
         std_error=std_error,
         mean_over_sd=mean_over_sd,
@@ -119,16 +126,13 @@ def ks_two_sample(a, b) -> float:
     """Two-sample KS statistic: sup |ECDF_a - ECDF_b| over pooled values.
 
     Ties and discrete data are handled exactly by evaluating both ECDFs
-    at every pooled sample value.
+    at every distinct pooled value.
     """
-    a = np.sort(np.asarray(a, dtype=float).ravel())
-    b = np.sort(np.asarray(b, dtype=float).ravel())
-    if a.size == 0 or b.size == 0:
+    _, (ca, cb) = _tally(a, b)
+    na, nb = ca.sum(), cb.sum()
+    if na == 0 or nb == 0:
         raise ValueError("ks_two_sample requires two non-empty samples")
-    pooled = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, pooled, side="right") / a.size
-    cdf_b = np.searchsorted(b, pooled, side="right") / b.size
-    return float(np.abs(cdf_a - cdf_b).max())
+    return float(np.abs(np.cumsum(ca) / na - np.cumsum(cb) / nb).max())
 
 
 def ks_threshold(alpha: float, n: int, m: int, halve_alpha: bool = True) -> float:
@@ -206,21 +210,17 @@ def wmw_test(a, b) -> tuple[float, float]:
     the variance is zero and the degenerate convention (0.0, 1.0) is
     returned.
     """
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    if a.size == 0 or b.size == 0:
+    _, (ca, cb) = _tally(a, b)
+    n1, n2 = int(ca.sum()), int(cb.sum())
+    if n1 == 0 or n2 == 0:
         raise ValueError("wmw_test requires two non-empty samples")
-    n1, n2 = a.size, b.size
     n = n1 + n2
-    pooled = np.concatenate([a, b])
-    _, inverse, tie_counts = np.unique(pooled, return_inverse=True, return_counts=True)
+    tie_counts = ca + cb
     # Midranks: each tie group takes the mean of the ranks 1..n it spans.
-    ranks = (np.cumsum(tie_counts) - (tie_counts - 1) / 2.0)[inverse]
-    r1 = float(ranks[:n1].sum())
+    r1 = float(ca @ (np.cumsum(tie_counts) - (tie_counts - 1) / 2.0))
     u = r1 - n1 * (n1 + 1) / 2.0
     mu = n1 * n2 / 2.0
 
-    tie_counts = tie_counts.astype(float)
     tie_term = float((tie_counts**3 - tie_counts).sum())
     variance = n1 * n2 / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
     if variance <= 0.0:

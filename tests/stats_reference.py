@@ -1,9 +1,16 @@
-"""Sort-based reference implementation of the Wilcoxon-Mann-Whitney test.
+"""Sort-based reference implementations of the sample statistics.
 
-This is the version ``stats.wmw_test`` replaced: midranks from a stable
-argsort of the pooled sample, then tie counts from a second sort inside
-``np.unique``.  The tests compare the package's ``(z, p)`` against it
-with exact equality.
+These are the versions ``stats`` replaced with formulas over each
+sample's distinct values and counts:
+
+- ``wmw_test``: midranks from a stable argsort of the pooled sample, then
+  tie counts from a second sort inside ``np.unique``;
+- ``ks_two_sample``: both ECDFs evaluated by ``searchsorted`` on the
+  sorted samples at every pooled observation;
+- ``descriptive_stats``: per-observation powers and ``np.median``.
+
+The tests compare the package's KS and WMW results against them with
+exact equality, and its indicators within a relative 1e-9.
 """
 
 from __future__ import annotations
@@ -11,6 +18,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from hapaxchain.stats import DescriptiveStats, derived_indicators
 
 
 def midranks(x: np.ndarray) -> np.ndarray:
@@ -55,3 +64,37 @@ def wmw_test(a, b) -> tuple[float, float]:
         z = 0.0
     p = min(1.0, math.erfc(abs(z) / math.sqrt(2.0)))
     return z, p
+
+
+def ks_two_sample(a, b) -> float:
+    a = np.sort(np.asarray(a, dtype=float).ravel())
+    b = np.sort(np.asarray(b, dtype=float).ravel())
+    pooled = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, pooled, side="right") / a.size
+    cdf_b = np.searchsorted(b, pooled, side="right") / b.size
+    return float(np.abs(cdf_a - cdf_b).max())
+
+
+def descriptive_stats(values) -> DescriptiveStats:
+    x = np.asarray(values, dtype=float).ravel()
+    n = x.size
+    mean = float(x.mean())
+    centered = x - mean
+    centered -= centered.mean()
+    variance = float(np.sum(centered**2)) / (n - 1)
+    std_dev = math.sqrt(variance)
+    scale = float(np.abs(centered).max())
+    if scale > 0.0:
+        z = centered / scale
+        m2 = float(np.mean(z**2))
+        skewness = float(np.mean(z**3)) / m2**1.5
+        kurtosis = float(np.mean(z**4)) / m2**2
+    else:
+        skewness = kurtosis = math.nan
+    median = float(np.median(x))
+    mean_over_sd, pearson, std_error = derived_indicators(mean, std_dev, median, n)
+    return DescriptiveStats(
+        n=n, mean=mean, variance=variance, std_dev=std_dev, skewness=skewness, kurtosis=kurtosis,
+        median=median, max=float(x.max()), min=float(x.min()), rms=math.sqrt(float(np.mean(x**2))),
+        std_error=std_error, mean_over_sd=mean_over_sd, pearson_skew=pearson,
+    )

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -187,6 +190,19 @@ def test_target_from_fit_json(runner, tmp_path):
     assert len(read(out / "target_distribution.csv").splitlines()) == 51
 
 
+def test_target_overflow_ends_in_a_clean_error_under_warnings_as_errors(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "hapaxchain.cli", "target", "--alpha", "1", "--beta", "0",
+         "--gamma", "1e6", "--rbar", "10", "--output-dir", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode != 0
+    assert proc.stderr.startswith("Error:"), proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_target_requires_params(runner, tmp_path):
     result = runner.invoke(main, ["target", "--output-dir", str(tmp_path)])
     assert result.exit_code != 0
@@ -335,6 +351,33 @@ def test_mcmc_reference_hashed_by_content(runner, tmp_path):
     assert edited["reference_sha256"] != first["reference_sha256"]
 
 
+def test_mcmc_rejects_reference_ranks_outside_rbar(runner, tmp_path):
+    ref = tmp_path / "reference.txt"
+    ref.write_text("9\n9\n9\n", encoding="utf-8")
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main,
+        ["mcmc", "--alpha", "1.0", "--beta", "0", "--gamma", "1.0", "--rbar", "5", "--steps", "100",
+         "--runs", "1", "--reference", str(ref), "--output-dir", str(out)],
+    )
+    assert result.exit_code != 0
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("Error:")
+    assert str(ref) in result.output and "1..5" in result.output
+    assert not (out / "convergence_report.json").exists()
+
+
+def test_seed_flag_must_be_non_negative(runner, tmp_path):
+    result = runner.invoke(
+        main, ["mcmc", "--alpha", "1.0", "--beta", "0", "--gamma", "1.0", "--rbar", "5", "--steps", "100",
+               "--runs", "1", "--seed", "-1", "--output-dir", str(tmp_path / "out")],
+    )
+    assert result.exit_code != 0
+    assert isinstance(result.exception, SystemExit)
+    assert "Error:" in result.output and "'--seed'" in result.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_mcmc_requires_params(runner, tmp_path):
     result = runner.invoke(main, ["mcmc", "--rbar", "10", "--output-dir", str(tmp_path)])
     assert result.exit_code != 0
@@ -419,7 +462,7 @@ def test_pipeline_names_failing_stage(runner, tmp_path):
     "cfg, key",
     [({"bogus": 1}, "bogus"), ({"alpha_levels": "0.2"}, "alpha_levels"), ({"len1": "abc"}, "len1"),
      ({"replicates": 2.7}, "replicates"), ({"replicates": True}, "replicates"),
-     ({"halve_alpha": "yes"}, "halve_alpha"), ({"levels": "0.2,x"}, "levels")],
+     ({"halve_alpha": "yes"}, "halve_alpha"), ({"levels": "0.2,x"}, "levels"), ({"seed": -1}, "seed")],
 )
 def test_config_rejects_unknown_keys_and_wrong_types(runner, tmp_path, cfg, key):
     write_sequence_file(tmp_path)
@@ -438,7 +481,7 @@ def test_config_rejects_unknown_keys_and_wrong_types(runner, tmp_path, cfg, key)
 def test_config_accepts_keys_of_other_commands(runner, tmp_path):
     write_sequence_file(tmp_path)
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"steps": 10, "rbar": 20, "replicates": 1, "len1": 300, "len2": 300}),
+    cfg_path.write_text(json.dumps({"steps": 10, "rbar": 20, "replicates": 1, "len1": 300, "len2": 300, "seed": 3}),
                         encoding="utf-8")
     result = runner.invoke(
         main, ["ordertest", "--input", str(tmp_path / "rank_sequence.txt"), "--config", str(cfg_path),
@@ -446,6 +489,7 @@ def test_config_accepts_keys_of_other_commands(runner, tmp_path):
     )
     assert result.exit_code == 0, result.output
     assert json.loads(read(tmp_path / "out" / "order_test_report.json"))["len1"] == 300
+    assert json.loads(read(tmp_path / "out" / "order_test_report.json"))["seed"] == 3
 
 
 @pytest.mark.parametrize("source", ["config", "alias"])

@@ -237,6 +237,21 @@ def test_study_records_integral_seeds():
     assert convergence_study(f, 2, MHConfig(n_steps=500, seed=[7, 8]), [1, 2, 3]).seed == -1
 
 
+def test_study_takes_a_seed_sequence_as_master_seed():
+    f = target(0.5, 0.3, 0.2)
+    report = convergence_study(f, 2, MHConfig(n_steps=500, seed=np.random.SeedSequence(7)), [1, 2, 3])
+    assert report.seed == -1
+    assert report.ks_statistics == convergence_study(f, 2, MHConfig(n_steps=500, seed=7), [1, 2, 3]).ks_statistics
+    # A spawned sequence hands run k the stream of its child k.
+    master = np.random.SeedSequence(7).spawn(3)[2]
+    seen = []
+    convergence_study(f, 2, MHConfig(n_steps=500, seed=master), [1, 2, 3], on_run=lambda k, r: seen.append(r))
+    for k, result in enumerate(seen):
+        alone = run_chain(f, MHConfig(n_steps=500, seed=np.random.SeedSequence(7, spawn_key=(2, k))))
+        assert np.array_equal(result.samples.values, alone.samples.values)
+    assert master.n_children_spawned == 0
+
+
 def test_study_validates_inputs():
     f = target(0.6, 0.4)
     with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 """Tests for the statistical primitives, cross-checked against scipy and
 small exact-enumeration oracles."""
 
+import dataclasses
+import inspect
 import math
 from itertools import combinations
 
@@ -102,6 +104,16 @@ def test_descriptive_identities(values):
     if d.variance > 0:
         # raw kurtosis lower bound
         assert d.kurtosis >= d.skewness**2 + 1 - 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-300, 300), min_size=2, max_size=200))
+@example(list(np.random.default_rng(31).integers(1, 301, size=100_000)))
+def test_descriptive_matches_sort_based_reference(values):
+    got, want = dataclasses.asdict(descriptive_stats(values)), dataclasses.asdict(ref.descriptive_stats(values))
+    assert got.keys() == want.keys()
+    for name, value in want.items():
+        assert got[name] == pytest.approx(value, rel=1e-9, abs=1e-12, nan_ok=True), name
 
 
 # ---------------------------------------------------------------------- KS
@@ -319,6 +331,20 @@ _PAPER_LIKE = np.random.default_rng(29).integers(1, 301, size=(2, 100_000))
 @example(_PAPER_LIKE[0], _PAPER_LIKE[1, :31_074])
 def test_wmw_equals_sort_based_reference(a, b):
     assert wmw_test(a, b) == ref.wmw_test(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_SAMPLE_VALUES, min_size=1, max_size=80), st.lists(_SAMPLE_VALUES, min_size=1, max_size=80))
+@example(_PAPER_LIKE[0], _PAPER_LIKE[1, :31_074])
+def test_ks_equals_sort_based_reference(a, b):
+    assert ks_two_sample(a, b) == ref.ks_two_sample(a, b)
+
+
+@pytest.mark.parametrize("fn", [ks_two_sample, wmw_test])
+def test_two_sample_statistics_take_samples_a_and_b(fn):
+    # Callers and instrumentation pass (and read) the two samples by these names.
+    assert list(inspect.signature(fn).parameters) == ["a", "b"]
+    assert fn(a=[1, 2, 3], b=[2, 3, 4]) == fn([1, 2, 3], [2, 3, 4])
 
 
 def test_wmw_null_calibration():
