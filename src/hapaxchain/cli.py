@@ -146,6 +146,16 @@ def _write_stat_table(path: Path, index: str | None, column: str, values, levels
                              ([k, v, *thr][skip:] for k, v in enumerate(values)))
 
 
+def _note_vacuous(stage: str, battery: str, thresholds: dict[float, float], largest: float) -> None:
+    """One stderr line per level at which ``battery`` cannot reject: its threshold is at
+    or above ``largest``, the largest value its statistic can take (1 for KS, 0 for
+    chi-square with df = 0)."""
+    for lv, thr in thresholds.items():
+        if thr >= largest:
+            click.echo(f"{stage}: {battery} cannot reject at level {lv:g}: threshold {thr:.6g}, "
+                       f"statistic at most {largest:g}", err=True)
+
+
 # payload series, statistic column and battery of each order-test battery table
 BATTERIES = (("ks_stats_first_vs_second", "ks_stat", "ks_first_vs_second"), ("wmw_p_values", "p_value", "wmw"),
              ("chi_square_stats", "chi_square", "chi_square"), ("ks_stats_vs_empirical", "ks_stat", "ks_vs_empirical"))
@@ -249,6 +259,9 @@ def _run_ordertest(o: dict) -> dict[str, Path]:
     outputs = {"order_test_report.json": persist.write_json(out / "order_test_report.json", payload)}
     outputs.update(_write_order_tables(payload, out, (
         "ks_first_vs_second.csv", "wmw_pvalues.csv", "chi_square.csv", "ks_vs_empirical.csv", "indicators.csv")))
+    for battery, largest in (("ks_first_vs_second", 1.0), ("chi_square", 0.0 if report.df == 0 else np.inf),
+                             ("ks_vs_empirical", 1.0)):
+        _note_vacuous("ordertest", battery, report.thresholds[battery], largest)
     first = report.levels[0]
     fractions = " ".join(f"{b}={d[first]:.3f}" for b, d in report.pass_fractions.items())
     click.echo(f"ordertest: replicates={report.replicates} pass@{first:g}: {fractions}")
@@ -282,6 +295,7 @@ def _run_mcmc(o: dict) -> dict[str, Path]:
         "thresholds": thresholds, "pass_fraction": _keyed(report.pass_fraction)})
     outputs["ks_statistics.csv"] = _write_stat_table(
         out / "ks_statistics.csv", "run", "ks_stat", report.ks_statistics, report.levels, thresholds)
+    _note_vacuous("mcmc", "ks", report.thresholds, 1.0)
     first = report.levels[0]
     click.echo(f"mcmc: runs={report.runs} steps={report.n_steps} pass@{first:g}={report.pass_fraction[first]:.3f}")
     return outputs

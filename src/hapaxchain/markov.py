@@ -158,16 +158,15 @@ def _as_values(seq) -> np.ndarray:
     return np.asarray(seq.values if isinstance(seq, RankSequence) else seq, dtype=np.int64)
 
 
-def _count_pairs(values: np.ndarray):
+def _count_pairs(values: np.ndarray, with_rows: bool = False):
     """The one counting pass over a sequence: its sorted distinct
     ``states``, the state index ``idx`` of each observation, the sorted
     codes ``i * n + j`` of the observed transitions ``pair_codes`` with
-    their ``pair_counts``, and the row in ``pair_codes`` of each step."""
+    their ``pair_counts`` and, ``with_rows``, the row in ``pair_codes`` of
+    each step (None otherwise: only order 2 reads it)."""
     states, idx = np.unique(values, return_inverse=True)
-    pair_codes, pair_rows, pair_counts = np.unique(
-        idx[:-1] * states.size + idx[1:], return_inverse=True, return_counts=True
-    )
-    return states, idx, pair_codes, pair_counts, pair_rows
+    pairs = np.unique(idx[:-1] * states.size + idx[1:], return_inverse=with_rows, return_counts=True)
+    return states, idx, pairs[0], pairs[-1], pairs[1] if with_rows else None
 
 
 def _count_rows(codes: np.ndarray, counts: np.ndarray, n_rows: int, n_states: int):
@@ -218,7 +217,7 @@ def estimate_order2(seq) -> TransitionMatrix2:
     values = _as_values(seq)
     if values.size < 3:
         raise ValueError(f"need a sequence of length >= 3, got {values.size}")
-    states, idx, pair_codes, pair_counts, pair_rows = counted = _count_pairs(values)
+    states, idx, pair_codes, pair_counts, pair_rows = counted = _count_pairs(values, with_rows=True)
     n = states.size
     codes, counts = np.unique(pair_rows[:-1] * n + idx[2:], return_counts=True)
     return TransitionMatrix2(

@@ -66,6 +66,13 @@ def run_chain(f: TargetDistribution, config: MHConfig) -> MHRunResult:
     The start is ``initial_state`` or a seeded uniform draw over the
     rank set; each step proposes j uniformly, draws u on [0, 1) and
     accepts when u <= min(1, F_j / F_x).  No burn-in is discarded.
+
+    All proposals are drawn in one call, then all uniforms in one.  Since
+    rounding is monotone, u * F_x <= u * max(F) for every state x, so a
+    step with u * max(F) <= F_j is accepted whatever state it leaves: one
+    vector pass settles those steps as their proposals, and the scalar
+    test runs over the rest only, in order, each reading the already-final
+    state before it.
     """
     r_bar = f.r_bar
     rng = np.random.default_rng(config.seed)
@@ -77,20 +84,22 @@ def run_chain(f: TargetDistribution, config: MHConfig) -> MHRunResult:
         current = int(rng.integers(0, r_bar))
 
     n = config.n_steps
-    out = np.empty(n, dtype=np.int64)
-    out[0] = current
-    accepted = 0
-    if n > 1:
-        proposals = rng.integers(0, r_bar, size=n - 1).tolist()
-        us = rng.random(n - 1).tolist()
-        probs = f.probs.tolist()
-        for t in range(1, n):
-            j = proposals[t - 1]
-            # u <= min(1, F_j/F_x) without the min: u < 1 always holds.
-            if us[t - 1] * probs[current] <= probs[j]:
-                current = j
-                accepted += 1
-            out[t] = current
+    proposals = rng.integers(0, r_bar, size=n - 1)
+    us = np.empty(n)  # us[t] decides the step to state t
+    rng.random(n - 1, out=us[1:])
+    p = np.asarray(f.probs, dtype=float)
+    sure = us[1:] * p.max() <= p[proposals]
+    # Every state starts as its step's proposal; a rejection copies the state before.
+    path, u, probs = [current, *proposals.tolist()], memoryview(us), p.tolist()
+    for t in (np.flatnonzero(~sure) + 1).tolist():
+        x = path[t - 1]
+        # u <= min(1, F_j/F_x) without the min: u < 1 always holds.
+        if not u[t] * probs[x] <= probs[path[t]]:
+            path[t] = x
+    out = np.array(path, dtype=np.int64)
+    # A rejected step never stays on its proposal: proposing the current
+    # state is always accepted, as u * F_x <= F_x.
+    accepted = int(np.count_nonzero(out[1:] == proposals))
     rate = accepted / (n - 1) if n > 1 else 1.0
     return MHRunResult(
         samples=RankSequence(values=out + 1, alphabet_size=r_bar),

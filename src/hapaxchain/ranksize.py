@@ -102,7 +102,7 @@ class TargetDistribution:
         p = np.asarray(self.probs, dtype=float)
         if p.size != self.r_bar:
             raise ValueError(f"probs length {p.size} != r_bar {self.r_bar}")
-        if np.any(p <= 0):
+        if not np.all(p > 0):  # NaN fails too
             raise ValueError("target probabilities must all be positive")
         if abs(p.sum() - 1.0) > 1e-12:
             raise ValueError(f"target probabilities sum to {p.sum()!r}, not 1")

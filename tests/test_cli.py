@@ -234,6 +234,29 @@ def test_ordertest_writes_report_and_csvs(runner, tmp_path):
     assert header == "replicate,ks_stat,threshold_0.05,threshold_0.01,threshold_0.001"
 
 
+def test_ordertest_names_levels_that_cannot_reject(runner, tmp_path):
+    # One state gives chi-square df = 0; five observations give KS thresholds above 1 at 0.01 and 0.001.
+    seq = tmp_path / "one_state.txt"
+    seq.write_text("1\n" * 5, encoding="utf-8")
+    result = runner.invoke(main, ["ordertest", "--input", str(seq), "--replicates", "2",
+                                  "--output-dir", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+    notes = result.stderr.splitlines()
+    assert [line for line in notes if "chi_square" in line] == [
+        f"ordertest: chi_square cannot reject at level {lv}: threshold 0, statistic at most 0"
+        for lv in ("0.05", "0.01", "0.001")]
+    for battery in ("ks_first_vs_second", "ks_vs_empirical"):
+        assert [line.split(":")[1] for line in notes if battery in line] == [
+            f" {battery} cannot reject at level {lv}" for lv in ("0.01", "0.001")]
+    assert len(notes) == 7
+
+    write_sequence_file(tmp_path)
+    result = runner.invoke(main, ["ordertest", "--input", str(tmp_path / "rank_sequence.txt"), "--replicates", "2",
+                                  "--len1", "1500", "--len2", "1200", "--output-dir", str(tmp_path / "out2")])
+    assert result.exit_code == 0, result.output
+    assert result.stderr == ""
+
+
 def test_ordertest_deterministic(runner, tmp_path):
     write_sequence_file(tmp_path)
     out1 = tmp_path / "o1"
@@ -323,6 +346,26 @@ def test_mcmc_uses_reference_file(runner, tmp_path):
     payload = json.loads(read(out / "convergence_report.json"))
     assert payload["reference_size"] == 400
     assert payload["reference"].endswith("reference.txt")
+
+
+def test_mcmc_names_levels_that_cannot_reject(runner, tmp_path):
+    ref = tmp_path / "reference.txt"
+    ref.write_text("1\n2\n", encoding="utf-8")
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main,
+        ["mcmc", "--alpha", "6.029e8", "--beta", "2540", "--gamma", "1.896", "--rbar", "300",
+         "--steps", "2000", "--runs", "2", "--reference", str(ref), "--output-dir", str(out)],
+    )
+    assert result.exit_code == 0, result.output
+    assert result.stderr.splitlines() == [
+        "mcmc: ks cannot reject at level 0.01: threshold 1.15148, statistic at most 1",
+        "mcmc: ks cannot reject at level 0.001: threshold 1.37918, statistic at most 1",
+    ]
+    # Every chain is far from the two-rank reference, yet passes both named levels.
+    payload = json.loads(read(out / "convergence_report.json"))
+    assert min(payload["ks_statistics"]) > 0.9
+    assert payload["pass_fraction"] == {"0.05": 0.0, "0.01": 1.0, "0.001": 1.0}
 
 
 def test_mcmc_reference_hashed_by_content(runner, tmp_path):

@@ -360,9 +360,9 @@ def test_order_test_estimates_order1_once(monkeypatch):
     calls = []
     count_pairs = markov._count_pairs
 
-    def counted(values):
+    def counted(values, **kwargs):
         calls.append(1)
-        return count_pairs(values)
+        return count_pairs(values, **kwargs)
 
     monkeypatch.setattr(markov, "_count_pairs", counted)
     order_test(order1_source(n=500), OrderTestConfig(replicates=2, seed=0))

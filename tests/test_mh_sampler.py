@@ -1,5 +1,8 @@
 """Metropolis-Hastings sampler, exact-kernel oracles and convergence study."""
 
+from types import SimpleNamespace
+
+import mh_reference as ref
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,6 +112,70 @@ def test_chain_acceptance_rate_matches_exact_mean():
     result = run_chain(f, MHConfig(n_steps=100_000, seed=5))
     assert result.acceptance_rate == pytest.approx(mean_acceptance_exact(f), abs=0.01)
     assert result.acceptance_rate == result.accepted / (100_000 - 1)
+
+
+def test_target_rejects_nan_probabilities():
+    with pytest.raises(ValueError):
+        TargetDistribution(probs=np.array([0.6, 0.4, np.nan]), r_bar=3)
+
+
+# ------------------------------------- sure-accept stepping vs the scalar loop
+
+
+def assert_same_chain(f, config):
+    fast, slow = run_chain(f, config), ref.run_chain(f, config)
+    assert np.array_equal(fast.samples.values, slow.samples.values)
+    assert fast.samples.alphabet_size == slow.samples.alphabet_size
+    assert fast.accepted == slow.accepted
+    assert fast.acceptance_rate == slow.acceptance_rate
+
+
+chain_configs = st.builds(
+    MHConfig,
+    n_steps=st.integers(min_value=1, max_value=3000),
+    seed=st.integers(min_value=0, max_value=2**63),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=300), st.floats(min_value=10.0, max_value=1e5),
+       st.floats(min_value=0.5, max_value=3.0), chain_configs)
+def test_chain_equals_scalar_loop_on_flat_targets(r_bar, beta_per_rank, gamma, config):
+    # beta far above r_bar: nearly every proposal is settled as sure
+    assert_same_chain(target_distribution(ZMParams(1.0, beta_per_rank * r_bar, gamma), r_bar), config)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=300), st.floats(min_value=1.5, max_value=4.0), chain_configs)
+def test_chain_equals_scalar_loop_on_steep_targets(r_bar, gamma, config):
+    # beta = 0: nearly every proposal goes through the scalar test
+    assert_same_chain(target_distribution(ZMParams(1.0, 0.0, gamma), r_bar), config)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=1, max_value=300), chain_configs)
+def test_chain_equals_scalar_loop_on_uniform_target(r_bar, config):
+    # Every step is sure.  TargetDistribution requires a strict decrease,
+    # so the uniform law is a plain namespace with the fields run_chain reads.
+    assert_same_chain(SimpleNamespace(probs=np.full(r_bar, 1.0 / r_bar), r_bar=r_bar), config)
+
+
+@pytest.mark.parametrize("params", [REFERENCE_PARAMS, ZMParams(1.0, 0.0, 1.5), ZMParams(1.0, 10.0, 1.0)])
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 5000])
+@pytest.mark.parametrize("initial_state", [None, 1, 150, 300])
+def test_chain_equals_scalar_loop_on_short_chains_and_fixed_starts(params, n_steps, initial_state):
+    f = target_distribution(params, 300)
+    for seed in range(3):
+        assert_same_chain(f, MHConfig(n_steps=n_steps, seed=seed, initial_state=initial_state))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=99),
+       st.integers(min_value=1, max_value=2000))
+def test_chain_equals_scalar_loop_under_seed_sequences(entropy, k, n_steps):
+    # the seeds convergence_study hands its runs
+    f = target_distribution(REFERENCE_PARAMS, 300)
+    assert_same_chain(f, MHConfig(n_steps=n_steps, seed=np.random.SeedSequence(entropy, spawn_key=(k,))))
 
 
 # ------------------------------------------------------------ exact kernel
