@@ -9,7 +9,6 @@ stationary distribution is the discretized rank-size law.
 
 from .corpus import (
     Document,
-    HapaxEntry,
     HapaxTable,
     RankSequence,
     build_hapax_table,

@@ -195,7 +195,7 @@ def _run_extract(o: dict) -> dict[str, Path]:
     table = corpus_mod.build_hapax_table(docs)
     seq = corpus_mod.build_rank_sequence(docs, table)
     o["alphabet_size"] = table.alphabet_size
-    counts = {"documents": len(docs), "hapaxes": len(table.entries), "occurrences": table.total_occurrences,
+    counts = {"documents": len(docs), "hapaxes": len(table.words), "occurrences": table.total_occurrences,
               "alphabet_size": table.alphabet_size}
     outputs = {"hapax_table.csv": persist.write_hapax_table(out / "hapax_table.csv", table),
                "rank_sequence.txt": persist.write_rank_sequence(out / "rank_sequence.txt", seq)}
@@ -308,9 +308,10 @@ def _run_report(o: dict) -> dict[str, Path]:
     params = _params({"fit_json": _require(src / "fit_report.json", "fit")})
     order = persist.read_json(_require(src / "order_test_report.json", "ordertest"))
     conv = persist.read_json(_require(src / "convergence_report.json", "mcmc"))
+    ranks = np.arange(1, len(table.words) + 1)
     outputs = {"fig1_ranksize.csv": persist.write_csv(
         out / "fig1_ranksize.csv", ["rank", "size_observed", "size_fitted"],
-        ((r, s, zm_eval(params, r)) for r, s in table.ordinal_points()))}
+        zip(ranks.tolist(), table.frequencies, zm_eval(params, ranks).tolist()))}
     outputs.update(_write_order_tables(order, out, ("fig2_ks_first_vs_second.csv", "fig3_wmw_pvalues.csv",
                                                      "fig4_chi_square.csv", "fig5_ks_vs_empirical.csv",
                                                      "fig7_indicators.csv")))

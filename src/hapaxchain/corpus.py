@@ -13,14 +13,13 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "Document",
-    "HapaxEntry",
     "HapaxTable",
     "RankSequence",
     "IngestionError",
@@ -73,37 +72,42 @@ class Document:
     def __post_init__(self):
         if self.order_index < 0:
             raise ValueError(f"order_index must be >= 0, got {self.order_index}")
-        if any(t == "" for t in self.tokens):
+        if "" in self.tokens:
             raise ValueError("tokens must not contain empty strings")
-
-
-class HapaxEntry(NamedTuple):
-    word: str
-    frequency: int
-    dense_rank: int
-    ordinal_rank: int
 
 
 @dataclass(frozen=True)
 class HapaxTable:
-    """Corpus-level hapax frequencies with dense and ordinal ranks.
+    """Corpus-level hapax frequencies, from which every rank derives.
 
-    Entries are sorted by ordinal rank (frequency descending, ties
-    broken lexicographically).  Dense ranks map equal frequencies to one
-    shared rank with no gaps, so ``alphabet_size`` equals the number of
-    distinct frequency values.
+    ``words`` are in ordinal order (frequency descending, ties broken
+    lexicographically), so ``words[i]`` has ordinal rank ``i + 1``, and
+    ``frequencies`` align with them.  Dense ranks give equal frequencies
+    one shared rank with no gaps; ``alphabet_size`` counts them.
     """
 
-    entries: tuple[HapaxEntry, ...]
-    total_occurrences: int
-    alphabet_size: int
+    words: tuple[str, ...]
+    frequencies: tuple[int, ...]
+
+    @cached_property
+    def dense_ranks(self) -> tuple[int, ...]:
+        """Dense rank of each word: one more than the number of frequency changes above it."""
+        return tuple(np.cumsum(np.diff(self.frequencies, prepend=0) != 0).tolist())
+
+    @cached_property
+    def total_occurrences(self) -> int:
+        return sum(self.frequencies)
+
+    @property
+    def alphabet_size(self) -> int:
+        return self.dense_ranks[-1] if self.dense_ranks else 0
 
     def dense_rank_of(self) -> dict[str, int]:
-        return {e.word: e.dense_rank for e in self.entries}
+        return dict(zip(self.words, self.dense_ranks))
 
     def ordinal_points(self) -> list[tuple[int, int]]:
         """(ordinal_rank, frequency) pairs, the fitting view of the table."""
-        return [(e.ordinal_rank, e.frequency) for e in self.entries]
+        return list(enumerate(self.frequencies, 1))
 
 
 @dataclass(frozen=True)
@@ -138,18 +142,8 @@ def build_hapax_table(corpus: list[Document]) -> HapaxTable:
     if not freq:
         raise EmptyTableError("corpus yields an empty table: no hapaxes found")
 
-    by_ordinal = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))
-    distinct_freqs = sorted(set(freq.values()), reverse=True)
-    dense = {f: i + 1 for i, f in enumerate(distinct_freqs)}
-    entries = tuple(
-        HapaxEntry(word=w, frequency=f, dense_rank=dense[f], ordinal_rank=i + 1)
-        for i, (w, f) in enumerate(by_ordinal)
-    )
-    return HapaxTable(
-        entries=entries,
-        total_occurrences=sum(freq.values()),
-        alphabet_size=len(distinct_freqs),
-    )
+    words = sorted(sorted(freq), key=freq.__getitem__, reverse=True)  # stable: ties stay in word order
+    return HapaxTable(words=tuple(words), frequencies=tuple(map(freq.__getitem__, words)))
 
 
 def build_rank_sequence(corpus: list[Document], table: HapaxTable) -> RankSequence:

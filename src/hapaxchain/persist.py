@@ -8,6 +8,7 @@ reruns with identical inputs are byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import HapaxEntry, HapaxTable, RankSequence
+from .corpus import HapaxTable, RankSequence
 from .ranksize import TargetDistribution
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
 ]
 
 FLOAT_FMT = "{:.17g}"
+HAPAX_HEADER = "word,frequency,dense_rank,ordinal_rank"
 
 
 def atomic_write_text(path: str | Path, text: str) -> Path:
@@ -46,10 +48,8 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
             fh.write(text)
         os.replace(tmp_name, path)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp_name)
-        except OSError:
-            pass
         raise
     return path
 
@@ -89,67 +89,72 @@ def write_csv(path: str | Path, header: list[str], rows) -> Path:
 
 
 def write_hapax_table(path: str | Path, table: HapaxTable) -> Path:
-    return write_csv(
-        path,
-        ["word", "frequency", "dense_rank", "ordinal_rank"],
-        ((e.word, e.frequency, e.dense_rank, e.ordinal_rank) for e in table.entries),
-    )
+    return write_csv(path, HAPAX_HEADER.split(","),
+                     zip(table.words, table.frequencies, table.dense_ranks, range(1, len(table.words) + 1)))
+
+
+def _line_error(path, number: int, lines: list[str], problem: str) -> ValueError:
+    return ValueError(f"{path}, line {number}: {problem}: {lines[number - 1]!r}")
+
+
+def _rows(path, lines: list[str], header: str, parse) -> list[tuple]:
+    """(line number, *parse(*fields)) of each non-blank line after the header."""
+    rows = []
+    for number, ln in enumerate(lines[1:], 2):
+        try:
+            if ln:
+                rows.append((number, *parse(*ln.split(","))))
+        except (TypeError, ValueError):  # a wrong number of fields, or a field that does not convert
+            raise _line_error(path, number, lines, f"not a row of {header}") from None
+    return rows
 
 
 def read_hapax_table(path: str | Path) -> HapaxTable:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "word,frequency,dense_rank,ordinal_rank":
-        raise ValueError(f"{path} is not a hapax table file")
-    entries = []
-    for ln in lines[1:]:
-        if not ln:
-            continue
-        word, freq, dense, ordinal = ln.split(",")
-        entries.append(HapaxEntry(word, int(freq), int(dense), int(ordinal)))
-    return HapaxTable(
-        entries=tuple(entries),
-        total_occurrences=sum(e.frequency for e in entries),
-        alphabet_size=max(e.dense_rank for e in entries),
-    )
+    """The table a hapax table file holds.  Its words must be distinct, its
+    rows in ordinal order and its rank columns equal to the ranks derived
+    from its frequencies; a ``ValueError`` names the first line that breaks this."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines() or [""]
+    rows = lines[0] == HAPAX_HEADER and _rows(path, lines, HAPAX_HEADER, lambda w, f, d, o: (w, int(f), int(d), int(o)))
+    if not rows:
+        raise ValueError(f"{path} is not a hapax table file with at least one row")
+    _, words, frequencies, *_ = zip(*rows)
+    table, seen, previous = HapaxTable(words=words, frequencies=frequencies), set(), ()
+    for rank, ((number, word, freq, dense, ordinal), want) in enumerate(zip(rows, table.dense_ranks), 1):
+        key = (-freq, word)  # increases strictly down a table in ordinal order
+        if freq < 1 or word in seen or key <= previous:
+            raise _line_error(path, number, lines, "repeated word, frequency below 1, or row out of ordinal order")
+        if (dense, ordinal) != (want, rank):
+            raise _line_error(path, number, lines, f"dense_rank,ordinal_rank should read {want},{rank}")
+        seen.add(word)
+        previous = key
+    return table
 
 
 def write_rank_sequence(path: str | Path, seq: RankSequence) -> Path:
-    body = "\n".join(str(int(v)) for v in np.asarray(seq.values))
-    return atomic_write_text(path, (body + "\n") if body else "")
+    values = np.asarray(seq.values, dtype=np.int64)
+    lines = np.array([f"{r}\n" for r in range(int(values.max(initial=0)) + 1)], dtype=object)  # one string per rank
+    return atomic_write_text(path, "".join(lines[values].tolist()))
 
 
 def read_rank_sequence(path: str | Path) -> RankSequence:
-    values = np.array(
-        [int(ln) for ln in Path(path).read_text(encoding="utf-8").split() if ln],
-        dtype=np.int64,
-    )
+    values = np.array([int(ln) for ln in Path(path).read_text(encoding="utf-8").split()], dtype=np.int64)
     if values.size == 0:
         raise ValueError(f"{path} contains no rank values")
     return RankSequence(values=values, alphabet_size=int(values.max()))
 
 
 def write_target_distribution(path: str | Path, target: TargetDistribution) -> Path:
-    return write_csv(
-        path,
-        ["rank", "prob"],
-        ((r + 1, p) for r, p in enumerate(target.probs)),
-    )
+    return write_csv(path, ["rank", "prob"], enumerate(target.probs, 1))
 
 
 def read_rank_size_csv(path: str | Path) -> list[tuple[int, float]]:
     """Read fit input: either a rank,size CSV or a hapax table, whose
     ordinal ranks and frequencies then serve as the points."""
-    lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln]
-    if not lines:
-        raise ValueError(f"{path} is empty")
-    header = lines[0]
-    if header == "word,frequency,dense_rank,ordinal_rank":
-        table = read_hapax_table(path)
-        return sorted((e.ordinal_rank, float(e.frequency)) for e in table.entries)
-    if header.replace(" ", "") != "rank,size":
-        raise ValueError(f"{path}: expected a 'rank,size' header, got {header!r}")
-    points = []
-    for ln in lines[1:]:
-        rank_s, size_s = ln.split(",")
-        points.append((int(rank_s), float(size_s)))
-    return points
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\r\n")
+        if header.replace(" ", "") == "rank,size":
+            rows = _rows(path, [header, *fh.read().splitlines()], "rank,size", lambda r, s: (int(r), float(s)))
+            return [(rank, size) for _, rank, size in rows]
+    if header == HAPAX_HEADER:
+        return read_hapax_table(path).ordinal_points()
+    raise ValueError(f"{path}: expected a 'rank,size' header or a hapax table, got {header!r}")

@@ -250,11 +250,8 @@ def fit_zm(points, level: float = 0.95) -> FitResult:
             n_iter=n_iter,
         )
 
-    denom = params.beta + ranks
-    jac_orig = np.empty((ranks.size, 3))
-    jac_orig[:, 0] = f / params.alpha
-    jac_orig[:, 1] = -params.gamma * f / denom
-    jac_orig[:, 2] = -f * np.log(denom)
+    # Chain rule: d/d(alpha, beta, gamma) = d/d(log alpha, log(1+beta), log gamma) / (alpha, 1+beta, gamma).
+    jac_orig = jac / np.array([params.alpha, math.exp(theta[1]), params.gamma])
 
     tss = float(((sizes - sizes.mean()) ** 2).sum())
     ill = tss == 0.0  # constant sizes pin the fit to the gamma -> 0 boundary

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 
 from hapaxchain.cli import main
 from hapaxchain.markov import TransitionMatrix1, simulate_order1
-from hapaxchain.persist import write_csv, write_rank_sequence
+from hapaxchain.persist import read_hapax_table, write_csv, write_rank_sequence
 from hapaxchain.ranksize import ZMParams, zm_eval
 
 EXPECTED_TABLE = "word,frequency,dense_rank,ordinal_rank\na,2,1,1\nc,1,2,2\nd,1,2,3\n"
@@ -150,6 +150,40 @@ def test_fit_accepts_hapax_table(runner, rich_corpus_dir, tmp_path):
     result = runner.invoke(main, ["fit", "--output-dir", str(out)])
     assert result.exit_code == 0, result.output
     assert (out / "fit_report.json").is_file()
+
+
+def test_fit_rank_size_csv_matches_hapax_table(runner, rich_corpus_dir, tmp_path):
+    out = tmp_path / "out"
+    assert runner.invoke(main, ["extract", str(rich_corpus_dir), "--output-dir", str(out)]).exit_code == 0
+    points = read_hapax_table(out / "hapax_table.csv").ordinal_points()
+    csv_path = write_csv(tmp_path / "points.csv", ["rank", "size"], points)
+    reports = []
+    for argv in (["--input", str(csv_path)], []):
+        result = runner.invoke(main, ["fit", *argv, "--output-dir", str(out)])
+        assert result.exit_code == 0, result.output
+        reports.append(json.loads(read(out / "fit_report.json")))
+    for key in ("params", "ci", "rss", "r_squared", "n_points", "n_iter"):
+        assert reports[0][key] == reports[1][key], key
+
+
+@pytest.mark.parametrize("row", ["2,4,1", "2,x"])
+def test_fit_names_malformed_rank_size_line(runner, tmp_path, row):
+    csv_path = tmp_path / "points.csv"
+    csv_path.write_text(f"rank,size\n1,5\n{row}\n3,2\n4,1\n", encoding="utf-8")
+    result = runner.invoke(main, ["fit", "--input", str(csv_path), "--output-dir", str(tmp_path)])
+    assert result.exit_code != 0
+    assert f"Error: {csv_path}, line 3: not a row of rank,size: '{row}'" in result.output
+    assert "Traceback" not in result.output
+
+
+def test_fit_rejects_inconsistent_hapax_table(runner, tmp_path):
+    table = tmp_path / "hapax_table.csv"
+    table.write_text("word,frequency,dense_rank,ordinal_rank\na,5,1,1\nb,3,2,2\nc,2,7,3\nd,1,4,4\n",
+                     encoding="utf-8")
+    result = runner.invoke(main, ["fit", "--output-dir", str(tmp_path)])
+    assert result.exit_code != 0
+    assert f"Error: {table}, line 4: dense_rank,ordinal_rank should read 3,3: 'c,2,7,3'" in result.output
+    assert not (tmp_path / "fit_report.json").exists()
 
 
 def test_fit_missing_input_fails(runner, tmp_path):
@@ -594,6 +628,14 @@ def test_report_figures_share_the_stage_table_writers(runner, rich_corpus_dir, t
         assert (out / fig).read_bytes() == (out / table).read_bytes(), fig
     ks_rows = [line.split(",", 1)[1] for line in read(out / "ks_statistics.csv").splitlines()]
     assert read(out / "fig6_ks_hist.csv").splitlines() == ks_rows
+    params = ZMParams(**json.loads(read(out / "fit_report.json"))["params"])
+    fig1 = read(out / "fig1_ranksize.csv").splitlines()
+    assert fig1[0] == "rank,size_observed,size_fitted"
+    assert [tuple(map(int, line.split(",")[:2])) for line in fig1[1:]] == \
+        read_hapax_table(out / "hapax_table.csv").ordinal_points()
+    for line in fig1[1:]:
+        rank, _, fitted = line.split(",")
+        assert float(fitted) == pytest.approx(zm_eval(params, int(rank)), rel=1e-12)
 
 
 def test_pipeline_output_is_independent_of_output_dir(runner, rich_corpus_dir, tmp_path):

@@ -1,5 +1,7 @@
 """Corpus ingestion, hapax tabulation and rank sequence tests."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -85,23 +87,19 @@ def toy_corpus():
 
 def test_build_table_toy_corpus():
     table = build_hapax_table(toy_corpus())
-    by_word = {e.word: e for e in table.entries}
-    assert by_word["a"].frequency == 2
-    assert by_word["c"].frequency == 1
-    assert by_word["d"].frequency == 1
-    assert by_word["a"].dense_rank == 1
-    assert by_word["c"].dense_rank == 2
-    assert by_word["d"].dense_rank == 2
-    assert by_word["a"].ordinal_rank == 1
-    assert by_word["c"].ordinal_rank == 2
-    assert by_word["d"].ordinal_rank == 3
+    assert table.words == ("a", "c", "d")
+    assert table.frequencies == (2, 1, 1)
+    assert table.dense_ranks == (1, 2, 2)
+    assert table.dense_rank_of() == {"a": 1, "c": 2, "d": 2}
+    assert table.ordinal_points() == [(1, 2), (2, 1), (3, 1)]
     assert table.total_occurrences == 4
     assert table.alphabet_size == 2
 
 
 def test_build_table_single_doc():
     table = build_hapax_table([doc(["a"])])
-    assert table.entries == (("a", 1, 1, 1),)
+    assert (table.words, table.frequencies, table.dense_ranks) == (("a",), (1,), (1,))
+    assert table.ordinal_points() == [(1, 1)]
     assert table.total_occurrences == 1
     assert table.alphabet_size == 1
 
@@ -138,7 +136,7 @@ def test_rank_sequence_repeated_doc():
     table = build_hapax_table(corpus)
     seq = build_rank_sequence(corpus, table)
     assert seq.values.tolist() == [1, 1, 1]
-    assert {e.frequency for e in table.entries} == {3}
+    assert set(table.frequencies) == {3}
 
 
 def test_rank_sequence_respects_order_index():
@@ -177,21 +175,32 @@ def test_corpus_invariants(token_corpus):
     seq = build_rank_sequence(corpus, table)
     assert len(seq) == total_hapaxes == table.total_occurrences
 
+    words, frequencies, dense_ranks = table.words, table.frequencies, table.dense_ranks
+    assert len(words) == len(frequencies) == len(dense_ranks)
+    assert table.dense_rank_of() == dict(zip(words, dense_ranks))
+
+    # reference derivations: one key sort, and dense ranks from the distinct frequencies
+    counts = Counter(w for d in corpus for w in extract_document_hapaxes(d))
+    assert list(zip(words, frequencies)) == sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    dense_of = {f: i + 1 for i, f in enumerate(sorted(set(frequencies), reverse=True))}
+    assert dense_ranks == tuple(dense_of[f] for f in frequencies)
+
     # dense rank is order-isomorphic to descending frequency
-    for e1 in table.entries:
-        for e2 in table.entries:
-            assert (e1.frequency > e2.frequency) == (e1.dense_rank < e2.dense_rank)
+    for f1, d1 in zip(frequencies, dense_ranks):
+        for f2, d2 in zip(frequencies, dense_ranks):
+            assert (f1 > f2) == (d1 < d2)
 
     # ordinal ranks are a bijection onto 1..n, lexicographic inside a class
-    ordinals = sorted(e.ordinal_rank for e in table.entries)
-    assert ordinals == list(range(1, len(table.entries) + 1))
-    by_ordinal = sorted(table.entries, key=lambda e: e.ordinal_rank)
-    for first, second in zip(by_ordinal, by_ordinal[1:]):
-        if first.frequency == second.frequency:
-            assert first.word < second.word
+    points = table.ordinal_points()
+    assert sorted(r for r, _ in points) == list(range(1, len(words) + 1))
+    by_ordinal = [(words[r - 1], f) for r, f in sorted(points)]
+    assert [f for _, f in by_ordinal] == list(frequencies)
+    for (w1, f1), (w2, f2) in zip(by_ordinal, by_ordinal[1:]):
+        if f1 == f2:
+            assert w1 < w2
 
-    assert table.alphabet_size == len({e.frequency for e in table.entries})
-    assert max(e.dense_rank for e in table.entries) == table.alphabet_size
+    assert table.alphabet_size == len(set(frequencies))
+    assert max(dense_ranks) == table.alphabet_size
 
 
 @settings(max_examples=40)

@@ -192,6 +192,22 @@ def test_ci_contains_point_estimate():
         assert lo <= point <= hi
 
 
+def test_fit_intervals_use_the_law_jacobian():
+    # fit_zm derives d f / d(alpha, beta, gamma) from its log-space Jacobian by
+    # the chain rule; the derivatives written out by hand give the same intervals.
+    rng = np.random.default_rng(37)
+    true = ZMParams(alpha=300.0, beta=4.0, gamma=1.3)
+    ranks = np.arange(1.0, 201.0)
+    sizes = zm_eval(true, ranks) * (1 + 0.05 * rng.standard_normal(ranks.size))
+    result = fit_zm(zip(ranks, sizes))
+    p = result.params
+    f = zm_eval(p, ranks)
+    jac = np.column_stack([f / p.alpha, -p.gamma * f / (p.beta + ranks), -f * np.log(p.beta + ranks)])
+    by_hand = confidence_intervals(p, jac, sizes - f, result.level)
+    for name, interval in result.ci.items():
+        assert interval == pytest.approx(by_hand[name], rel=1e-12)
+
+
 def test_ci_level_nesting():
     rng = np.random.default_rng(31)
     true = ZMParams(alpha=200.0, beta=10.0, gamma=1.4)
