@@ -10,7 +10,6 @@ stationary distribution is the discretized rank-size law.
 from .corpus import (
     Document,
     HapaxTable,
-    RankSequence,
     build_hapax_table,
     build_rank_sequence,
     extract_document_hapaxes,
@@ -18,7 +17,6 @@ from .corpus import (
     tokenize,
 )
 from .markov import (
-    OrderTestConfig,
     OrderTestReport,
     TransitionMatrix1,
     TransitionMatrix2,
@@ -30,7 +28,6 @@ from .markov import (
 )
 from .mh_sampler import (
     ConvergenceReport,
-    MHConfig,
     MHRunResult,
     acceptance_prob,
     convergence_study,

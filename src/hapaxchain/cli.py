@@ -14,9 +14,10 @@ import numpy as np
 
 from . import __version__, persist
 from . import corpus as corpus_mod
-from .markov import OrderTestConfig, order_test
-from .mh_sampler import MHConfig, convergence_study, iid_sample
+from .markov import order_test
+from .mh_sampler import convergence_study, iid_sample
 from .ranksize import ZMParams, fit_zm, target_distribution, zm_eval
+from .stats import child_seed
 
 OUTPUT_DIR_ENVVAR = "HAPAXCHAIN_OUTPUT_DIR"
 
@@ -210,11 +211,12 @@ def _run_sequence(o: dict) -> dict[str, Path]:
     out = o["output_dir"]
     table_path = _require(o["table"] or out / "hapax_table.csv", "extract")
     docs = corpus_mod.load_documents(o["corpus"], o["manifest"])
-    seq = corpus_mod.build_rank_sequence(docs, persist.read_hapax_table(table_path))
+    table = persist.read_hapax_table(table_path)
+    seq = corpus_mod.build_rank_sequence(docs, table)
     seq_path = persist.write_rank_sequence(out / "rank_sequence.txt", seq)
     meta_path = _write_meta(out, "sequence", {"input_dir": str(o["corpus"]), **_file_id(table_path, "table")},
                             {"length": len(seq)}, (seq_path,))
-    click.echo(f"sequence: length={len(seq)} alphabet_size={seq.alphabet_size}")
+    click.echo(f"sequence: length={len(seq)} alphabet_size={table.alphabet_size}")
     return {"rank_sequence.txt": seq_path, "sequence_meta.json": meta_path}
 
 
@@ -250,7 +252,7 @@ def _run_ordertest(o: dict) -> dict[str, Path]:
     out = o["output_dir"]
     seq_path = _require(o.get("input") or out / "rank_sequence.txt", "extract")
     settings = {name: o[name] for name in ("replicates", "len1", "len2", "seed", "levels", "halve_alpha")}
-    report = order_test(persist.read_rank_sequence(seq_path), OrderTestConfig(**settings))
+    report = order_test(persist.read_rank_sequence(seq_path), **settings)
     payload = {
         "stage": "ordertest", **vars(report),
         "config_hash": persist.config_hash({"stage": "ordertest", **_file_id(seq_path), **settings}),
@@ -276,17 +278,16 @@ def _run_mcmc(o: dict) -> dict[str, Path]:
     # Without a reference file, i.i.d. draws from the target itself, on a substream far above any run index.
     ref, size = o.get("reference"), o["reference_size"]
     source = _file_id(ref, "reference") if ref else {"reference": f"iid:{size}"}
-    reference = (persist.read_rank_sequence(ref).values if ref
-                 else iid_sample(f, size, np.random.SeedSequence(entropy=seed, spawn_key=(2**31,))))
-    if ref and not np.all((reference >= 1) & (reference <= o["rbar"])):
+    reference = persist.read_rank_sequence(ref) if ref else iid_sample(f, size, child_seed(seed, 2**31))
+    if ref and reference.max() > o["rbar"]:
         raise click.ClickException(f"--reference {ref}: ranks must lie in 1..{o['rbar']} (--rbar)")
     outputs: dict[str, Path] = {}
 
     def save_samples(k, result):
         outputs[f"mh_samples_{k}.txt"] = persist.write_rank_sequence(out / f"mh_samples_{k}.txt", result.samples)
 
-    report = convergence_study(f, o["runs"], MHConfig(n_steps=o["steps"], seed=seed), reference, levels=o["levels"],
-                               halve_alpha=o["halve_alpha"], on_run=save_samples if o.get("save_samples") else None)
+    report = convergence_study(f, o["runs"], o["steps"], reference, seed, o["levels"], o["halve_alpha"],
+                               on_run=save_samples if o.get("save_samples") else None)
     config = {"stage": "mcmc", **vars(params), "r_bar": o["rbar"], "steps": o["steps"], "runs": o["runs"],
               "seed": seed, **source, "levels": o["levels"], "halve_alpha": o["halve_alpha"]}
     thresholds = _keyed(report.thresholds)

@@ -21,7 +21,6 @@ import numpy as np
 __all__ = [
     "Document",
     "HapaxTable",
-    "RankSequence",
     "IngestionError",
     "EmptyTableError",
     "ConsistencyError",
@@ -110,22 +109,6 @@ class HapaxTable:
         return list(enumerate(self.frequencies, 1))
 
 
-@dataclass(frozen=True)
-class RankSequence:
-    """Time-ordered dense ranks, one per hapax occurrence."""
-
-    values: np.ndarray
-    alphabet_size: int
-
-    def __post_init__(self):
-        v = np.asarray(self.values)
-        if v.size and (v.min() < 1 or v.max() > self.alphabet_size):
-            raise ValueError(f"rank values must lie in 1..{self.alphabet_size}")
-
-    def __len__(self) -> int:
-        return int(np.asarray(self.values).size)
-
-
 def extract_document_hapaxes(doc: Document) -> set[str]:
     """Tokens occurring exactly once in the document."""
     counts = Counter(doc.tokens)
@@ -146,8 +129,9 @@ def build_hapax_table(corpus: list[Document]) -> HapaxTable:
     return HapaxTable(words=tuple(words), frequencies=tuple(map(freq.__getitem__, words)))
 
 
-def build_rank_sequence(corpus: list[Document], table: HapaxTable) -> RankSequence:
-    """Walk documents in chronological order and emit dense ranks.
+def build_rank_sequence(corpus: list[Document], table: HapaxTable) -> np.ndarray:
+    """Walk documents in chronological order and emit dense ranks (int64),
+    one per hapax occurrence.
 
     Within a document hapaxes are emitted at their position of (only)
     appearance; each occurrence becomes the word's dense rank.
@@ -164,7 +148,7 @@ def build_rank_sequence(corpus: list[Document], table: HapaxTable) -> RankSequen
                     raise ConsistencyError(
                         f"hapax {tok!r} from document {doc.id!r} missing from table"
                     ) from None
-    return RankSequence(values=np.array(out, dtype=np.int64), alphabet_size=table.alphabet_size)
+    return np.array(out, dtype=np.int64)
 
 
 def load_documents(input_dir: str | Path, manifest: str | Path | None = None) -> list[Document]:

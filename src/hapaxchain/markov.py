@@ -13,13 +13,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
-from .corpus import RankSequence
 from .stats import (
     DEFAULT_LEVELS,
     _tally,
+    child_seed,
     chi_square_gof,
     chi_square_threshold,
     descriptive_stats,
@@ -33,7 +34,6 @@ from .stats import (
 __all__ = [
     "TransitionMatrix1",
     "TransitionMatrix2",
-    "OrderTestConfig",
     "OrderTestReport",
     "estimate_order1",
     "estimate_order2",
@@ -154,10 +154,6 @@ class TransitionMatrix2(_TransitionRows):
         )
 
 
-def _as_values(seq) -> np.ndarray:
-    return np.asarray(seq.values if isinstance(seq, RankSequence) else seq, dtype=np.int64)
-
-
 def _count_pairs(values: np.ndarray, with_rows: bool = False):
     """The one counting pass over a sequence: its sorted distinct
     ``states``, the state index ``idx`` of each observation, the sorted
@@ -202,7 +198,7 @@ def estimate_order1(seq) -> TransitionMatrix1:
     of the sequence) gets a self-loop of count 0 and probability 1 so
     the matrix stays stochastic.
     """
-    values = _as_values(seq)
+    values = np.asarray(seq, dtype=np.int64)
     if values.size < 2:
         raise ValueError(f"need a sequence of length >= 2, got {values.size}")
     return _order1(_count_pairs(values))
@@ -214,7 +210,7 @@ def estimate_order2(seq) -> TransitionMatrix2:
     Storage is O(observed pairs + observed triples); no table spans all
     pairs of states.  ``fallback`` is the sequence's first-order matrix.
     """
-    values = _as_values(seq)
+    values = np.asarray(seq, dtype=np.int64)
     if values.size < 3:
         raise ValueError(f"need a sequence of length >= 3, got {values.size}")
     states, idx, pair_codes, pair_counts, pair_rows = counted = _count_pairs(values, with_rows=True)
@@ -229,8 +225,8 @@ def estimate_order2(seq) -> TransitionMatrix2:
     )
 
 
-def simulate_order1(tm: TransitionMatrix1, length: int, seed, initial: int | None = None) -> RankSequence:
-    """Sample a seeded realization of the chain.
+def simulate_order1(tm: TransitionMatrix1, length: int, seed, initial: int | None = None) -> np.ndarray:
+    """Sample a seeded realization of the chain: ``length`` states.
 
     The initial state is drawn from ``tm.marginal`` (uniform over states
     when no marginal is attached) unless supplied explicitly.  Each step
@@ -252,13 +248,13 @@ def simulate_order1(tm: TransitionMatrix1, length: int, seed, initial: int | Non
         for u in rng.random(length - 1).tolist():
             current = columns[current][bisect_right(cum[current], u)]
             path.append(current)
-    return RankSequence(values=tm.states[path], alphabet_size=int(tm.states.max()))
+    return tm.states[path]
 
 
 def simulate_order2(
     tm: TransitionMatrix2, length: int, seed, initial_pair: tuple[int, int] | None = None
-) -> RankSequence:
-    """Sample a seeded realization driven by the last two states.
+) -> np.ndarray:
+    """Sample a seeded realization driven by the last two states: ``length`` states.
 
     The initial pair is drawn from the empirical pair distribution when
     not supplied.  Unobserved (or continuation-free) pairs fall back to
@@ -289,37 +285,14 @@ def simulate_order2(
             k = bisect_right(cum, u, indptr[r], hi)
             prev, current = current, (indices[k] if k < hi else last)
             path.append(current)
-    return RankSequence(values=tm.states[path[:length]], alphabet_size=int(tm.states.max()))
-
-
-@dataclass(frozen=True)
-class OrderTestConfig:
-    """Replicate battery settings.
-
-    ``len1``/``len2`` default to the input length and min(100000, input
-    length).  ``halve_alpha`` selects the KS threshold parameterization.
-    """
-
-    replicates: int = 100
-    len1: int | None = None
-    len2: int | None = None
-    seed: int = 0
-    levels: tuple[float, ...] = DEFAULT_LEVELS
-    halve_alpha: bool = True
-
-    def __post_init__(self):
-        if self.replicates < 1:
-            raise ValueError(f"replicates must be >= 1, got {self.replicates}")
-        for name in ("len1", "len2"):
-            length = getattr(self, name)
-            if length is not None and length < 1:
-                raise ValueError(f"{name} must be >= 1, got {length}")
-        if not self.levels or any(not 0 < lv < 1 for lv in self.levels):
-            raise ValueError(f"levels must be non-empty and lie in (0, 1), got {self.levels}")
+    return tm.states[path[:length]]
 
 
 @dataclass(frozen=True)
 class OrderTestReport:
+    """The battery's statistics, thresholds and pass fractions, and its
+    settings; ``seed`` is -1 when the master seed is not an integer."""
+
     ks_stats_first_vs_second: list[float]
     wmw_p_values: list[float]
     chi_square_stats: list[float]
@@ -346,22 +319,32 @@ def _indicators_of(values: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, 
                     "entropy": shannon_entropy(counts)}
 
 
-def order_test(seq, config: OrderTestConfig | None = None) -> OrderTestReport:
+def order_test(seq, replicates: int = 100, len1: int | None = None, len2: int | None = None, seed=0,
+               levels=DEFAULT_LEVELS, halve_alpha: bool = True) -> OrderTestReport:
     """Run the two-step first-order Markovianity battery on a sequence.
 
     First step: ``replicates`` paired simulations from the estimated
-    first- and second-order matrices, compared pairwise (KS statistic,
-    WMW p-value).  Second step: each first-order replicate of the
-    original length against the empirical sequence (chi-square over the
-    observed states, KS, descriptive indicators).
+    first- and second-order matrices, of lengths ``len1`` (default: the
+    input length) and ``len2`` (default: min(100000, input length)),
+    compared pairwise (KS statistic, WMW p-value).  Second step: each
+    first-order replicate against the empirical sequence (chi-square over
+    the observed states, KS, descriptive indicators).  Replicate k draws
+    from children (1, k) and (2, k) of the master seed ``seed`` (an
+    integer, a sequence of them, or a ``SeedSequence``).  ``halve_alpha``
+    selects the KS threshold parameterization.
     """
-    if config is None:
-        config = OrderTestConfig()
-    values = _as_values(seq)
+    if replicates < 1:
+        raise ValueError(f"replicates must be >= 1, got {replicates}")
+    for name, length in (("len1", len1), ("len2", len2)):
+        if length is not None and length < 1:
+            raise ValueError(f"{name} must be >= 1, got {length}")
+    if not levels or any(not 0 < lv < 1 for lv in levels):
+        raise ValueError(f"levels must be non-empty and lie in (0, 1), got {levels}")
+    values = np.asarray(seq, dtype=np.int64)
     tm2 = estimate_order2(values)
     tm1 = tm2.fallback
-    len1 = config.len1 if config.len1 is not None else int(values.size)
-    len2 = config.len2 if config.len2 is not None else min(100_000, int(values.size))
+    len1 = len1 if len1 is not None else int(values.size)
+    len2 = len2 if len2 is not None else min(100_000, int(values.size))
     df = tm1.n_states - 1
 
     ks_pairs: list[float] = []
@@ -370,13 +353,9 @@ def order_test(seq, config: OrderTestConfig | None = None) -> OrderTestReport:
     ks_emp: list[float] = []
     indicator_lists: dict[str, list[float]] = {name: [] for name in INDICATOR_NAMES}
 
-    for k in range(config.replicates):
-        sim1 = simulate_order1(
-            tm1, len1, np.random.SeedSequence(entropy=config.seed, spawn_key=(1, k))
-        ).values
-        sim2 = simulate_order2(
-            tm2, len2, np.random.SeedSequence(entropy=config.seed, spawn_key=(2, k))
-        ).values
+    for k in range(replicates):
+        sim1 = simulate_order1(tm1, len1, child_seed(seed, 1, k))
+        sim2 = simulate_order2(tm2, len2, child_seed(seed, 2, k))
 
         ks_pairs.append(ks_two_sample(sim1, sim2))
         wmw_ps.append(wmw_test(sim1, sim2)[1])
@@ -390,15 +369,10 @@ def order_test(seq, config: OrderTestConfig | None = None) -> OrderTestReport:
     observed = _indicators_of(values, tm1.states)[1]
 
     thresholds = {
-        "ks_first_vs_second": {
-            lv: ks_threshold(lv, len1, len2, config.halve_alpha) for lv in config.levels
-        },
-        "wmw": {lv: lv for lv in config.levels},
-        "chi_square": {lv: chi_square_threshold(lv, df) for lv in config.levels},
-        "ks_vs_empirical": {
-            lv: ks_threshold(lv, len1, int(values.size), config.halve_alpha)
-            for lv in config.levels
-        },
+        "ks_first_vs_second": {lv: ks_threshold(lv, len1, len2, halve_alpha) for lv in levels},
+        "wmw": {lv: lv for lv in levels},
+        "chi_square": {lv: chi_square_threshold(lv, df) for lv in levels},
+        "ks_vs_empirical": {lv: ks_threshold(lv, len1, int(values.size), halve_alpha) for lv in levels},
     }
     return OrderTestReport(
         ks_stats_first_vs_second=ks_pairs,
@@ -415,10 +389,10 @@ def order_test(seq, config: OrderTestConfig | None = None) -> OrderTestReport:
             "ks_vs_empirical": pass_fractions(ks_emp, thresholds["ks_vs_empirical"]),
         },
         df=df,
-        replicates=config.replicates,
+        replicates=replicates,
         len1=len1,
         len2=len2,
-        seed=config.seed,
-        levels=tuple(config.levels),
-        halve_alpha=config.halve_alpha,
+        seed=int(seed) if isinstance(seed, Integral) else -1,
+        levels=tuple(levels),
+        halve_alpha=halve_alpha,
     )

@@ -17,12 +17,10 @@ from typing import Callable
 
 import numpy as np
 
-from .corpus import RankSequence
 from .ranksize import TargetDistribution
-from .stats import DEFAULT_LEVELS, ks_threshold, ks_two_sample, pass_fractions
+from .stats import DEFAULT_LEVELS, child_seed, ks_threshold, ks_two_sample, pass_fractions
 
 __all__ = [
-    "MHConfig",
     "MHRunResult",
     "ConvergenceReport",
     "acceptance_prob",
@@ -36,21 +34,10 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class MHConfig:
-    """Settings of one chain: length, seed, optional fixed start."""
-
-    n_steps: int
-    seed: int = 0
-    initial_state: int | None = None
-
-    def __post_init__(self):
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-
-
-@dataclass(frozen=True)
 class MHRunResult:
-    samples: RankSequence
+    """One chain: its ranks (int64, one per step) and accepted moves."""
+
+    samples: np.ndarray
     accepted: int
     acceptance_rate: float
 
@@ -60,7 +47,7 @@ def acceptance_prob(f: TargetDistribution, i: int, j: int) -> float:
     return min(1.0, f.prob(j) / f.prob(i))
 
 
-def run_chain(f: TargetDistribution, config: MHConfig) -> MHRunResult:
+def run_chain(f: TargetDistribution, n_steps: int, seed=0, initial_state: int | None = None) -> MHRunResult:
     """Generate ``n_steps`` states of the chain.
 
     The start is ``initial_state`` or a seeded uniform draw over the
@@ -74,19 +61,20 @@ def run_chain(f: TargetDistribution, config: MHConfig) -> MHRunResult:
     test runs over the rest only, in order, each reading the already-final
     state before it.
     """
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     r_bar = f.r_bar
-    rng = np.random.default_rng(config.seed)
-    if config.initial_state is not None:
-        if not 1 <= config.initial_state <= r_bar:
-            raise ValueError(f"initial state {config.initial_state} outside 1..{r_bar}")
-        current = config.initial_state - 1
+    rng = np.random.default_rng(seed)
+    if initial_state is not None:
+        if not 1 <= initial_state <= r_bar:
+            raise ValueError(f"initial state {initial_state} outside 1..{r_bar}")
+        current = initial_state - 1
     else:
         current = int(rng.integers(0, r_bar))
 
-    n = config.n_steps
-    proposals = rng.integers(0, r_bar, size=n - 1)
-    us = np.empty(n)  # us[t] decides the step to state t
-    rng.random(n - 1, out=us[1:])
+    proposals = rng.integers(0, r_bar, size=n_steps - 1)
+    us = np.empty(n_steps)  # us[t] decides the step to state t
+    rng.random(n_steps - 1, out=us[1:])
     p = np.asarray(f.probs, dtype=float)
     sure = us[1:] * p.max() <= p[proposals]
     # Every state starts as its step's proposal; a rejection copies the state before.
@@ -100,12 +88,8 @@ def run_chain(f: TargetDistribution, config: MHConfig) -> MHRunResult:
     # A rejected step never stays on its proposal: proposing the current
     # state is always accepted, as u * F_x <= F_x.
     accepted = int(np.count_nonzero(out[1:] == proposals))
-    rate = accepted / (n - 1) if n > 1 else 1.0
-    return MHRunResult(
-        samples=RankSequence(values=out + 1, alphabet_size=r_bar),
-        accepted=accepted,
-        acceptance_rate=rate,
-    )
+    rate = accepted / (n_steps - 1) if n_steps > 1 else 1.0
+    return MHRunResult(samples=out + 1, accepted=accepted, acceptance_rate=rate)
 
 
 def mh_transition_matrix(f: TargetDistribution) -> np.ndarray:
@@ -169,18 +153,12 @@ class ConvergenceReport:
     halve_alpha: bool
 
 
-def convergence_study(
-    f: TargetDistribution,
-    runs: int,
-    config: MHConfig,
-    reference,
-    levels=DEFAULT_LEVELS,
-    halve_alpha: bool = True,
-    on_run: Callable[[int, MHRunResult], None] | None = None,
-) -> ConvergenceReport:
+def convergence_study(f: TargetDistribution, runs: int, n_steps: int, reference, seed=0, levels=DEFAULT_LEVELS,
+                      halve_alpha: bool = True, on_run: Callable[[int, MHRunResult], None] | None = None
+                      ) -> ConvergenceReport:
     """Run independent seeded chains and KS-compare each to ``reference``.
 
-    Run k uses child k of the master seed ``config.seed`` (an integer, a
+    Run k uses child k of the master seed ``seed`` (an integer, a
     sequence of them, or a ``SeedSequence``), spawn key (..., k), so the
     study is reproducible as a whole and each chain individually.  ``on_run``,
     when given, is called with k and each chain's result as it
@@ -192,30 +170,22 @@ def convergence_study(
     if reference.size == 0:
         raise ValueError("reference sample must be non-empty")
 
-    master = config.seed if isinstance(config.seed, np.random.SeedSequence) else np.random.SeedSequence(config.seed)
     ks_stats = []
     for k in range(runs):
-        run_cfg = MHConfig(
-            n_steps=config.n_steps,
-            seed=np.random.SeedSequence(master.entropy, spawn_key=(*master.spawn_key, k), pool_size=master.pool_size),
-            initial_state=config.initial_state,
-        )
-        result = run_chain(f, run_cfg)
-        ks_stats.append(ks_two_sample(result.samples.values, reference))
+        result = run_chain(f, n_steps, child_seed(seed, k))
+        ks_stats.append(ks_two_sample(result.samples, reference))
         if on_run is not None:
             on_run(k, result)
 
-    thresholds = {
-        lv: ks_threshold(lv, config.n_steps, reference.size, halve_alpha) for lv in levels
-    }
+    thresholds = {lv: ks_threshold(lv, n_steps, reference.size, halve_alpha) for lv in levels}
     return ConvergenceReport(
         ks_statistics=ks_stats,
         thresholds=thresholds,
         pass_fraction=pass_fractions(ks_stats, thresholds),
         runs=runs,
-        n_steps=config.n_steps,
+        n_steps=n_steps,
         reference_size=int(reference.size),
-        seed=int(config.seed) if isinstance(config.seed, Integral) else -1,
+        seed=int(seed) if isinstance(seed, Integral) else -1,
         levels=tuple(levels),
         halve_alpha=halve_alpha,
     )

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import HapaxTable, RankSequence
+from .corpus import HapaxTable
 from .ranksize import TargetDistribution
 
 __all__ = [
@@ -89,8 +89,8 @@ def write_csv(path: str | Path, header: list[str], rows) -> Path:
 
 
 def write_hapax_table(path: str | Path, table: HapaxTable) -> Path:
-    return write_csv(path, HAPAX_HEADER.split(","),
-                     zip(table.words, table.frequencies, table.dense_ranks, range(1, len(table.words) + 1)))
+    rows = enumerate(zip(table.words, table.frequencies, table.dense_ranks), 1)
+    return atomic_write_text(path, HAPAX_HEADER + "\n" + "".join(f"{w},{f},{d},{o}\n" for o, (w, f, d) in rows))
 
 
 def _line_error(path, number: int, lines: list[str], problem: str) -> ValueError:
@@ -130,17 +130,33 @@ def read_hapax_table(path: str | Path) -> HapaxTable:
     return table
 
 
-def write_rank_sequence(path: str | Path, seq: RankSequence) -> Path:
-    values = np.asarray(seq.values, dtype=np.int64)
+def write_rank_sequence(path: str | Path, values) -> Path:
+    values = np.asarray(values, dtype=np.int64)
     lines = np.array([f"{r}\n" for r in range(int(values.max(initial=0)) + 1)], dtype=object)  # one string per rank
     return atomic_write_text(path, "".join(lines[values].tolist()))
 
 
-def read_rank_sequence(path: str | Path) -> RankSequence:
-    values = np.array([int(ln) for ln in Path(path).read_text(encoding="utf-8").split()], dtype=np.int64)
+def _ranks(text: str) -> np.ndarray | None:
+    """The whitespace-separated integers of ``text`` as int64, or None unless each is a rank (>= 1)."""
+    try:
+        values = np.array(text.split(), dtype=np.int64)  # accepts the spellings int() accepts
+    except (ValueError, OverflowError):
+        return None
+    return values if values.size == 0 or values.min() >= 1 else None
+
+
+def read_rank_sequence(path: str | Path) -> np.ndarray:
+    """The ranks a rank sequence file holds; a ``ValueError`` names the first
+    line holding anything but integers >= 1."""
+    text = Path(path).read_text(encoding="utf-8")
+    values = _ranks(text)
+    if values is None:
+        lines = text.splitlines()
+        number = next(n for n, ln in enumerate(lines, 1) if _ranks(ln) is None)
+        raise _line_error(path, number, lines, "not a rank (an integer >= 1)")
     if values.size == 0:
         raise ValueError(f"{path} contains no rank values")
-    return RankSequence(values=values, alphabet_size=int(values.max()))
+    return values
 
 
 def write_target_distribution(path: str | Path, target: TargetDistribution) -> Path:

@@ -4,7 +4,8 @@ Everything in this module is a pure function of its inputs: descriptive
 indicators, the two-sample Kolmogorov-Smirnov statistic with its
 closed-form threshold family, a chi-square goodness-of-fit statistic,
 the Wilcoxon-Mann-Whitney rank-sum test (normal approximation with tie
-correction), Shannon entropy, and per-level pass fractions.
+correction), Shannon entropy, per-level pass fractions, and the child
+seeds that replicates and runs draw from.
 """
 
 from __future__ import annotations
@@ -159,6 +160,13 @@ def pass_fractions(values, thresholds: dict[float, float], p_values: bool = Fals
     """
     arr = np.asarray(values)
     return {lv: float(((arr > thr) if p_values else (arr <= thr)).mean()) for lv, thr in thresholds.items()}
+
+
+def child_seed(seed, *key: int) -> np.random.SeedSequence:
+    """The child ``key`` of a master seed (an integer, a sequence of them, or
+    a ``SeedSequence``): its spawn key extended by ``key``."""
+    m = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return np.random.SeedSequence(m.entropy, spawn_key=(*m.spawn_key, *key), pool_size=m.pool_size)
 
 
 def chi_square_gof(observed_counts, expected_probs) -> tuple[float, int]:

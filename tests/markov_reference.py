@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hapaxchain.corpus import RankSequence
-from hapaxchain.markov import _as_values
 
 
 @dataclass(frozen=True)
@@ -51,7 +49,7 @@ class DenseTransitionMatrix2:
 
 
 def estimate_order1(seq) -> DenseTransitionMatrix1:
-    values = _as_values(seq)
+    values = np.asarray(seq, dtype=np.int64)
     if values.size < 2:
         raise ValueError(f"need a sequence of length >= 2, got {values.size}")
     states, idx = np.unique(values, return_inverse=True)
@@ -70,7 +68,7 @@ def estimate_order1(seq) -> DenseTransitionMatrix1:
 
 
 def estimate_order2(seq) -> DenseTransitionMatrix2:
-    values = _as_values(seq)
+    values = np.asarray(seq, dtype=np.int64)
     if values.size < 3:
         raise ValueError(f"need a sequence of length >= 3, got {values.size}")
     states, idx = np.unique(values, return_inverse=True)
@@ -103,7 +101,7 @@ def _cumulative_rows(probs: np.ndarray) -> list[list[float]]:
     return [row.cumsum().tolist() for row in probs]
 
 
-def simulate_order1(tm: DenseTransitionMatrix1, length: int, seed, initial: int | None = None) -> RankSequence:
+def simulate_order1(tm: DenseTransitionMatrix1, length: int, seed, initial: int | None = None) -> np.ndarray:
     rng = np.random.default_rng(seed)
     n = tm.n_states
     if initial is not None:
@@ -121,12 +119,12 @@ def simulate_order1(tm: DenseTransitionMatrix1, length: int, seed, initial: int 
             if current >= n:
                 current = n - 1
             out[t] = current
-    return RankSequence(values=tm.states[out], alphabet_size=int(tm.states.max()))
+    return tm.states[out]
 
 
 def simulate_order2(
     tm: DenseTransitionMatrix2, length: int, seed, initial_pair: tuple[int, int] | None = None
-) -> RankSequence:
+) -> np.ndarray:
     rng = np.random.default_rng(seed)
     n = tm.n_states
     state_pos = {int(s): i for i, s in enumerate(tm.states)}
@@ -158,4 +156,4 @@ def simulate_order2(
                 nxt = n - 1
             out[t] = nxt
             prev, current = current, nxt
-    return RankSequence(values=tm.states[out[:length]], alphabet_size=int(tm.states.max()))
+    return tm.states[out[:length]]

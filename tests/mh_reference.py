@@ -11,21 +11,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from hapaxchain.corpus import RankSequence
-from hapaxchain.mh_sampler import MHConfig, MHRunResult
+from hapaxchain.mh_sampler import MHRunResult
 
 
-def run_chain(f, config: MHConfig) -> MHRunResult:
+def run_chain(f, n_steps: int, seed=0, initial_state: int | None = None) -> MHRunResult:
     r_bar = f.r_bar
-    rng = np.random.default_rng(config.seed)
-    if config.initial_state is not None:
-        if not 1 <= config.initial_state <= r_bar:
-            raise ValueError(f"initial state {config.initial_state} outside 1..{r_bar}")
-        current = config.initial_state - 1
+    rng = np.random.default_rng(seed)
+    if initial_state is not None:
+        if not 1 <= initial_state <= r_bar:
+            raise ValueError(f"initial state {initial_state} outside 1..{r_bar}")
+        current = initial_state - 1
     else:
         current = int(rng.integers(0, r_bar))
 
-    n = config.n_steps
+    n = n_steps
     out = np.empty(n, dtype=np.int64)
     out[0] = current
     accepted = 0
@@ -40,8 +39,4 @@ def run_chain(f, config: MHConfig) -> MHRunResult:
                 accepted += 1
             out[t] = current
     rate = accepted / (n - 1) if n > 1 else 1.0
-    return MHRunResult(
-        samples=RankSequence(values=out + 1, alphabet_size=r_bar),
-        accepted=accepted,
-        acceptance_rate=rate,
-    )
+    return MHRunResult(samples=out + 1, accepted=accepted, acceptance_rate=rate)

@@ -12,15 +12,12 @@ import numpy as np
 from click.testing import CliRunner
 
 from hapaxchain.cli import main as cli_main
-from hapaxchain.corpus import RankSequence
 from hapaxchain.markov import (
-    OrderTestConfig,
     TransitionMatrix1,
     order_test,
     simulate_order1,
 )
 from hapaxchain.mh_sampler import (
-    MHConfig,
     convergence_study,
     iid_sample,
     mh_transition_matrix,
@@ -82,7 +79,7 @@ def test_c3_mh_exactness_oracle():
 def test_c4_convergence_study_desk_scale():
     f = target_distribution(REFERENCE_PARAMS, 300)
     reference = iid_sample(f, 31074, seed=2024)
-    report = convergence_study(f, 100, MHConfig(n_steps=100_000, seed=99), reference)
+    report = convergence_study(f, 100, 100_000, reference, seed=99)
     frac = report.pass_fraction[0.05]
     check(4, f"100 chains of 100000 steps vs 31074 i.i.d. reference draws: "
              f"{frac:.0%} of KS statistics below the 95% threshold (need >= 90%)", frac >= 0.9)
@@ -90,14 +87,14 @@ def test_c4_convergence_study_desk_scale():
 
 def test_c5_ergodic_frequency():
     f = target_distribution(ZMParams(1.0, 0.0, 1.0), 10)
-    result = run_chain(f, MHConfig(n_steps=200_000, seed=2025))
-    freqs = np.bincount(result.samples.values, minlength=11)[1:] / 200_000
+    result = run_chain(f, 200_000, seed=2025)
+    freqs = np.bincount(result.samples, minlength=11)[1:] / 200_000
     err = float(np.abs(freqs - f.probs).max())
     check(5, f"10-state target, 200000 steps: empirical frequencies within 0.01 of F (max err {err:.4f})",
           err < 0.01)
 
 
-def _copy_two_back_sequence(n: int, seed: int, p_copy: float = 0.995) -> RankSequence:
+def _copy_two_back_sequence(n: int, seed: int, p_copy: float = 0.995) -> np.ndarray:
     """Strongly second-order process on {1, 2}: with probability p_copy the
     next state repeats the state two steps back, otherwise it flips."""
     rng = np.random.default_rng(seed)
@@ -106,7 +103,7 @@ def _copy_two_back_sequence(n: int, seed: int, p_copy: float = 0.995) -> RankSeq
     u = rng.random(n - 2)
     for t in range(2, n):
         x[t] = x[t - 2] if u[t - 2] < p_copy else 3 - x[t - 2]
-    return RankSequence(values=x, alphabet_size=2)
+    return x
 
 
 def test_c6_order_test_calibration_and_violation():
@@ -114,7 +111,7 @@ def test_c6_order_test_calibration_and_violation():
     probs = np.array([[0.5, 0.3, 0.2], [0.3, 0.4, 0.3], [0.25, 0.25, 0.5]])
     tm = TransitionMatrix1.from_dense(np.array([1, 2, 3]), probs)
     source = simulate_order1(tm, 500_000, seed=999)
-    report = order_test(source, OrderTestConfig(replicates=100, len1=10_000, len2=10_000, seed=555))
+    report = order_test(source, replicates=100, len1=10_000, len2=10_000, seed=555)
     wmw_above = float(np.mean(np.asarray(report.wmw_p_values) > 0.05))
     ks_below = report.pass_fractions["ks_first_vs_second"][0.05]
     ok_null = wmw_above >= 0.85 and ks_below >= 0.85
@@ -123,7 +120,7 @@ def test_c6_order_test_calibration_and_violation():
 
     # violation: strongly second-order data must be flagged
     violator = _copy_two_back_sequence(30_000, seed=4242)
-    vreport = order_test(violator, OrderTestConfig(replicates=100, len1=20_000, len2=20_000, seed=888))
+    vreport = order_test(violator, replicates=100, len1=20_000, len2=20_000, seed=888)
     ks = np.asarray(vreport.ks_stats_first_vs_second)
     above = float(np.mean(ks > vreport.thresholds["ks_first_vs_second"][0.05]))
     check(6, f"order-2 violation: {above:.0%} of KS statistics above the 95% threshold (need majority)",

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface."""
 
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -11,8 +12,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from hapaxchain.cli import main
-from hapaxchain.markov import TransitionMatrix1, simulate_order1
+from hapaxchain.cli import OPTIONS, _convert, main
+from hapaxchain.markov import TransitionMatrix1, order_test, simulate_order1
+from hapaxchain.mh_sampler import convergence_study
 from hapaxchain.persist import read_hapax_table, write_csv, write_rank_sequence
 from hapaxchain.ranksize import ZMParams, zm_eval
 
@@ -442,6 +444,33 @@ def test_mcmc_rejects_reference_ranks_outside_rbar(runner, tmp_path):
     assert result.output.startswith("Error:")
     assert str(ref) in result.output and "1..5" in result.output
     assert not (out / "convergence_report.json").exists()
+
+
+@pytest.mark.parametrize("bad", ["0", "-2", "x", "1.5"])
+@pytest.mark.parametrize("command", ["ordertest", "mcmc"])
+def test_rank_files_name_the_line_that_is_not_a_rank(runner, tmp_path, command, bad):
+    path = tmp_path / "ranks.txt"
+    path.write_text(f"1\n\n2\n{bad}\n3\n", encoding="utf-8")  # the blank line still counts
+    args = (["ordertest", "--input", str(path)] if command == "ordertest" else
+            ["mcmc", "--alpha", "1.0", "--beta", "0", "--gamma", "1.0", "--rbar", "5", "--steps", "100",
+             "--runs", "1", "--reference", str(path)])
+    result = runner.invoke(main, [*args, "--output-dir", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith(f"Error: {path}, line 4: ")
+    assert repr(bad) in result.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_option_defaults_equal_the_library_defaults():
+    shared = {}
+    for fn in (order_test, convergence_study):
+        for name, param in inspect.signature(fn).parameters.items():
+            if name in OPTIONS and param.default is not inspect.Parameter.empty:
+                shared[name] = (_convert(name, OPTIONS[name].default), param.default)
+    assert set(shared) == {"replicates", "len1", "len2", "seed", "levels", "halve_alpha"}
+    for name, (option, library) in shared.items():
+        assert option == library, name
 
 
 def test_seed_flag_must_be_non_negative(runner, tmp_path):

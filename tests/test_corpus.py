@@ -2,6 +2,7 @@
 
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -121,21 +122,29 @@ def test_rank_sequence_toy_corpus():
     corpus = toy_corpus()
     table = build_hapax_table(corpus)
     seq = build_rank_sequence(corpus, table)
-    assert seq.values.tolist() == [1, 2, 1, 2]
-    assert seq.alphabet_size == 2
+    assert seq.tolist() == [1, 2, 1, 2]
+    assert table.alphabet_size == 2
+
+
+def test_rank_sequence_is_one_int64_rank_per_occurrence():
+    corpus = toy_corpus()
+    table = build_hapax_table(corpus)
+    seq = build_rank_sequence(corpus, table)
+    assert seq.dtype == np.int64 and seq.ndim == 1
+    assert len(seq) == table.total_occurrences
 
 
 def test_rank_sequence_single_doc():
     corpus = [doc(["a"])]
     seq = build_rank_sequence(corpus, build_hapax_table(corpus))
-    assert seq.values.tolist() == [1]
+    assert seq.tolist() == [1]
 
 
 def test_rank_sequence_repeated_doc():
     corpus = [doc(["a"], 0), doc(["a"], 1), doc(["a"], 2)]
     table = build_hapax_table(corpus)
     seq = build_rank_sequence(corpus, table)
-    assert seq.values.tolist() == [1, 1, 1]
+    assert seq.tolist() == [1, 1, 1]
     assert set(table.frequencies) == {3}
 
 
@@ -144,7 +153,7 @@ def test_rank_sequence_respects_order_index():
     table = build_hapax_table(corpus)
     seq = build_rank_sequence(corpus, table)
     # 'a' (ordinal tie-break) and 'b' share frequency 1 => dense rank 1
-    assert seq.values.tolist() == [1, 1]
+    assert seq.tolist() == [1, 1]
 
 
 def test_rank_sequence_missing_word_fails():

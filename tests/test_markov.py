@@ -10,9 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hapaxchain import markov
-from hapaxchain.corpus import RankSequence
 from hapaxchain.markov import (
-    OrderTestConfig,
     TransitionMatrix1,
     estimate_order1,
     estimate_order2,
@@ -23,8 +21,7 @@ from hapaxchain.markov import (
 
 
 def seq(values):
-    v = np.asarray(values, dtype=np.int64)
-    return RankSequence(values=v, alphabet_size=int(v.max()))
+    return np.asarray(values, dtype=np.int64)
 
 
 def densify(tm, field="probs"):
@@ -131,14 +128,14 @@ def test_estimated_rows_are_stochastic(values):
 def test_simulate_order1_deterministic_chain():
     tm = estimate_order1(seq([1, 2, 1, 2, 1]))
     out = simulate_order1(tm, 4, seed=0, initial=1)
-    assert out.values.tolist() == [1, 2, 1, 2]
+    assert out.tolist() == [1, 2, 1, 2]
 
 
 def test_simulate_order1_reproducible():
     tm = estimate_order1(seq([1, 1, 2, 1, 2, 2, 1]))
     a = simulate_order1(tm, 50, seed=123)
     b = simulate_order1(tm, 50, seed=123)
-    assert a.values.tolist() == b.values.tolist()
+    assert a.tolist() == b.tolist()
 
 
 def test_simulate_order1_unknown_state():
@@ -152,7 +149,7 @@ def test_simulate_order1_iid_uniform_frequencies():
     source = seq(rng.integers(1, 4, size=30000))
     tm = estimate_order1(source)
     out = simulate_order1(tm, 30000, seed=7)
-    freqs = np.bincount(out.values, minlength=4)[1:] / 30000
+    freqs = np.bincount(out, minlength=4)[1:] / 30000
     assert np.all(np.abs(freqs - 1 / 3) < 0.02)
 
 
@@ -167,7 +164,7 @@ def test_estimate_of_simulation_recovers_matrix():
 def test_simulate_order2_deterministic():
     tm = estimate_order2(seq([1, 2, 1, 2, 1]))
     out = simulate_order2(tm, 5, seed=0, initial_pair=(1, 2))
-    assert out.values.tolist() == [1, 2, 1, 2, 1]
+    assert out.tolist() == [1, 2, 1, 2, 1]
 
 
 def test_simulate_order2_reproducible():
@@ -175,7 +172,7 @@ def test_simulate_order2_reproducible():
     tm = estimate_order2(seq(rng.integers(1, 4, size=500)))
     a = simulate_order2(tm, 80, seed=5)
     b = simulate_order2(tm, 80, seed=5)
-    assert a.values.tolist() == b.values.tolist()
+    assert a.tolist() == b.tolist()
 
 
 def test_simulate_order2_collapses_to_order1():
@@ -187,8 +184,8 @@ def test_simulate_order2_collapses_to_order1():
     tm2 = estimate_order2(source)
     sim2 = simulate_order2(tm2, 60_000, seed=4)
     sim1 = simulate_order1(estimate_order1(source), 60_000, seed=6)
-    f2 = np.bincount(sim2.values, minlength=3)[1:] / 60_000
-    f1 = np.bincount(sim1.values, minlength=3)[1:] / 60_000
+    f2 = np.bincount(sim2, minlength=3)[1:] / 60_000
+    f1 = np.bincount(sim1, minlength=3)[1:] / 60_000
     assert np.abs(f1 - f2).max() < 0.02
 
 
@@ -198,8 +195,8 @@ def test_simulate_order2_unseen_pair_falls_back():
     tm = estimate_order2(seq([1, 1, 2, 1, 1, 2, 1]))
     assert pair_row(tm, 2, 2) is None
     out = simulate_order2(tm, 3, seed=0, initial_pair=(2, 2))
-    assert out.values.tolist()[:2] == [2, 2]
-    assert out.values.tolist()[2] == 1
+    assert out.tolist()[:2] == [2, 2]
+    assert out.tolist()[2] == 1
 
 
 def test_simulate_order2_unknown_initial_pair_state():
@@ -212,8 +209,8 @@ def test_simulate_order2_unknown_initial_pair_state():
 
 
 def assert_order2_matches(tm, dense, length, seed, initial_pair=None):
-    got = simulate_order2(tm, length, seed, initial_pair=initial_pair).values
-    want = ref.simulate_order2(dense, length, seed, initial_pair=initial_pair).values
+    got = simulate_order2(tm, length, seed, initial_pair=initial_pair)
+    want = ref.simulate_order2(dense, length, seed, initial_pair=initial_pair)
     assert got.tolist() == want.tolist()
     return got.tolist()
 
@@ -222,8 +219,8 @@ def assert_simulations_match(values, length, seed, initial_pair=None):
     tm, dense = estimate_order2(values), ref.estimate_order2(values)
     assert_order2_matches(tm, dense, length, seed, initial_pair)
     initial = None if initial_pair is None else initial_pair[1]
-    got = simulate_order1(tm.fallback, length, seed, initial=initial).values
-    want = ref.simulate_order1(dense.fallback, length, seed, initial=initial).values
+    got = simulate_order1(tm.fallback, length, seed, initial=initial)
+    want = ref.simulate_order1(dense.fallback, length, seed, initial=initial)
     assert got.tolist() == want.tolist()
 
 
@@ -280,7 +277,7 @@ def test_simulations_equal_dense_reference_from_continuation_free_final_pair():
 
 def test_simulations_equal_dense_reference_on_single_state():
     assert_simulations_match([4] * 10, 100, 22)
-    assert simulate_order2(estimate_order2([4] * 10), 5, 0).values.tolist() == [4] * 5
+    assert simulate_order2(estimate_order2([4] * 10), 5, 0).tolist() == [4] * 5
 
 
 def test_simulations_equal_dense_reference_when_rows_sum_below_one():
@@ -289,8 +286,8 @@ def test_simulations_equal_dense_reference_when_rows_sum_below_one():
     probs = np.array([[0.2, 0.3, 0.0], [0.0, 0.25, 0.0], [0.1, 0.0, 0.3]])
     short = TransitionMatrix1.from_dense(np.array([1, 2, 3]), probs)
     dense_short = ref.DenseTransitionMatrix1(np.array([1, 2, 3]), None, probs)
-    got = simulate_order1(short, 3_000, seed=23).values
-    assert got.tolist() == ref.simulate_order1(dense_short, 3_000, seed=23).values.tolist()
+    got = simulate_order1(short, 3_000, seed=23)
+    assert got.tolist() == ref.simulate_order1(dense_short, 3_000, seed=23).tolist()
     assert np.mean(got == 3) > 0.5
 
     values = np.random.default_rng(3).integers(1, 4, size=30)
@@ -344,7 +341,7 @@ def order1_source(n=6000, seed=2):
 
 
 def test_order_test_report_shapes():
-    report = order_test(order1_source(), OrderTestConfig(replicates=5, len1=2000, len2=2000, seed=0))
+    report = order_test(order1_source(), replicates=5, len1=2000, len2=2000, seed=0)
     assert len(report.ks_stats_first_vs_second) == 5
     assert len(report.wmw_p_values) == 5
     assert len(report.chi_square_stats) == 5
@@ -365,27 +362,27 @@ def test_order_test_estimates_order1_once(monkeypatch):
         return count_pairs(values, **kwargs)
 
     monkeypatch.setattr(markov, "_count_pairs", counted)
-    order_test(order1_source(n=500), OrderTestConfig(replicates=2, seed=0))
+    order_test(order1_source(n=500), replicates=2, seed=0)
     assert len(calls) == 1
 
 
 def test_order_test_reproducible():
     source = order1_source()
-    cfg = OrderTestConfig(replicates=4, len1=1500, len2=1500, seed=11)
-    r1 = order_test(source, cfg)
-    r2 = order_test(source, cfg)
+    cfg = dict(replicates=4, len1=1500, len2=1500, seed=11)
+    r1 = order_test(source, **cfg)
+    r2 = order_test(source, **cfg)
     assert r1 == r2
 
 
 def test_order_test_default_lengths():
     source = order1_source(n=4000)
-    report = order_test(source, OrderTestConfig(replicates=2, seed=0))
+    report = order_test(source, replicates=2, seed=0)
     assert report.len1 == 4000
     assert report.len2 == 4000  # min(100000, input length)
 
 
 def test_order_test_single_state_trivially_passes():
-    report = order_test(seq([1] * 50), OrderTestConfig(replicates=3, seed=0))
+    report = order_test(seq([1] * 50), replicates=3, seed=0)
     assert report.ks_stats_first_vs_second == [0.0] * 3
     assert report.chi_square_stats == [0.0] * 3
     assert report.ks_stats_vs_empirical == [0.0] * 3
@@ -398,7 +395,7 @@ def test_order_test_thresholds_follow_lengths():
     from hapaxchain.stats import ks_threshold
 
     source = order1_source(n=3000)
-    report = order_test(source, OrderTestConfig(replicates=2, len1=2500, len2=1000, seed=0))
+    report = order_test(source, replicates=2, len1=2500, len2=1000, seed=0)
     assert report.thresholds["ks_first_vs_second"][0.05] == pytest.approx(
         ks_threshold(0.05, 2500, 1000, True)
     )
@@ -407,10 +404,41 @@ def test_order_test_thresholds_follow_lengths():
     )
 
 
+def test_order_test_takes_a_seed_sequence_as_master_seed():
+    source = order1_source(n=1500)
+    report = order_test(source, replicates=3, len1=800, len2=600, seed=np.random.SeedSequence(7))
+    assert report.seed == -1
+    assert dataclasses.replace(report, seed=7) == order_test(source, replicates=3, len1=800, len2=600, seed=7)
+
+
+def test_state_zero_is_a_state_like_any_other():
+    values = seq(np.random.default_rng(5).integers(0, 3, size=600))
+    tm2 = estimate_order2(values)
+    assert tm2.states.tolist() == [0, 1, 2]
+    assert simulate_order1(tm2.fallback, 300, seed=1).tolist() == (simulate_order1(
+        estimate_order1(values + 1), 300, seed=1) - 1).tolist()
+    assert simulate_order2(tm2, 300, seed=2).tolist() == (simulate_order2(
+        estimate_order2(values + 1), 300, seed=2) - 1).tolist()
+    # Shifting every state by one leaves every statistic but the mean as it was.
+    report, shifted = order_test(values, replicates=3, seed=4), order_test(values + 1, replicates=3, seed=4)
+    for series in ("ks_stats_first_vs_second", "wmw_p_values", "chi_square_stats", "ks_stats_vs_empirical"):
+        assert getattr(report, series) == getattr(shifted, series)
+    assert report.indicators_observed["mean"] + 1 == pytest.approx(shifted.indicators_observed["mean"])
+    assert report.indicators["entropy"] == shifted.indicators["entropy"]
+
+
+@pytest.mark.parametrize("length", [1, 2, 1000])
+def test_simulations_are_one_int64_state_per_step(length):
+    tm2 = estimate_order2(order1_source(n=500))
+    for out in (simulate_order1(tm2.fallback, length, seed=1), simulate_order2(tm2, length, seed=2)):
+        assert out.dtype == np.int64 and out.ndim == 1
+        assert len(out) == length
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [{"replicates": 0}, {"len1": 0}, {"len2": 0}, {"levels": ()}, {"levels": (0.05, 1.0)}, {"levels": (0.0,)}],
 )
 def test_order_test_config_rejects_invalid_settings(kwargs):
     with pytest.raises(ValueError):
-        OrderTestConfig(**kwargs)
+        order_test(seq([1, 2, 1]), **kwargs)

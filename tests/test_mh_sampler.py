@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hapaxchain.mh_sampler import (
-    MHConfig,
     acceptance_prob,
     convergence_study,
     iid_sample,
@@ -71,47 +70,59 @@ def test_acceptance_out_of_range():
 
 def test_chain_single_state():
     f = target(1.0)
-    result = run_chain(f, MHConfig(n_steps=100, seed=0))
-    assert np.all(result.samples.values == 1)
+    result = run_chain(f, n_steps=100, seed=0)
+    assert np.all(result.samples == 1)
     assert result.acceptance_rate == 1.0
 
 
 def test_chain_seed_determinism():
     f = target(0.5, 0.3, 0.2)
-    cfg = MHConfig(n_steps=5000, seed=314)
-    a = run_chain(f, cfg)
-    b = run_chain(f, cfg)
-    assert np.array_equal(a.samples.values, b.samples.values)
+    cfg = dict(n_steps=5000, seed=314)
+    a = run_chain(f, **cfg)
+    b = run_chain(f, **cfg)
+    assert np.array_equal(a.samples, b.samples)
     assert a.accepted == b.accepted
 
 
 def test_chain_different_seeds_differ():
     f = target(0.5, 0.3, 0.2)
-    a = run_chain(f, MHConfig(n_steps=1000, seed=1))
-    b = run_chain(f, MHConfig(n_steps=1000, seed=2))
-    assert not np.array_equal(a.samples.values, b.samples.values)
+    a = run_chain(f, n_steps=1000, seed=1)
+    b = run_chain(f, n_steps=1000, seed=2)
+    assert not np.array_equal(a.samples, b.samples)
 
 
 def test_chain_initial_state_respected():
     f = target(0.5, 0.3, 0.2)
-    result = run_chain(f, MHConfig(n_steps=10, seed=0, initial_state=3))
-    assert result.samples.values[0] == 3
+    result = run_chain(f, n_steps=10, seed=0, initial_state=3)
+    assert result.samples[0] == 3
     with pytest.raises(ValueError):
-        run_chain(f, MHConfig(n_steps=10, seed=0, initial_state=4))
+        run_chain(f, n_steps=10, seed=0, initial_state=4)
 
 
 def test_chain_frequencies_match_target():
     f = target(0.5, 0.3, 0.2)
-    result = run_chain(f, MHConfig(n_steps=200_000, seed=77))
-    freqs = np.bincount(result.samples.values, minlength=4)[1:] / 200_000
+    result = run_chain(f, n_steps=200_000, seed=77)
+    freqs = np.bincount(result.samples, minlength=4)[1:] / 200_000
     assert np.abs(freqs - f.probs).max() < 0.01
 
 
 def test_chain_acceptance_rate_matches_exact_mean():
     f = target_distribution(REFERENCE_PARAMS, 300)
-    result = run_chain(f, MHConfig(n_steps=100_000, seed=5))
+    result = run_chain(f, n_steps=100_000, seed=5)
     assert result.acceptance_rate == pytest.approx(mean_acceptance_exact(f), abs=0.01)
     assert result.acceptance_rate == result.accepted / (100_000 - 1)
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 1000])
+def test_chain_samples_are_one_int64_rank_per_step(n_steps):
+    samples = run_chain(target(0.5, 0.3, 0.2), n_steps, seed=3).samples
+    assert samples.dtype == np.int64 and samples.ndim == 1
+    assert len(samples) == n_steps
+
+
+def test_chain_rejects_fewer_than_one_step():
+    with pytest.raises(ValueError, match="n_steps must be >= 1"):
+        run_chain(target(0.5, 0.3, 0.2), 0)
 
 
 def test_target_rejects_nan_probabilities():
@@ -122,18 +133,16 @@ def test_target_rejects_nan_probabilities():
 # ------------------------------------- sure-accept stepping vs the scalar loop
 
 
-def assert_same_chain(f, config):
-    fast, slow = run_chain(f, config), ref.run_chain(f, config)
-    assert np.array_equal(fast.samples.values, slow.samples.values)
-    assert fast.samples.alphabet_size == slow.samples.alphabet_size
+def assert_same_chain(f, **chain):
+    fast, slow = run_chain(f, **chain), ref.run_chain(f, **chain)
+    assert np.array_equal(fast.samples, slow.samples)
+    assert fast.samples.dtype == slow.samples.dtype
     assert fast.accepted == slow.accepted
     assert fast.acceptance_rate == slow.acceptance_rate
 
 
-chain_configs = st.builds(
-    MHConfig,
-    n_steps=st.integers(min_value=1, max_value=3000),
-    seed=st.integers(min_value=0, max_value=2**63),
+chain_configs = st.fixed_dictionaries(
+    {"n_steps": st.integers(min_value=1, max_value=3000), "seed": st.integers(min_value=0, max_value=2**63)}
 )
 
 
@@ -142,14 +151,14 @@ chain_configs = st.builds(
        st.floats(min_value=0.5, max_value=3.0), chain_configs)
 def test_chain_equals_scalar_loop_on_flat_targets(r_bar, beta_per_rank, gamma, config):
     # beta far above r_bar: nearly every proposal is settled as sure
-    assert_same_chain(target_distribution(ZMParams(1.0, beta_per_rank * r_bar, gamma), r_bar), config)
+    assert_same_chain(target_distribution(ZMParams(1.0, beta_per_rank * r_bar, gamma), r_bar), **config)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=2, max_value=300), st.floats(min_value=1.5, max_value=4.0), chain_configs)
 def test_chain_equals_scalar_loop_on_steep_targets(r_bar, gamma, config):
     # beta = 0: nearly every proposal goes through the scalar test
-    assert_same_chain(target_distribution(ZMParams(1.0, 0.0, gamma), r_bar), config)
+    assert_same_chain(target_distribution(ZMParams(1.0, 0.0, gamma), r_bar), **config)
 
 
 @settings(max_examples=25, deadline=None)
@@ -157,7 +166,7 @@ def test_chain_equals_scalar_loop_on_steep_targets(r_bar, gamma, config):
 def test_chain_equals_scalar_loop_on_uniform_target(r_bar, config):
     # Every step is sure.  TargetDistribution requires a strict decrease,
     # so the uniform law is a plain namespace with the fields run_chain reads.
-    assert_same_chain(SimpleNamespace(probs=np.full(r_bar, 1.0 / r_bar), r_bar=r_bar), config)
+    assert_same_chain(SimpleNamespace(probs=np.full(r_bar, 1.0 / r_bar), r_bar=r_bar), **config)
 
 
 @pytest.mark.parametrize("params", [REFERENCE_PARAMS, ZMParams(1.0, 0.0, 1.5), ZMParams(1.0, 10.0, 1.0)])
@@ -166,7 +175,7 @@ def test_chain_equals_scalar_loop_on_uniform_target(r_bar, config):
 def test_chain_equals_scalar_loop_on_short_chains_and_fixed_starts(params, n_steps, initial_state):
     f = target_distribution(params, 300)
     for seed in range(3):
-        assert_same_chain(f, MHConfig(n_steps=n_steps, seed=seed, initial_state=initial_state))
+        assert_same_chain(f, n_steps=n_steps, seed=seed, initial_state=initial_state)
 
 
 @settings(max_examples=25, deadline=None)
@@ -175,7 +184,7 @@ def test_chain_equals_scalar_loop_on_short_chains_and_fixed_starts(params, n_ste
 def test_chain_equals_scalar_loop_under_seed_sequences(entropy, k, n_steps):
     # the seeds convergence_study hands its runs
     f = target_distribution(REFERENCE_PARAMS, 300)
-    assert_same_chain(f, MHConfig(n_steps=n_steps, seed=np.random.SeedSequence(entropy, spawn_key=(k,))))
+    assert_same_chain(f, n_steps=n_steps, seed=np.random.SeedSequence(entropy, spawn_key=(k,)))
 
 
 # ------------------------------------------------------------ exact kernel
@@ -249,26 +258,24 @@ def test_oracle_iteration_cap():
 
 def test_study_with_own_samples_gives_zero_ks():
     f = target(0.5, 0.3, 0.2)
-    cfg = MHConfig(n_steps=2000, seed=9)
-    chain = run_chain(f, MHConfig(n_steps=2000, seed=np.random.SeedSequence(entropy=9, spawn_key=(0,))))
-    report = convergence_study(f, 1, cfg, chain.samples.values)
+    chain = run_chain(f, n_steps=2000, seed=np.random.SeedSequence(entropy=9, spawn_key=(0,)))
+    report = convergence_study(f, 1, 2000, chain.samples, seed=9)
     assert report.ks_statistics == [0.0]
     assert all(frac == 1.0 for frac in report.pass_fraction.values())
 
 
 def test_study_deterministic():
     f = target(0.5, 0.3, 0.2)
-    cfg = MHConfig(n_steps=3000, seed=21)
     ref = iid_sample(f, 1000, seed=1234)
-    r1 = convergence_study(f, 5, cfg, ref)
-    r2 = convergence_study(f, 5, cfg, ref)
+    r1 = convergence_study(f, 5, 3000, ref, seed=21)
+    r2 = convergence_study(f, 5, 3000, ref, seed=21)
     assert r1 == r2
 
 
 def test_study_accepts_matching_reference():
     f = target_distribution(REFERENCE_PARAMS, 50)
     ref = iid_sample(f, 8000, seed=55)
-    report = convergence_study(f, 20, MHConfig(n_steps=20_000, seed=556), ref)
+    report = convergence_study(f, 20, 20_000, ref, seed=556)
     assert report.pass_fraction[0.05] >= 0.9
 
 
@@ -276,55 +283,55 @@ def test_study_flags_wrong_reference():
     # steep target vs uniform reference: rejected at every level
     steep = target_distribution(ZMParams(alpha=1.0, beta=0.0, gamma=1.896), 50)
     uniform_ref = np.repeat(np.arange(1, 51), 200)
-    report = convergence_study(steep, 10, MHConfig(n_steps=20_000, seed=7), uniform_ref)
+    report = convergence_study(steep, 10, 20_000, uniform_ref, seed=7)
     assert all(frac == 0.0 for frac in report.pass_fraction.values())
 
     # near-flat target: the same uniform reference is essentially right
     flat = target_distribution(REFERENCE_PARAMS, 50)
-    report_flat = convergence_study(flat, 10, MHConfig(n_steps=20_000, seed=7), uniform_ref)
+    report_flat = convergence_study(flat, 10, 20_000, uniform_ref, seed=7)
     assert np.mean(report_flat.ks_statistics) < np.mean(report.ks_statistics) / 5
 
 
 def test_study_hands_each_run_to_callback():
     f = target(0.5, 0.3, 0.2)
     seen = []
-    report = convergence_study(f, 3, MHConfig(n_steps=400, seed=4), [1, 2, 3], on_run=lambda k, r: seen.append((k, r)))
+    report = convergence_study(f, 3, 400, [1, 2, 3], seed=4, on_run=lambda k, r: seen.append((k, r)))
     assert [k for k, _ in seen] == [0, 1, 2]
     for k, result in seen:
-        alone = run_chain(f, MHConfig(n_steps=400, seed=np.random.SeedSequence(entropy=4, spawn_key=(k,))))
-        assert np.array_equal(result.samples.values, alone.samples.values)
-    assert report == convergence_study(f, 3, MHConfig(n_steps=400, seed=4), [1, 2, 3])
+        alone = run_chain(f, n_steps=400, seed=np.random.SeedSequence(entropy=4, spawn_key=(k,)))
+        assert np.array_equal(result.samples, alone.samples)
+    assert report == convergence_study(f, 3, 400, [1, 2, 3], seed=4)
 
 
 def test_study_records_integral_seeds():
     f = target(0.5, 0.3, 0.2)
-    report = convergence_study(f, 2, MHConfig(n_steps=500, seed=np.int64(7)), [1, 2, 3])
+    report = convergence_study(f, 2, 500, [1, 2, 3], seed=np.int64(7))
     assert report.seed == 7 and type(report.seed) is int
-    assert report == convergence_study(f, 2, MHConfig(n_steps=500, seed=7), [1, 2, 3])
-    assert convergence_study(f, 2, MHConfig(n_steps=500, seed=[7, 8]), [1, 2, 3]).seed == -1
+    assert report == convergence_study(f, 2, 500, [1, 2, 3], seed=7)
+    assert convergence_study(f, 2, 500, [1, 2, 3], seed=[7, 8]).seed == -1
 
 
 def test_study_takes_a_seed_sequence_as_master_seed():
     f = target(0.5, 0.3, 0.2)
-    report = convergence_study(f, 2, MHConfig(n_steps=500, seed=np.random.SeedSequence(7)), [1, 2, 3])
+    report = convergence_study(f, 2, 500, [1, 2, 3], seed=np.random.SeedSequence(7))
     assert report.seed == -1
-    assert report.ks_statistics == convergence_study(f, 2, MHConfig(n_steps=500, seed=7), [1, 2, 3]).ks_statistics
+    assert report.ks_statistics == convergence_study(f, 2, 500, [1, 2, 3], seed=7).ks_statistics
     # A spawned sequence hands run k the stream of its child k.
     master = np.random.SeedSequence(7).spawn(3)[2]
     seen = []
-    convergence_study(f, 2, MHConfig(n_steps=500, seed=master), [1, 2, 3], on_run=lambda k, r: seen.append(r))
+    convergence_study(f, 2, 500, [1, 2, 3], seed=master, on_run=lambda k, r: seen.append(r))
     for k, result in enumerate(seen):
-        alone = run_chain(f, MHConfig(n_steps=500, seed=np.random.SeedSequence(7, spawn_key=(2, k))))
-        assert np.array_equal(result.samples.values, alone.samples.values)
+        alone = run_chain(f, n_steps=500, seed=np.random.SeedSequence(7, spawn_key=(2, k)))
+        assert np.array_equal(result.samples, alone.samples)
     assert master.n_children_spawned == 0
 
 
 def test_study_validates_inputs():
     f = target(0.6, 0.4)
     with pytest.raises(ValueError):
-        convergence_study(f, 0, MHConfig(n_steps=10, seed=0), [1, 2])
+        convergence_study(f, 0, 10, [1, 2], seed=0)
     with pytest.raises(ValueError):
-        convergence_study(f, 1, MHConfig(n_steps=10, seed=0), [])
+        convergence_study(f, 1, 10, [], seed=0)
 
 
 # -------------------------------------------------------------- iid sample

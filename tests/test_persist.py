@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hapaxchain.corpus import Document, HapaxTable, RankSequence, build_hapax_table
+from hapaxchain.corpus import Document, HapaxTable, build_hapax_table
 from hapaxchain.persist import (
     read_hapax_table,
+    read_rank_sequence,
     read_rank_size_csv,
     write_hapax_table,
     write_rank_sequence,
@@ -139,6 +140,32 @@ def test_fit_input_needs_a_known_header(tmp_path, text):
 @settings(max_examples=40)
 @given(st.lists(st.integers(1, 500), max_size=50))
 def test_rank_sequence_text_is_one_decimal_per_line(tmp_path_factory, values):
-    seq = RankSequence(values=np.array(values, dtype=np.int64), alphabet_size=500)
+    seq = np.array(values, dtype=np.int64)
     path = write_rank_sequence(tmp_path_factory.mktemp("s") / "s.txt", seq)
     assert path.read_text(encoding="utf-8") == "".join(f"{v}\n" for v in values)
+
+
+@settings(max_examples=40)
+@given(st.lists(st.integers(1, 500), min_size=1, max_size=50))
+def test_rank_sequence_round_trip(tmp_path_factory, values):
+    path = write_rank_sequence(tmp_path_factory.mktemp("s") / "s.txt", np.array(values, dtype=np.int64))
+    back = read_rank_sequence(path)
+    assert back.dtype == np.int64 and back.tolist() == values
+
+
+def test_rank_sequence_reader_takes_what_int_takes(tmp_path):
+    path = write(tmp_path, "s.txt", " 4\n+3\n\n1_000 2\n")
+    assert read_rank_sequence(path).tolist() == [4, 3, 1000, 2]
+
+
+@pytest.mark.parametrize("bad", ["0", "-2", "x", "1.5", "2 0", "99999999999999999999"])
+def test_rank_sequence_reader_names_the_line_that_is_not_a_rank(tmp_path, bad):
+    path = write(tmp_path, "s.txt", f"1\n\n2\n{bad}\n0\n")  # the blank line still counts
+    with pytest.raises(ValueError, match=rf"s\.txt, line 4: not a rank \(an integer >= 1\): {bad!r}$"):
+        read_rank_sequence(path)
+
+
+@pytest.mark.parametrize("text", ["", "\n \n"])
+def test_rank_sequence_reader_needs_a_rank(tmp_path, text):
+    with pytest.raises(ValueError, match="contains no rank values"):
+        read_rank_sequence(write(tmp_path, "s.txt", text))
