@@ -17,24 +17,21 @@ from . import corpus as corpus_mod
 from .markov import order_test
 from .mh_sampler import convergence_study, iid_sample
 from .ranksize import ZMParams, fit_zm, target_distribution, zm_eval
-from .stats import child_seed
+from .stats import check_levels, child_seed
 
 OUTPUT_DIR_ENVVAR = "HAPAXCHAIN_OUTPUT_DIR"
 
 
 class _Levels(click.ParamType):
-    """Comma-separated significance levels, each in (0, 1)."""
+    """Comma-separated significance levels, as ``stats.check_levels`` admits them."""
 
     name = "levels"
 
     def convert(self, value, param, ctx):
         try:
-            levels = tuple(float(part) for part in value.split(",") if part.strip())
-        except ValueError:
-            self.fail(f"invalid significance levels: {value!r}", param, ctx)
-        if not levels or any(not 0 < lv < 1 for lv in levels):
-            self.fail(f"significance levels must lie in (0, 1): {value!r}", param, ctx)
-        return levels
+            return check_levels(float(part) for part in value.split(",") if part.strip())
+        except ValueError as exc:
+            self.fail(f"invalid significance levels {value!r}: {exc}", param, ctx)
 
 
 EXISTING_FILE = click.Path(exists=True, dir_okay=False, path_type=Path)

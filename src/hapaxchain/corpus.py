@@ -2,10 +2,10 @@
 
 A hapax legomenon is a token occurring exactly once within one document;
 its corpus frequency is the number of documents in which it is a hapax.
-This module tokenizes documents, tabulates hapax frequencies under two
-rank assignments (dense and ordinal), and emits the time-ordered
-sequence of dense ranks obtained by walking the corpus in chronological
-order and replacing each hapax occurrence by its rank.
+A corpus is a list of documents in chronological order.  This module
+tokenizes documents, lists each one's hapaxes in order of appearance,
+tabulates their frequencies under dense and ordinal ranks, and maps the
+lists, in corpus order, through the dense ranks to the rank sequence.
 """
 
 from __future__ import annotations
@@ -62,15 +62,12 @@ def tokenize(raw_text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class Document:
-    """One tokenized document at a fixed chronological position."""
+    """One tokenized document; its place in the corpus list is its chronological position."""
 
     id: str
-    order_index: int
     tokens: tuple[str, ...]
 
     def __post_init__(self):
-        if self.order_index < 0:
-            raise ValueError(f"order_index must be >= 0, got {self.order_index}")
         if "" in self.tokens:
             raise ValueError("tokens must not contain empty strings")
 
@@ -109,10 +106,10 @@ class HapaxTable:
         return list(enumerate(self.frequencies, 1))
 
 
-def extract_document_hapaxes(doc: Document) -> set[str]:
-    """Tokens occurring exactly once in the document."""
-    counts = Counter(doc.tokens)
-    return {tok for tok, c in counts.items() if c == 1}
+def extract_document_hapaxes(doc: Document) -> list[str]:
+    """Tokens occurring exactly once in the document, in order of appearance
+    (a ``Counter`` keeps first-seen order, and a hapax is seen only once)."""
+    return [tok for tok, c in Counter(doc.tokens).items() if c == 1]
 
 
 def build_hapax_table(corpus: list[Document]) -> HapaxTable:
@@ -130,32 +127,23 @@ def build_hapax_table(corpus: list[Document]) -> HapaxTable:
 
 
 def build_rank_sequence(corpus: list[Document], table: HapaxTable) -> np.ndarray:
-    """Walk documents in chronological order and emit dense ranks (int64),
-    one per hapax occurrence.
-
-    Within a document hapaxes are emitted at their position of (only)
-    appearance; each occurrence becomes the word's dense rank.
-    """
+    """The dense ranks (int64) of each document's hapaxes, in corpus order and,
+    within a document, in the order ``extract_document_hapaxes`` lists them."""
     rank_of = table.dense_rank_of()
     out: list[int] = []
-    for doc in sorted(corpus, key=lambda d: d.order_index):
-        counts = Counter(doc.tokens)
-        for tok in doc.tokens:
-            if counts[tok] == 1:
-                try:
-                    out.append(rank_of[tok])
-                except KeyError:
-                    raise ConsistencyError(
-                        f"hapax {tok!r} from document {doc.id!r} missing from table"
-                    ) from None
+    for doc in corpus:
+        try:
+            out.extend(map(rank_of.__getitem__, extract_document_hapaxes(doc)))
+        except KeyError as exc:
+            raise ConsistencyError(f"hapax {exc.args[0]!r} from document {doc.id!r} missing from table") from None
     return np.array(out, dtype=np.int64)
 
 
 def load_documents(input_dir: str | Path, manifest: str | Path | None = None) -> list[Document]:
     """Read UTF-8 ``.txt`` documents from a directory.
 
-    Order is the manifest file order when given (one file name per
-    line), otherwise lexicographic file-name order.
+    The list's (chronological) order is the manifest file order when
+    given (one file name per line), otherwise lexicographic file-name order.
     """
     root = Path(input_dir)
     if not root.is_dir():
@@ -172,12 +160,12 @@ def load_documents(input_dir: str | Path, manifest: str | Path | None = None) ->
         raise IngestionError(f"no documents found in {root}")
 
     docs = []
-    for i, path in enumerate(paths):
+    for path in paths:
         try:
             text = path.read_text(encoding="utf-8", errors="strict")
         except UnicodeDecodeError as exc:
             raise IngestionError(f"invalid UTF-8 in {path}: {exc}") from exc
         except OSError as exc:
             raise IngestionError(f"cannot read {path}: {exc}") from exc
-        docs.append(Document(id=path.stem, order_index=i, tokens=tuple(tokenize(text))))
+        docs.append(Document(id=path.stem, tokens=tuple(tokenize(text))))
     return docs

@@ -20,6 +20,7 @@ import numpy as np
 from .stats import (
     DEFAULT_LEVELS,
     _tally,
+    check_levels,
     child_seed,
     chi_square_gof,
     chi_square_threshold,
@@ -338,8 +339,7 @@ def order_test(seq, replicates: int = 100, len1: int | None = None, len2: int | 
     for name, length in (("len1", len1), ("len2", len2)):
         if length is not None and length < 1:
             raise ValueError(f"{name} must be >= 1, got {length}")
-    if not levels or any(not 0 < lv < 1 for lv in levels):
-        raise ValueError(f"levels must be non-empty and lie in (0, 1), got {levels}")
+    levels = check_levels(levels)
     values = np.asarray(seq, dtype=np.int64)
     tm2 = estimate_order2(values)
     tm1 = tm2.fallback
@@ -393,6 +393,6 @@ def order_test(seq, replicates: int = 100, len1: int | None = None, len2: int | 
         len1=len1,
         len2=len2,
         seed=int(seed) if isinstance(seed, Integral) else -1,
-        levels=tuple(levels),
+        levels=levels,
         halve_alpha=halve_alpha,
     )

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .ranksize import TargetDistribution
-from .stats import DEFAULT_LEVELS, child_seed, ks_threshold, ks_two_sample, pass_fractions
+from .stats import DEFAULT_LEVELS, check_levels, child_seed, ks_threshold, ks_two_sample, pass_fractions
 
 __all__ = [
     "MHRunResult",
@@ -166,6 +166,7 @@ def convergence_study(f: TargetDistribution, runs: int, n_steps: int, reference,
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
+    levels = check_levels(levels)
     reference = np.asarray(reference, dtype=float).ravel()
     if reference.size == 0:
         raise ValueError("reference sample must be non-empty")
@@ -186,6 +187,6 @@ def convergence_study(f: TargetDistribution, runs: int, n_steps: int, reference,
         n_steps=n_steps,
         reference_size=int(reference.size),
         seed=int(seed) if isinstance(seed, Integral) else -1,
-        levels=tuple(levels),
+        levels=levels,
         halve_alpha=halve_alpha,
     )

@@ -132,8 +132,9 @@ def read_hapax_table(path: str | Path) -> HapaxTable:
 
 def write_rank_sequence(path: str | Path, values) -> Path:
     values = np.asarray(values, dtype=np.int64)
-    lines = np.array([f"{r}\n" for r in range(int(values.max(initial=0)) + 1)], dtype=object)  # one string per rank
-    return atomic_write_text(path, "".join(lines[values].tolist()))
+    distinct = np.unique(values)
+    lines = np.array([f"{r}\n" for r in distinct.tolist()], dtype=object)  # one string per distinct value
+    return atomic_write_text(path, "".join(lines[np.searchsorted(distinct, values)].tolist()))
 
 
 def _ranks(text: str) -> np.ndarray | None:

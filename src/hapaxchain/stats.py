@@ -4,8 +4,8 @@ Everything in this module is a pure function of its inputs: descriptive
 indicators, the two-sample Kolmogorov-Smirnov statistic with its
 closed-form threshold family, a chi-square goodness-of-fit statistic,
 the Wilcoxon-Mann-Whitney rank-sum test (normal approximation with tie
-correction), Shannon entropy, per-level pass fractions, and the child
-seeds that replicates and runs draw from.
+correction), Shannon entropy, the check on significance levels, per-level
+pass fractions, and the child seeds that replicates and runs draw from.
 """
 
 from __future__ import annotations
@@ -160,6 +160,14 @@ def pass_fractions(values, thresholds: dict[float, float], p_values: bool = Fals
     """
     arr = np.asarray(values)
     return {lv: float(((arr > thr) if p_values else (arr <= thr)).mean()) for lv, thr in thresholds.items()}
+
+
+def check_levels(levels) -> tuple[float, ...]:
+    """``levels`` as a tuple; a ``ValueError`` unless they are non-empty, distinct and each in (0, 1)."""
+    levels = tuple(levels)
+    if not levels or len(set(levels)) < len(levels) or any(not 0 < lv < 1 for lv in levels):
+        raise ValueError(f"levels must be non-empty, distinct and lie in (0, 1), got {levels}")
+    return levels
 
 
 def child_seed(seed, *key: int) -> np.random.SeedSequence:

@@ -568,7 +568,8 @@ def test_pipeline_names_failing_stage(runner, tmp_path):
     "cfg, key",
     [({"bogus": 1}, "bogus"), ({"alpha_levels": "0.2"}, "alpha_levels"), ({"len1": "abc"}, "len1"),
      ({"replicates": 2.7}, "replicates"), ({"replicates": True}, "replicates"),
-     ({"halve_alpha": "yes"}, "halve_alpha"), ({"levels": "0.2,x"}, "levels"), ({"seed": -1}, "seed")],
+     ({"halve_alpha": "yes"}, "halve_alpha"), ({"levels": "0.2,x"}, "levels"), ({"seed": -1}, "seed"),
+     ({"levels": ""}, "levels"), ({"levels": "0.05,0.05"}, "levels")],
 )
 def test_config_rejects_unknown_keys_and_wrong_types(runner, tmp_path, cfg, key):
     write_sequence_file(tmp_path)
@@ -612,6 +613,24 @@ def test_ordertest_takes_levels_from_config_or_alias(runner, tmp_path, source):
     assert result.exit_code == 0, result.output
     assert json.loads(read(tmp_path / "out" / "order_test_report.json"))["levels"] == [0.2]
     assert read(tmp_path / "out" / "wmw_pvalues.csv").splitlines()[0] == "replicate,p_value,threshold_0.2"
+
+
+LEVELS_ARGS = {
+    "ordertest": lambda tmp_path: ["--input", str(write_sequence_file(tmp_path)), "--replicates", "1"],
+    "mcmc": lambda tmp_path: ["--alpha", "1.0", "--beta", "0", "--gamma", "1.5", "--rbar", "10", "--steps", "100",
+                              "--runs", "1", "--reference-size", "50"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(LEVELS_ARGS))
+@pytest.mark.parametrize("levels", ["", "0.05,0.05", "0.01,0.010"])
+def test_levels_flag_must_be_non_empty_and_distinct(runner, tmp_path, command, levels):
+    out = tmp_path / "out"
+    result = runner.invoke(main, [command, *LEVELS_ARGS[command](tmp_path), "--levels", levels,
+                                  "--output-dir", str(out)])
+    assert result.exit_code == 2  # a usage error, not a traceback
+    assert "--levels" in result.output and "non-empty, distinct" in result.output
+    assert not out.exists()
 
 
 def test_ordertest_rejects_zero_replicates(runner, tmp_path):

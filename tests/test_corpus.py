@@ -20,8 +20,18 @@ from hapaxchain.corpus import (
 )
 
 
-def doc(tokens, idx=0, name="doc"):
-    return Document(id=name, order_index=idx, tokens=tuple(tokens))
+def doc(tokens, name="doc"):
+    return Document(id=name, tokens=tuple(tokens))
+
+
+def reference_rank_sequence(corpus, table):
+    """The per-token walk: each token counted once in its document, in document order."""
+    rank_of = table.dense_rank_of()
+    out = []
+    for d in corpus:
+        counts = Counter(d.tokens)
+        out.extend(rank_of[tok] for tok in d.tokens if counts[tok] == 1)
+    return np.array(out, dtype=np.int64)
 
 
 # ---------------------------------------------------------------- tokenize
@@ -64,26 +74,30 @@ def test_tokenize_deterministic():
 
 
 def test_hapaxes_basic():
-    assert extract_document_hapaxes(doc(["a", "b", "b", "c"])) == {"a", "c"}
+    assert extract_document_hapaxes(doc(["a", "b", "b", "c"])) == ["a", "c"]
 
 
 def test_hapaxes_none():
-    assert extract_document_hapaxes(doc(["a", "a"])) == set()
+    assert extract_document_hapaxes(doc(["a", "a"])) == []
 
 
 def test_hapaxes_mixed_counts():
-    assert extract_document_hapaxes(doc(["a", "b", "b", "c", "c", "c", "d"])) == {"a", "d"}
+    assert extract_document_hapaxes(doc(["a", "b", "b", "c", "c", "c", "d"])) == ["a", "d"]
 
 
 def test_hapaxes_empty_document():
-    assert extract_document_hapaxes(doc([])) == set()
+    assert extract_document_hapaxes(doc([])) == []
+
+
+def test_hapaxes_in_order_of_appearance():
+    assert extract_document_hapaxes(doc(["c", "b", "a", "b", "d"])) == ["c", "a", "d"]
 
 
 # ------------------------------------------------------------ hapax table
 
 
 def toy_corpus():
-    return [doc(["a", "b", "b", "c"], 0, "d0"), doc(["a", "c", "c", "d"], 1, "d1")]
+    return [doc(["a", "b", "b", "c"], "d0"), doc(["a", "c", "c", "d"], "d1")]
 
 
 def test_build_table_toy_corpus():
@@ -141,19 +155,18 @@ def test_rank_sequence_single_doc():
 
 
 def test_rank_sequence_repeated_doc():
-    corpus = [doc(["a"], 0), doc(["a"], 1), doc(["a"], 2)]
+    corpus = [doc(["a"]), doc(["a"]), doc(["a"])]
     table = build_hapax_table(corpus)
     seq = build_rank_sequence(corpus, table)
     assert seq.tolist() == [1, 1, 1]
     assert set(table.frequencies) == {3}
 
 
-def test_rank_sequence_respects_order_index():
-    corpus = [doc(["b"], 1, "later"), doc(["a"], 0, "earlier")]
-    table = build_hapax_table(corpus)
-    seq = build_rank_sequence(corpus, table)
-    # 'a' (ordinal tie-break) and 'b' share frequency 1 => dense rank 1
-    assert seq.tolist() == [1, 1]
+def test_rank_sequence_follows_list_order():
+    corpus = [doc(["b", "c"], "first"), doc(["c", "a"], "second")]
+    table = build_hapax_table(corpus)  # c: 2 documents => dense rank 1; a, b => dense rank 2
+    assert build_rank_sequence(corpus, table).tolist() == [2, 1, 1, 2]
+    assert build_rank_sequence(corpus[::-1], table).tolist() == [1, 2, 2, 1]
 
 
 def test_rank_sequence_missing_word_fails():
@@ -161,6 +174,12 @@ def test_rank_sequence_missing_word_fails():
     table = build_hapax_table(corpus[:1])
     with pytest.raises(ConsistencyError):
         build_rank_sequence(corpus, table)
+
+
+def test_rank_sequence_missing_word_names_word_and_document():
+    table = build_hapax_table([doc(["a"])])
+    with pytest.raises(ConsistencyError, match=r"^hapax 'b' from document 'late' missing from table$"):
+        build_rank_sequence([doc(["a"], "early"), doc(["a", "b"], "late")], table)
 
 
 # -------------------------------------------------------------- invariants
@@ -174,7 +193,7 @@ token_lists = st.lists(
 @settings(max_examples=80)
 @given(st.lists(token_lists, min_size=1, max_size=6))
 def test_corpus_invariants(token_corpus):
-    corpus = [doc(toks, i, f"d{i}") for i, toks in enumerate(token_corpus)]
+    corpus = [doc(toks, f"d{i}") for i, toks in enumerate(token_corpus)]
     total_hapaxes = sum(len(extract_document_hapaxes(d)) for d in corpus)
     if total_hapaxes == 0:
         with pytest.raises(EmptyTableError):
@@ -212,13 +231,25 @@ def test_corpus_invariants(token_corpus):
     assert max(dense_ranks) == table.alphabet_size
 
 
+@settings(max_examples=200)
+@given(st.lists(st.lists(st.sampled_from(["a", "b", "c", "d", "e", "f"]), max_size=15), min_size=1, max_size=8))
+def test_rank_sequence_equals_per_token_walk(token_corpus):
+    corpus = [doc(toks, f"d{i}") for i, toks in enumerate(token_corpus)]
+    if not any(extract_document_hapaxes(d) for d in corpus):
+        return
+    table = build_hapax_table(corpus)
+    seq = build_rank_sequence(corpus, table)
+    want = reference_rank_sequence(corpus, table)
+    assert seq.dtype == want.dtype and seq.tolist() == want.tolist()
+
+
 @settings(max_examples=40)
 @given(st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=10), st.randoms())
 def test_table_invariant_under_token_permutation(tokens, rnd):
     shuffled = tokens[:]
     rnd.shuffle(shuffled)
-    base = [doc(tokens, 0), doc(["x"], 1)]
-    permuted = [doc(shuffled, 0), doc(["x"], 1)]
+    base = [doc(tokens), doc(["x"])]
+    permuted = [doc(shuffled), doc(["x"])]
     assert build_hapax_table(base) == build_hapax_table(permuted)
 
 
@@ -230,7 +261,6 @@ def test_load_documents_lexicographic_order(tmp_path):
     (tmp_path / "a.txt").write_text("alpha words", encoding="utf-8")
     docs = load_documents(tmp_path)
     assert [d.id for d in docs] == ["a", "b"]
-    assert [d.order_index for d in docs] == [0, 1]
 
 
 def test_load_documents_manifest_order(tmp_path):

@@ -437,7 +437,8 @@ def test_simulations_are_one_int64_state_per_step(length):
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"replicates": 0}, {"len1": 0}, {"len2": 0}, {"levels": ()}, {"levels": (0.05, 1.0)}, {"levels": (0.0,)}],
+    [{"replicates": 0}, {"len1": 0}, {"len2": 0}, {"levels": ()}, {"levels": (0.05, 1.0)}, {"levels": (0.0,)},
+     {"levels": (0.05, 0.05)}],
 )
 def test_order_test_config_rejects_invalid_settings(kwargs):
     with pytest.raises(ValueError):

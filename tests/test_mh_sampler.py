@@ -334,6 +334,14 @@ def test_study_validates_inputs():
         convergence_study(f, 1, 10, [], seed=0)
 
 
+@pytest.mark.parametrize("levels", [(), (0.05, 0.05)])
+def test_study_rejects_empty_or_repeated_levels(levels):
+    ran = []
+    with pytest.raises(ValueError, match="non-empty, distinct"):
+        convergence_study(target(0.6, 0.4), 2, 100, [1, 2, 3], levels=levels, on_run=lambda k, r: ran.append(k))
+    assert ran == []  # rejected before any chain runs
+
+
 # -------------------------------------------------------------- iid sample
 
 

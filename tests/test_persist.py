@@ -25,7 +25,7 @@ def write(tmp_path, name, text):
 
 
 def toy_table():
-    docs = [Document("d0", 0, ("a", "b", "b", "c")), Document("d1", 1, ("a", "c", "c", "d"))]
+    docs = [Document("d0", ("a", "b", "b", "c")), Document("d1", ("a", "c", "c", "d"))]
     return build_hapax_table(docs)
 
 
@@ -146,11 +146,18 @@ def test_rank_sequence_text_is_one_decimal_per_line(tmp_path_factory, values):
 
 
 @settings(max_examples=40)
-@given(st.lists(st.integers(1, 500), min_size=1, max_size=50))
+@given(st.lists(st.one_of(st.integers(1, 500), st.integers(1, 2**62)), min_size=1, max_size=50))
 def test_rank_sequence_round_trip(tmp_path_factory, values):
     path = write_rank_sequence(tmp_path_factory.mktemp("s") / "s.txt", np.array(values, dtype=np.int64))
     back = read_rank_sequence(path)
     assert back.dtype == np.int64 and back.tolist() == values
+
+
+@pytest.mark.parametrize("values, text", [([2**40], "1099511627776\n"), ([3, -1, 2], "3\n-1\n2\n")])
+def test_rank_sequence_writer_formats_each_value(tmp_path, values, text):
+    # one string per distinct value: a large rank costs no more than a small one,
+    # and a value below 0 is written as itself
+    assert write_rank_sequence(tmp_path / "s.txt", values).read_text(encoding="utf-8") == text
 
 
 def test_rank_sequence_reader_takes_what_int_takes(tmp_path):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from hapaxchain.stats import (
+    check_levels,
     chi_square_gof,
     chi_square_threshold,
     descriptive_stats,
@@ -205,6 +206,16 @@ def test_pass_fractions_boundaries(values, thresholds, p_values, expected):
     fractions = pass_fractions(values, thresholds, p_values=p_values)
     assert fractions == expected
     assert list(fractions) == list(thresholds)
+
+
+def test_check_levels_returns_a_tuple():
+    assert check_levels([0.05, 0.01]) == (0.05, 0.01)
+
+
+@pytest.mark.parametrize("levels", [(), (0.05, 0.05), (0.01, 0.010), (0.05, 1.0), (0.0,), (float("nan"),)])
+def test_check_levels_rejects_empty_repeated_or_out_of_range(levels):
+    with pytest.raises(ValueError, match=r"non-empty, distinct and lie in \(0, 1\)"):
+        check_levels(levels)
 
 
 # -------------------------------------------------------------- chi-square
