@@ -29,13 +29,9 @@ from .markov import (
 from .mh_sampler import (
     ConvergenceReport,
     MHRunResult,
-    acceptance_prob,
     convergence_study,
     iid_sample,
-    mean_acceptance_exact,
-    mh_transition_matrix,
     run_chain,
-    stationary_oracle,
 )
 from .ranksize import (
     FitResult,

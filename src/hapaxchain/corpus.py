@@ -3,9 +3,10 @@
 A hapax legomenon is a token occurring exactly once within one document;
 its corpus frequency is the number of documents in which it is a hapax.
 A corpus is a list of documents in chronological order.  This module
-tokenizes documents, lists each one's hapaxes in order of appearance,
-tabulates their frequencies under dense and ordinal ranks, and maps the
-lists, in corpus order, through the dense ranks to the rank sequence.
+tokenizes documents, lists each one's hapaxes in order of appearance as
+it loads them, tabulates their frequencies under dense and ordinal
+ranks, and maps the lists, in corpus order, through the dense ranks to
+the rank sequence.
 """
 
 from __future__ import annotations
@@ -62,14 +63,15 @@ def tokenize(raw_text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class Document:
-    """One tokenized document; its place in the corpus list is its chronological position."""
+    """One document's hapaxes, in order of appearance; its place in the
+    corpus list is its chronological position."""
 
     id: str
-    tokens: tuple[str, ...]
+    hapaxes: tuple[str, ...]
 
     def __post_init__(self):
-        if "" in self.tokens:
-            raise ValueError("tokens must not contain empty strings")
+        if "" in self.hapaxes:
+            raise ValueError("hapaxes must not contain empty strings")
 
 
 @dataclass(frozen=True)
@@ -106,10 +108,10 @@ class HapaxTable:
         return list(enumerate(self.frequencies, 1))
 
 
-def extract_document_hapaxes(doc: Document) -> list[str]:
-    """Tokens occurring exactly once in the document, in order of appearance
+def extract_document_hapaxes(tokens) -> list[str]:
+    """Tokens occurring exactly once in a document's tokens, in order of appearance
     (a ``Counter`` keeps first-seen order, and a hapax is seen only once)."""
-    return [tok for tok, c in Counter(doc.tokens).items() if c == 1]
+    return [tok for tok, c in Counter(tokens).items() if c == 1]
 
 
 def build_hapax_table(corpus: list[Document]) -> HapaxTable:
@@ -118,7 +120,7 @@ def build_hapax_table(corpus: list[Document]) -> HapaxTable:
         raise ValueError("corpus must contain at least one document")
     freq: Counter[str] = Counter()
     for doc in corpus:
-        freq.update(extract_document_hapaxes(doc))
+        freq.update(doc.hapaxes)
     if not freq:
         raise EmptyTableError("corpus yields an empty table: no hapaxes found")
 
@@ -128,19 +130,19 @@ def build_hapax_table(corpus: list[Document]) -> HapaxTable:
 
 def build_rank_sequence(corpus: list[Document], table: HapaxTable) -> np.ndarray:
     """The dense ranks (int64) of each document's hapaxes, in corpus order and,
-    within a document, in the order ``extract_document_hapaxes`` lists them."""
+    within a document, in order of appearance."""
     rank_of = table.dense_rank_of()
     out: list[int] = []
     for doc in corpus:
         try:
-            out.extend(map(rank_of.__getitem__, extract_document_hapaxes(doc)))
+            out.extend(map(rank_of.__getitem__, doc.hapaxes))
         except KeyError as exc:
             raise ConsistencyError(f"hapax {exc.args[0]!r} from document {doc.id!r} missing from table") from None
     return np.array(out, dtype=np.int64)
 
 
 def load_documents(input_dir: str | Path, manifest: str | Path | None = None) -> list[Document]:
-    """Read UTF-8 ``.txt`` documents from a directory.
+    """Read UTF-8 ``.txt`` documents from a directory and list each one's hapaxes.
 
     The list's (chronological) order is the manifest file order when
     given (one file name per line), otherwise lexicographic file-name order.
@@ -167,5 +169,5 @@ def load_documents(input_dir: str | Path, manifest: str | Path | None = None) ->
             raise IngestionError(f"invalid UTF-8 in {path}: {exc}") from exc
         except OSError as exc:
             raise IngestionError(f"cannot read {path}: {exc}") from exc
-        docs.append(Document(id=path.stem, tokens=tuple(tokenize(text))))
+        docs.append(Document(id=path.stem, hapaxes=tuple(extract_document_hapaxes(tokenize(text)))))
     return docs

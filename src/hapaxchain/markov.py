@@ -101,16 +101,7 @@ class TransitionMatrix1(_TransitionRows):
     """Row-stochastic first-order matrix; row ``i`` belongs to state index
     ``i``.  ``marginal`` draws the initial state when none is supplied."""
 
-    marginal: np.ndarray | None = None
-
-    @classmethod
-    def from_dense(cls, states, probs, marginal=None) -> TransitionMatrix1:
-        """Kernel given by a dense ``n x n`` probability table; its
-        non-zero entries become the rows."""
-        probs = np.asarray(probs, dtype=float)
-        rows, indices = np.nonzero(probs)
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(probs)))))
-        return cls(np.asarray(states), indptr, indices, None, probs[rows, indices], marginal)
+    marginal: np.ndarray
 
     @cached_property
     def _walk(self) -> tuple[list[list[float]], list[list[int]]]:
@@ -229,20 +220,18 @@ def estimate_order2(seq) -> TransitionMatrix2:
 def simulate_order1(tm: TransitionMatrix1, length: int, seed, initial: int | None = None) -> np.ndarray:
     """Sample a seeded realization of the chain: ``length`` states.
 
-    The initial state is drawn from ``tm.marginal`` (uniform over states
-    when no marginal is attached) unless supplied explicitly.  Each step
-    takes the first non-zero column whose cumulative probability exceeds
-    a uniform draw (the last state if the row's sum falls short of it).
+    The initial state is drawn from ``tm.marginal`` unless supplied
+    explicitly.  Each step takes the first non-zero column whose
+    cumulative probability exceeds a uniform draw (the last state if the
+    row's sum falls short of it).
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     rng = np.random.default_rng(seed)
-    n = tm.n_states
     if initial is not None:
         current = tm.state_index(initial)
     else:
-        weights = tm.marginal if tm.marginal is not None else np.full(n, 1.0 / n)
-        current = int(rng.choice(n, p=weights))
+        current = int(rng.choice(tm.n_states, p=tm.marginal))
     path = [current]
     if length > 1:
         cum, columns = tm._walk

@@ -2,10 +2,8 @@
 
 The chain lives on {1, ..., r_bar} with a uniform proposal, so a move
 from i to j is accepted with probability min(1, F_j / F_i) where F is
-the target distribution.  The exact transition kernel implied by this
-rule is available in closed form, which gives two independent checks:
-detailed balance holds entrywise, and power iteration on the kernel
-recovers F.  A convergence study runs many seeded chains and compares
+the target distribution, which is then the chain's stationary
+distribution.  A convergence study runs many seeded chains and compares
 each to a reference sample with the KS statistic.
 """
 
@@ -23,11 +21,7 @@ from .stats import DEFAULT_LEVELS, check_levels, child_seed, ks_threshold, ks_tw
 __all__ = [
     "MHRunResult",
     "ConvergenceReport",
-    "acceptance_prob",
     "run_chain",
-    "mh_transition_matrix",
-    "stationary_oracle",
-    "mean_acceptance_exact",
     "iid_sample",
     "convergence_study",
 ]
@@ -40,11 +34,6 @@ class MHRunResult:
     samples: np.ndarray
     accepted: int
     acceptance_rate: float
-
-
-def acceptance_prob(f: TargetDistribution, i: int, j: int) -> float:
-    """min(1, F_j / F_i); moves toward lower rank are always accepted."""
-    return min(1.0, f.prob(j) / f.prob(i))
 
 
 def run_chain(f: TargetDistribution, n_steps: int, seed=0, initial_state: int | None = None) -> MHRunResult:
@@ -90,43 +79,6 @@ def run_chain(f: TargetDistribution, n_steps: int, seed=0, initial_state: int | 
     accepted = int(np.count_nonzero(out[1:] == proposals))
     rate = accepted / (n_steps - 1) if n_steps > 1 else 1.0
     return MHRunResult(samples=out + 1, accepted=accepted, acceptance_rate=rate)
-
-
-def mh_transition_matrix(f: TargetDistribution) -> np.ndarray:
-    """Exact kernel of the chain as a dense ``r_bar x r_bar`` array:
-    off-diagonal (1/r_bar) * min(1, F_j/F_i), diagonal absorbing the
-    rejected mass.  Satisfies detailed balance."""
-    p = np.asarray(f.probs, dtype=float)
-    r_bar = f.r_bar
-    accept = np.minimum(1.0, p[None, :] / p[:, None])
-    kernel = accept / r_bar
-    off_diag_sums = kernel.sum(axis=1) - np.diag(kernel)
-    np.fill_diagonal(kernel, 1.0 - off_diag_sums)
-    return kernel
-
-
-def stationary_oracle(p: np.ndarray, tol: float = 1e-13, max_iter: int = 1_000_000) -> np.ndarray:
-    """Fixed point of v -> v P of a dense row-stochastic array ``p``, by
-    power iteration from the uniform vector.
-
-    Stops when successive iterates differ by less than ``tol`` in max
-    norm; raises if the iteration cap is hit first.
-    """
-    v = np.full(p.shape[0], 1.0 / p.shape[0])
-    for _ in range(max_iter):
-        v_next = v @ p
-        v_next /= v_next.sum()
-        if np.abs(v_next - v).max() < tol:
-            return v_next
-        v = v_next
-    raise RuntimeError(f"power iteration did not converge within {max_iter} iterations")
-
-
-def mean_acceptance_exact(f: TargetDistribution) -> float:
-    """Stationary mean acceptance probability, sum_i F_i (1/r_bar) sum_j a(i,j)."""
-    p = np.asarray(f.probs, dtype=float)
-    accept = np.minimum(1.0, p[None, :] / p[:, None])
-    return float(p @ accept.mean(axis=1))
 
 
 def iid_sample(f: TargetDistribution, size: int, seed) -> np.ndarray:

@@ -109,11 +109,6 @@ class TargetDistribution:
         if p.size > 1 and np.any(np.diff(p) >= 0):
             raise ValueError("target probabilities must be strictly decreasing in rank")
 
-    def prob(self, r: int) -> float:
-        if not 1 <= r <= self.r_bar:
-            raise ValueError(f"rank {r} outside 1..{self.r_bar}")
-        return float(self.probs[r - 1])
-
 
 def target_distribution(params: ZMParams, r_bar: int) -> TargetDistribution:
     """Normalize f over ranks 1..r_bar: probs[r] = f(r) / sum_h f(h)."""

@@ -163,10 +163,17 @@ def pass_fractions(values, thresholds: dict[float, float], p_values: bool = Fals
 
 
 def check_levels(levels) -> tuple[float, ...]:
-    """``levels`` as a tuple; a ``ValueError`` unless they are non-empty, distinct and each in (0, 1)."""
+    """``levels`` as a tuple; a ``ValueError`` unless they are non-empty, distinct and each in (0, 1),
+    and no two print alike under ``format(lv, "g")``, the key the output files name a level by."""
     levels = tuple(levels)
     if not levels or len(set(levels)) < len(levels) or any(not 0 < lv < 1 for lv in levels):
         raise ValueError(f"levels must be non-empty, distinct and lie in (0, 1), got {levels}")
+    keys: dict[str, float] = {}
+    for lv in levels:
+        other = keys.setdefault(format(lv, "g"), lv)
+        if other != lv:
+            raise ValueError(f"levels {other!r} and {lv!r} both print as {format(lv, 'g')}; "
+                             "output files could not tell them apart")
     return levels
 
 

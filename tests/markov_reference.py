@@ -4,7 +4,8 @@ This is the straightforward kernel the package's CSR rows replace: dense
 ``states x states`` and ``(observed pairs x states)`` count and
 probability tables, cumulative rows rebuilt as Python lists on every
 simulation, and a per-row loop for the first-order probabilities.  The tests compare the package's seeded
-outputs against it with exact equality.
+outputs against it with exact equality.  ``from_dense`` builds the
+package's first-order matrix from such a table.
 """
 
 from __future__ import annotations
@@ -14,6 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from hapaxchain.markov import TransitionMatrix1
+
+
+def from_dense(states, probs) -> TransitionMatrix1:
+    """Kernel given by a dense ``n x n`` probability table; its non-zero
+    entries become the rows, and the initial state is drawn uniformly."""
+    probs = np.asarray(probs, dtype=float)
+    n = len(probs)
+    rows, indices = np.nonzero(probs)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    return TransitionMatrix1(np.asarray(states), indptr, indices, None, probs[rows, indices], np.full(n, 1.0 / n))
 
 
 @dataclass(frozen=True)

@@ -10,19 +10,18 @@ high-precision arithmetic.
 
 import numpy as np
 from click.testing import CliRunner
+from markov_reference import from_dense
+from mh_reference import mh_transition_matrix, stationary_oracle
 
 from hapaxchain.cli import main as cli_main
 from hapaxchain.markov import (
-    TransitionMatrix1,
     order_test,
     simulate_order1,
 )
 from hapaxchain.mh_sampler import (
     convergence_study,
     iid_sample,
-    mh_transition_matrix,
     run_chain,
-    stationary_oracle,
 )
 from hapaxchain.ranksize import TargetDistribution, ZMParams, fit_zm, target_distribution, zm_eval
 from hapaxchain.stats import derived_indicators, descriptive_stats, ks_threshold
@@ -109,7 +108,7 @@ def _copy_two_back_sequence(n: int, seed: int, p_copy: float = 0.995) -> np.ndar
 def test_c6_order_test_calibration_and_violation():
     # calibration: data genuinely of order one
     probs = np.array([[0.5, 0.3, 0.2], [0.3, 0.4, 0.3], [0.25, 0.25, 0.5]])
-    tm = TransitionMatrix1.from_dense(np.array([1, 2, 3]), probs)
+    tm = from_dense(np.array([1, 2, 3]), probs)
     source = simulate_order1(tm, 500_000, seed=999)
     report = order_test(source, replicates=100, len1=10_000, len2=10_000, seed=555)
     wmw_above = float(np.mean(np.asarray(report.wmw_p_values) > 0.05))

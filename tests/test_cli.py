@@ -11,9 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from markov_reference import from_dense
 
+from hapaxchain import corpus
 from hapaxchain.cli import OPTIONS, _convert, main
-from hapaxchain.markov import TransitionMatrix1, order_test, simulate_order1
+from hapaxchain.markov import order_test, simulate_order1
 from hapaxchain.mh_sampler import convergence_study
 from hapaxchain.persist import read_hapax_table, write_csv, write_rank_sequence
 from hapaxchain.ranksize import ZMParams, zm_eval
@@ -37,7 +39,7 @@ def snapshot(directory: Path) -> dict[str, bytes]:
 
 def write_sequence_file(tmp_path: Path, n=4000, seed=3) -> Path:
     probs = np.array([[0.5, 0.3, 0.2], [0.3, 0.4, 0.3], [0.25, 0.25, 0.5]])
-    tm = TransitionMatrix1.from_dense(np.array([1, 2, 3]), probs)
+    tm = from_dense(np.array([1, 2, 3]), probs)
     seq = simulate_order1(tm, n, seed=seed)
     path = tmp_path / "rank_sequence.txt"
     write_rank_sequence(path, seq)
@@ -65,6 +67,20 @@ def test_extract_rerun_byte_identical(runner, toy_corpus_dir, tmp_path):
     first = snapshot(out)
     assert runner.invoke(main, ["extract", str(toy_corpus_dir), "--output-dir", str(out)]).exit_code == 0
     assert snapshot(out) == first
+
+
+def test_extract_finds_each_documents_hapaxes_once(runner, rich_corpus_dir, tmp_path, monkeypatch):
+    calls = []
+    extract = corpus.extract_document_hapaxes
+
+    def counted(tokens):
+        calls.append(tokens)
+        return extract(tokens)
+
+    monkeypatch.setattr(corpus, "extract_document_hapaxes", counted)
+    result = runner.invoke(main, ["extract", str(rich_corpus_dir), "--output-dir", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == len(list(rich_corpus_dir.glob("*.txt"))) == 12
 
 
 def test_extract_empty_dir_fails(runner, tmp_path):
@@ -631,6 +647,23 @@ def test_levels_flag_must_be_non_empty_and_distinct(runner, tmp_path, command, l
     assert result.exit_code == 2  # a usage error, not a traceback
     assert "--levels" in result.output and "non-empty, distinct" in result.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(LEVELS_ARGS))
+@pytest.mark.parametrize("source, exit_code", [("flag", 2), ("config", 1)])
+def test_levels_that_print_alike_are_rejected(runner, tmp_path, command, source, exit_code):
+    # Output files key a level by format(lv, "g"): both of these would be threshold_0.05.
+    out = tmp_path / "out"
+    args = [command, *LEVELS_ARGS[command](tmp_path), "--output-dir", str(out)]
+    if source == "flag":
+        args += ["--levels", "0.05,0.05000001"]
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps({"levels": "0.05,0.05000001"}), encoding="utf-8")
+        args += ["--config", str(tmp_path / "cfg.json")]
+    result = runner.invoke(main, args)
+    assert result.exit_code == exit_code, result.output
+    assert "levels 0.05 and 0.05000001 both print as 0.05" in result.output
+    assert not (out / "ks_statistics.csv").exists() and not out.exists()
 
 
 def test_ordertest_rejects_zero_replicates(runner, tmp_path):

@@ -21,16 +21,17 @@ from hapaxchain.corpus import (
 
 
 def doc(tokens, name="doc"):
-    return Document(id=name, tokens=tuple(tokens))
+    return Document(id=name, hapaxes=tuple(extract_document_hapaxes(tokens)))
 
 
-def reference_rank_sequence(corpus, table):
-    """The per-token walk: each token counted once in its document, in document order."""
+def reference_rank_sequence(token_corpus, table):
+    """The per-token walk over each document's raw tokens: each token counted
+    once in its document, in document order."""
     rank_of = table.dense_rank_of()
     out = []
-    for d in corpus:
-        counts = Counter(d.tokens)
-        out.extend(rank_of[tok] for tok in d.tokens if counts[tok] == 1)
+    for tokens in token_corpus:
+        counts = Counter(tokens)
+        out.extend(rank_of[tok] for tok in tokens if counts[tok] == 1)
     return np.array(out, dtype=np.int64)
 
 
@@ -74,23 +75,23 @@ def test_tokenize_deterministic():
 
 
 def test_hapaxes_basic():
-    assert extract_document_hapaxes(doc(["a", "b", "b", "c"])) == ["a", "c"]
+    assert extract_document_hapaxes(["a", "b", "b", "c"]) == ["a", "c"]
 
 
 def test_hapaxes_none():
-    assert extract_document_hapaxes(doc(["a", "a"])) == []
+    assert extract_document_hapaxes(["a", "a"]) == []
 
 
 def test_hapaxes_mixed_counts():
-    assert extract_document_hapaxes(doc(["a", "b", "b", "c", "c", "c", "d"])) == ["a", "d"]
+    assert extract_document_hapaxes(["a", "b", "b", "c", "c", "c", "d"]) == ["a", "d"]
 
 
 def test_hapaxes_empty_document():
-    assert extract_document_hapaxes(doc([])) == []
+    assert extract_document_hapaxes([]) == []
 
 
 def test_hapaxes_in_order_of_appearance():
-    assert extract_document_hapaxes(doc(["c", "b", "a", "b", "d"])) == ["c", "a", "d"]
+    assert extract_document_hapaxes(["c", "b", "a", "b", "d"]) == ["c", "a", "d"]
 
 
 # ------------------------------------------------------------ hapax table
@@ -194,7 +195,7 @@ token_lists = st.lists(
 @given(st.lists(token_lists, min_size=1, max_size=6))
 def test_corpus_invariants(token_corpus):
     corpus = [doc(toks, f"d{i}") for i, toks in enumerate(token_corpus)]
-    total_hapaxes = sum(len(extract_document_hapaxes(d)) for d in corpus)
+    total_hapaxes = sum(len(d.hapaxes) for d in corpus)
     if total_hapaxes == 0:
         with pytest.raises(EmptyTableError):
             build_hapax_table(corpus)
@@ -208,7 +209,7 @@ def test_corpus_invariants(token_corpus):
     assert table.dense_rank_of() == dict(zip(words, dense_ranks))
 
     # reference derivations: one key sort, and dense ranks from the distinct frequencies
-    counts = Counter(w for d in corpus for w in extract_document_hapaxes(d))
+    counts = Counter(w for d in corpus for w in d.hapaxes)
     assert list(zip(words, frequencies)) == sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     dense_of = {f: i + 1 for i, f in enumerate(sorted(set(frequencies), reverse=True))}
     assert dense_ranks == tuple(dense_of[f] for f in frequencies)
@@ -235,11 +236,11 @@ def test_corpus_invariants(token_corpus):
 @given(st.lists(st.lists(st.sampled_from(["a", "b", "c", "d", "e", "f"]), max_size=15), min_size=1, max_size=8))
 def test_rank_sequence_equals_per_token_walk(token_corpus):
     corpus = [doc(toks, f"d{i}") for i, toks in enumerate(token_corpus)]
-    if not any(extract_document_hapaxes(d) for d in corpus):
+    if not any(d.hapaxes for d in corpus):
         return
     table = build_hapax_table(corpus)
     seq = build_rank_sequence(corpus, table)
-    want = reference_rank_sequence(corpus, table)
+    want = reference_rank_sequence(token_corpus, table)
     assert seq.dtype == want.dtype and seq.tolist() == want.tolist()
 
 

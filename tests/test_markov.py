@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from hapaxchain import markov
 from hapaxchain.markov import (
-    TransitionMatrix1,
     estimate_order1,
     estimate_order2,
     order_test,
@@ -155,7 +154,7 @@ def test_simulate_order1_iid_uniform_frequencies():
 
 def test_estimate_of_simulation_recovers_matrix():
     probs = np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.4, 0.1, 0.5]])
-    tm = TransitionMatrix1.from_dense(np.array([1, 2, 3]), probs)
+    tm = ref.from_dense(np.array([1, 2, 3]), probs)
     sim = simulate_order1(tm, 100_000, seed=99)
     est = estimate_order1(sim)
     assert np.abs(densify(est) - probs).max() < 0.02
@@ -179,7 +178,7 @@ def test_simulate_order2_collapses_to_order1():
     # When P(k | i, j) depends only on j the chain is first order.
     rng = np.random.default_rng(8)
     base = np.array([[0.7, 0.3], [0.4, 0.6]])
-    tm1 = TransitionMatrix1.from_dense(np.array([1, 2]), base)
+    tm1 = ref.from_dense(np.array([1, 2]), base)
     source = simulate_order1(tm1, 60_000, seed=3)
     tm2 = estimate_order2(source)
     sim2 = simulate_order2(tm2, 60_000, seed=4)
@@ -259,7 +258,7 @@ def test_simulations_equal_dense_reference_when_most_pairs_are_unseen():
     tm, dense = estimate_order2(values), ref.estimate_order2(values)
     n = tm.n_states
     uniform = np.full((n, n), 1.0 / n)
-    tm = dataclasses.replace(tm, fallback=TransitionMatrix1.from_dense(tm.states, uniform))
+    tm = dataclasses.replace(tm, fallback=ref.from_dense(tm.states, uniform))
     dense = dataclasses.replace(dense, fallback=ref.DenseTransitionMatrix1(tm.states, None, uniform))
     for initial_pair in (None, (int(values[0]), int(values[0]))):
         out = assert_order2_matches(tm, dense, 5_000, 19, initial_pair)
@@ -284,7 +283,7 @@ def test_simulations_equal_dense_reference_when_rows_sum_below_one():
     # Rows whose cumulative sum ends below 1.0: a uniform above it takes
     # the last state, in the reference and in the CSR kernel alike.
     probs = np.array([[0.2, 0.3, 0.0], [0.0, 0.25, 0.0], [0.1, 0.0, 0.3]])
-    short = TransitionMatrix1.from_dense(np.array([1, 2, 3]), probs)
+    short = ref.from_dense(np.array([1, 2, 3]), probs)
     dense_short = ref.DenseTransitionMatrix1(np.array([1, 2, 3]), None, probs)
     got = simulate_order1(short, 3_000, seed=23)
     assert got.tolist() == ref.simulate_order1(dense_short, 3_000, seed=23).tolist()
@@ -336,7 +335,7 @@ def test_both_orders_on_five_thousand_states_stay_small():
 
 def order1_source(n=6000, seed=2):
     probs = np.array([[0.5, 0.3, 0.2], [0.3, 0.4, 0.3], [0.25, 0.25, 0.5]])
-    tm = TransitionMatrix1.from_dense(np.array([1, 2, 3]), probs)
+    tm = ref.from_dense(np.array([1, 2, 3]), probs)
     return simulate_order1(tm, n, seed=seed)
 
 

@@ -7,15 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mh_reference import acceptance_prob, mean_acceptance_exact, mh_transition_matrix, stationary_oracle
 
 from hapaxchain.mh_sampler import (
-    acceptance_prob,
     convergence_study,
     iid_sample,
-    mean_acceptance_exact,
-    mh_transition_matrix,
     run_chain,
-    stationary_oracle,
 )
 from hapaxchain.ranksize import TargetDistribution, ZMParams, target_distribution
 

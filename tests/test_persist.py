@@ -25,7 +25,7 @@ def write(tmp_path, name, text):
 
 
 def toy_table():
-    docs = [Document("d0", ("a", "b", "b", "c")), Document("d1", ("a", "c", "c", "d"))]
+    docs = [Document("d0", ("a", "c")), Document("d1", ("a", "d"))]  # tokens a b b c and a c c d
     return build_hapax_table(docs)
 
 

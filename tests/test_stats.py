@@ -218,6 +218,12 @@ def test_check_levels_rejects_empty_repeated_or_out_of_range(levels):
         check_levels(levels)
 
 
+def test_check_levels_rejects_levels_that_print_alike():
+    with pytest.raises(ValueError, match=r"^levels 0\.05 and 0\.05000001 both print as 0\.05;"):
+        check_levels((0.05, 0.05000001))
+    assert check_levels((0.05, 0.0500001)) == (0.05, 0.0500001)  # 0.05 and 0.0500001 print apart
+
+
 # -------------------------------------------------------------- chi-square
 
 
