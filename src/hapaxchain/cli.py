@@ -175,12 +175,19 @@ def _write_order_tables(payload: dict, out: Path, names: tuple[str, ...]) -> dic
 
 
 def _params(o: dict) -> ZMParams:
-    """The law: from an earlier fit stage, a fit report (``fit_json``), or the three flags."""
-    if "params" in o:
-        return o["params"]
+    """The law: from a fit report (``fit_json``), or the three flags."""
     if o.get("fit_json") is not None:
-        p = persist.read_json(o["fit_json"])["params"]
-        return ZMParams(alpha=p["alpha"], beta=p["beta"], gamma=p["gamma"])
+        path = o["fit_json"]
+        try:
+            p = persist.read_json(path)["params"]
+            values = [p[name] for name in ("alpha", "beta", "gamma")]
+            if not all(type(v) in (int, float) for v in values):
+                raise TypeError
+            return ZMParams(*values)
+        except ValueError as exc:  # not JSON, or a law outside its domain
+            raise click.ClickException(f"{path}: {exc}")
+        except (KeyError, TypeError):
+            raise click.ClickException(f"{path}: 'params' must be an object holding the numbers alpha, beta and gamma")
     if None in (o.get("alpha"), o.get("beta"), o.get("gamma")):
         raise click.ClickException("provide --alpha, --beta and --gamma, or --fit-json")
     return ZMParams(alpha=o["alpha"], beta=o["beta"], gamma=o["gamma"])
@@ -192,7 +199,6 @@ def _run_extract(o: dict) -> dict[str, Path]:
     docs = corpus_mod.load_documents(o["corpus"], manifest)
     table = corpus_mod.build_hapax_table(docs)
     seq = corpus_mod.build_rank_sequence(docs, table)
-    o["alphabet_size"] = table.alphabet_size
     counts = {"documents": len(docs), "hapaxes": len(table.words), "occurrences": table.total_occurrences,
               "alphabet_size": table.alphabet_size}
     outputs = {"hapax_table.csv": persist.write_hapax_table(out / "hapax_table.csv", table),
@@ -221,7 +227,7 @@ def _run_fit(o: dict) -> dict[str, Path]:
     """Fit the rank-size law; write fit_report.json."""
     input_path = _require(o.get("input") or o["output_dir"] / "hapax_table.csv", "extract")
     result = fit_zm(persist.read_rank_size_csv(input_path), level=o["level"])
-    o["params"] = p = result.params
+    p = result.params
     source = _file_id(input_path)
     config_hash = persist.config_hash({"stage": "fit", **source, "level": o["level"]})
     report_path = persist.write_json(o["output_dir"] / "fit_report.json", {
@@ -234,8 +240,6 @@ def _run_fit(o: dict) -> dict[str, Path]:
 def _run_target(o: dict) -> dict[str, Path]:
     """Discretize the law into target_distribution.csv."""
     out, r_bar = o["output_dir"], o["rbar"]
-    if r_bar < o.get("alphabet_size", 0):
-        raise ValueError(f"--rbar {r_bar} is below the observed alphabet size {o['alphabet_size']}")
     params = _params(o)
     target = target_distribution(params, r_bar)
     target_path = persist.write_target_distribution(out / "target_distribution.csv", target)
@@ -246,12 +250,12 @@ def _run_target(o: dict) -> dict[str, Path]:
 
 def _run_ordertest(o: dict) -> dict[str, Path]:
     """Run the first-order Markovianity test battery on a rank sequence."""
-    out = o["output_dir"]
+    out, levels = o["output_dir"], o["levels"]
     seq_path = _require(o.get("input") or out / "rank_sequence.txt", "extract")
     settings = {name: o[name] for name in ("replicates", "len1", "len2", "seed", "levels", "halve_alpha")}
     report = order_test(persist.read_rank_sequence(seq_path), **settings)
     payload = {
-        "stage": "ordertest", **vars(report),
+        "stage": "ordertest", **settings, **vars(report),
         "config_hash": persist.config_hash({"stage": "ordertest", **_file_id(seq_path), **settings}),
         "thresholds": {b: _keyed(d) for b, d in report.thresholds.items()},
         "pass_fractions": {b: _keyed(d) for b, d in report.pass_fractions.items()}}
@@ -261,15 +265,14 @@ def _run_ordertest(o: dict) -> dict[str, Path]:
     for battery, largest in (("ks_first_vs_second", 1.0), ("chi_square", 0.0 if report.df == 0 else np.inf),
                              ("ks_vs_empirical", 1.0)):
         _note_vacuous("ordertest", battery, report.thresholds[battery], largest)
-    first = report.levels[0]
-    fractions = " ".join(f"{b}={d[first]:.3f}" for b, d in report.pass_fractions.items())
-    click.echo(f"ordertest: replicates={report.replicates} pass@{first:g}: {fractions}")
+    fractions = " ".join(f"{b}={d[levels[0]]:.3f}" for b, d in report.pass_fractions.items())
+    click.echo(f"ordertest: replicates={o['replicates']} pass@{levels[0]:g}: {fractions}")
     return outputs
 
 
 def _run_mcmc(o: dict) -> dict[str, Path]:
     """Run the seeded convergence study; write convergence_report.json."""
-    out, seed = o["output_dir"], o["seed"]
+    out, seed, levels = o["output_dir"], o["seed"], o["levels"]
     params = _params(o)
     f = target_distribution(params, o["rbar"])
     # Without a reference file, i.i.d. draws from the target itself, on a substream far above any run index.
@@ -283,19 +286,19 @@ def _run_mcmc(o: dict) -> dict[str, Path]:
     def save_samples(k, result):
         outputs[f"mh_samples_{k}.txt"] = persist.write_rank_sequence(out / f"mh_samples_{k}.txt", result.samples)
 
-    report = convergence_study(f, o["runs"], o["steps"], reference, seed, o["levels"], o["halve_alpha"],
+    report = convergence_study(f, o["runs"], o["steps"], reference, seed, levels, o["halve_alpha"],
                                on_run=save_samples if o.get("save_samples") else None)
-    config = {"stage": "mcmc", **vars(params), "r_bar": o["rbar"], "steps": o["steps"], "runs": o["runs"],
-              "seed": seed, **source, "levels": o["levels"], "halve_alpha": o["halve_alpha"]}
+    settings = {"runs": o["runs"], "seed": seed, "levels": levels, "halve_alpha": o["halve_alpha"]}
+    config = {"stage": "mcmc", **vars(params), "r_bar": o["rbar"], "steps": o["steps"], **settings, **source}
     thresholds = _keyed(report.thresholds)
     outputs["convergence_report.json"] = persist.write_json(out / "convergence_report.json", {
-        "stage": "mcmc", **vars(report), "config_hash": persist.config_hash(config), **source,
+        "stage": "mcmc", **settings, "n_steps": o["steps"], "reference_size": len(reference), **vars(report),
+        "config_hash": persist.config_hash(config), **source,
         "thresholds": thresholds, "pass_fraction": _keyed(report.pass_fraction)})
     outputs["ks_statistics.csv"] = _write_stat_table(
-        out / "ks_statistics.csv", "run", "ks_stat", report.ks_statistics, report.levels, thresholds)
+        out / "ks_statistics.csv", "run", "ks_stat", report.ks_statistics, levels, thresholds)
     _note_vacuous("mcmc", "ks", report.thresholds, 1.0)
-    first = report.levels[0]
-    click.echo(f"mcmc: runs={report.runs} steps={report.n_steps} pass@{first:g}={report.pass_fraction[first]:.3f}")
+    click.echo(f"mcmc: runs={o['runs']} steps={o['steps']} pass@{levels[0]:g}={report.pass_fraction[levels[0]]:.3f}")
     return outputs
 
 
@@ -321,8 +324,7 @@ def _run_report(o: dict) -> dict[str, Path]:
 
 class Stage(NamedTuple):
     """A subcommand.  ``run``, whose docstring is the help, takes the resolved options ``o``
-    (with ``corpus`` and ``output_dir``) and returns the files it wrote; within
-    ``pipeline``, extract leaves ``alphabet_size`` and fit leaves ``params`` in ``o``."""
+    (with ``corpus`` and ``output_dir``) and returns the files it wrote."""
 
     name: str
     run: Callable[[dict], dict[str, Path]]
@@ -342,19 +344,30 @@ STAGES = {s.name: s for s in (
 )}
 
 
+def _run(stage: Stage, o: dict, prefix: str = "") -> dict[str, Path]:
+    """Run ``stage`` on ``o``; any error it raises ends in an ``Error:`` line,
+    its message after ``prefix``."""
+    try:
+        return stage.run(o)
+    except Exception as exc:
+        message = (exc.message if isinstance(exc, click.ClickException)
+                   else f"missing field {exc}" if isinstance(exc, KeyError) else str(exc))
+        raise click.ClickException(prefix + message) from exc
+
+
 def _run_pipeline(o: dict) -> dict[str, Path]:
     """Run extract, fit, target, ordertest, mcmc and report in sequence."""
     config = {k: str(v) if isinstance(v, Path) else v for k, v in o.items() if k != "output_dir"}
     config_hash = persist.config_hash(config)
+    o = {**o, "fit_json": o["output_dir"] / "fit_report.json"}
     stages: dict[str, dict[str, str]] = {}
     for name in ("extract", "fit", "target", "ordertest", "mcmc", "report"):
-        try:
-            outputs = STAGES[name].run(o)
-        except click.ClickException:
-            raise
-        except Exception as exc:
-            raise click.ClickException(f"stage '{name}' failed: {exc}")
+        outputs = _run(STAGES[name], o, f"stage '{name}' failed: ")
         stages[name] = {fname: persist.sha256_file(path) for fname, path in sorted(outputs.items())}
+        if name == "extract":
+            alphabet_size = persist.read_json(outputs["extract_meta.json"])["alphabet_size"]
+            if o["rbar"] < alphabet_size:
+                raise click.ClickException(f"--rbar {o['rbar']} is below the observed alphabet size {alphabet_size}")
     manifest_path = persist.write_json(o["output_dir"] / "manifest.json", {
         "package": "hapaxchain", "version": __version__, "seed": o["seed"],
         "config_hash": config_hash, "config": config, "stages": stages})
@@ -373,10 +386,7 @@ def _command(stage: Stage) -> click.Command:
         o = {name: flags[name] if flags.get(name) is not None else _convert(name, cfg.get(name, OPTIONS[name].default))
              for name in stage.options}
         o.update(corpus=corpus, output_dir=output_dir)
-        try:
-            stage.run(o)
-        except (ValueError, RuntimeError, KeyError) as exc:
-            raise click.ClickException(f"missing field {exc}" if isinstance(exc, KeyError) else str(exc))
+        _run(stage, o)
 
     params = [click.Argument(["corpus"], type=EXISTING_DIR)] if stage.corpus else []
     params += [_option(name) for name in stage.options] + [

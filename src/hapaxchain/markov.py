@@ -13,13 +13,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Integral
 
 import numpy as np
 
 from .stats import (
     DEFAULT_LEVELS,
-    _tally,
     check_levels,
     child_seed,
     chi_square_gof,
@@ -70,14 +68,13 @@ class _TransitionRows:
     """Transition counts and probabilities as CSR rows over observed states.
 
     Row ``r`` keeps its non-zero entries at ``indptr[r]:indptr[r + 1]`` of
-    ``indices`` (next-state index), ``counts`` (None for a kernel given by
-    its probabilities) and ``probs`` (non-negative).
+    ``indices`` (next-state index), ``counts`` and ``probs`` (non-negative).
     """
 
     states: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
-    counts: np.ndarray | None
+    counts: np.ndarray
     probs: np.ndarray
 
     @property
@@ -280,8 +277,7 @@ def simulate_order2(
 
 @dataclass(frozen=True)
 class OrderTestReport:
-    """The battery's statistics, thresholds and pass fractions, and its
-    settings; ``seed`` is -1 when the master seed is not an integer."""
+    """The battery's statistics, thresholds and pass fractions, its chi-square df and replicate lengths."""
 
     ks_stats_first_vs_second: list[float]
     wmw_p_values: list[float]
@@ -292,18 +288,15 @@ class OrderTestReport:
     thresholds: dict[str, dict[float, float]]
     pass_fractions: dict[str, dict[float, float]]
     df: int
-    replicates: int
     len1: int
     len2: int
-    seed: int
-    levels: tuple[float, ...]
-    halve_alpha: bool
 
 
 def _indicators_of(values: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
-    """The count of each of ``states`` in ``values``, a sequence over them,
-    and the sequence's indicators."""
-    counts = _tally(states, values)[1][1]
+    """The count of each of ``states`` in ``values``, a sequence over them
+    (each distinct value looked up once), and the sequence's indicators."""
+    seen, seen_counts = np.unique(values, return_counts=True)
+    counts = np.bincount(np.searchsorted(states, seen), weights=seen_counts, minlength=states.size)
     d = descriptive_stats(values)
     return counts, {"mean": d.mean, "std_dev": d.std_dev, "kurtosis": d.kurtosis, "skewness": d.skewness,
                     "entropy": shannon_entropy(counts)}
@@ -378,10 +371,6 @@ def order_test(seq, replicates: int = 100, len1: int | None = None, len2: int | 
             "ks_vs_empirical": pass_fractions(ks_emp, thresholds["ks_vs_empirical"]),
         },
         df=df,
-        replicates=replicates,
         len1=len1,
         len2=len2,
-        seed=int(seed) if isinstance(seed, Integral) else -1,
-        levels=levels,
-        halve_alpha=halve_alpha,
     )

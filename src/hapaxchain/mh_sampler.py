@@ -10,7 +10,6 @@ each to a reference sample with the KS statistic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -33,7 +32,6 @@ class MHRunResult:
 
     samples: np.ndarray
     accepted: int
-    acceptance_rate: float
 
 
 def run_chain(f: TargetDistribution, n_steps: int, seed=0, initial_state: int | None = None) -> MHRunResult:
@@ -77,8 +75,7 @@ def run_chain(f: TargetDistribution, n_steps: int, seed=0, initial_state: int | 
     # A rejected step never stays on its proposal: proposing the current
     # state is always accepted, as u * F_x <= F_x.
     accepted = int(np.count_nonzero(out[1:] == proposals))
-    rate = accepted / (n_steps - 1) if n_steps > 1 else 1.0
-    return MHRunResult(samples=out + 1, accepted=accepted, acceptance_rate=rate)
+    return MHRunResult(samples=out + 1, accepted=accepted)
 
 
 def iid_sample(f: TargetDistribution, size: int, seed) -> np.ndarray:
@@ -91,18 +88,11 @@ def iid_sample(f: TargetDistribution, size: int, seed) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """KS statistics of many chains against a reference sample; ``seed``
-    is -1 when the master seed is not an integer."""
+    """KS statistics of many chains against a reference sample, and their thresholds and pass fractions."""
 
     ks_statistics: list[float]
     thresholds: dict[float, float]
     pass_fraction: dict[float, float]
-    runs: int
-    n_steps: int
-    reference_size: int
-    seed: int
-    levels: tuple[float, ...]
-    halve_alpha: bool
 
 
 def convergence_study(f: TargetDistribution, runs: int, n_steps: int, reference, seed=0, levels=DEFAULT_LEVELS,
@@ -131,14 +121,5 @@ def convergence_study(f: TargetDistribution, runs: int, n_steps: int, reference,
             on_run(k, result)
 
     thresholds = {lv: ks_threshold(lv, n_steps, reference.size, halve_alpha) for lv in levels}
-    return ConvergenceReport(
-        ks_statistics=ks_stats,
-        thresholds=thresholds,
-        pass_fraction=pass_fractions(ks_stats, thresholds),
-        runs=runs,
-        n_steps=n_steps,
-        reference_size=int(reference.size),
-        seed=int(seed) if isinstance(seed, Integral) else -1,
-        levels=levels,
-        halve_alpha=halve_alpha,
-    )
+    return ConvergenceReport(ks_statistics=ks_stats, thresholds=thresholds,
+                             pass_fraction=pass_fractions(ks_stats, thresholds))

@@ -115,7 +115,6 @@ def target_distribution(params: ZMParams, r_bar: int) -> TargetDistribution:
     if r_bar < 1:
         raise ValueError(f"r_bar must be >= 1, got {r_bar}")
     f = zm_eval(params, np.arange(1, r_bar + 1))
-    f = np.atleast_1d(np.asarray(f, dtype=float))
     total = f.sum()
     if not math.isfinite(total) or total <= 0:
         raise ValueError("normalizer of the target distribution underflowed")

@@ -20,12 +20,14 @@ from hapaxchain.markov import TransitionMatrix1
 
 def from_dense(states, probs) -> TransitionMatrix1:
     """Kernel given by a dense ``n x n`` probability table; its non-zero
-    entries become the rows, and the initial state is drawn uniformly."""
+    entries become the rows, each with count 0 as no transition was
+    observed, and the initial state is drawn uniformly."""
     probs = np.asarray(probs, dtype=float)
     n = len(probs)
     rows, indices = np.nonzero(probs)
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-    return TransitionMatrix1(np.asarray(states), indptr, indices, None, probs[rows, indices], np.full(n, 1.0 / n))
+    return TransitionMatrix1(np.asarray(states), indptr, indices, np.zeros(rows.size, dtype=np.int64),
+                             probs[rows, indices], np.full(n, 1.0 / n))
 
 
 @dataclass(frozen=True)

@@ -42,8 +42,7 @@ def run_chain(f, n_steps: int, seed=0, initial_state: int | None = None) -> MHRu
                 current = j
                 accepted += 1
             out[t] = current
-    rate = accepted / (n - 1) if n > 1 else 1.0
-    return MHRunResult(samples=out + 1, accepted=accepted, acceptance_rate=rate)
+    return MHRunResult(samples=out + 1, accepted=accepted)
 
 
 def acceptance_prob(f, i: int, j: int) -> float:

@@ -261,6 +261,21 @@ def test_target_requires_params(runner, tmp_path):
     assert "--fit-json" in result.output
 
 
+@pytest.mark.parametrize("report", [{"params": [1, 2, 3]}, {"params": {"alpha": "x", "beta": 0, "gamma": 1}},
+                                    {"params": {"alpha": True, "beta": 0, "gamma": 1}}, {"rss": 0.5}, [1]])
+@pytest.mark.parametrize("command", ["target", "mcmc"])
+def test_malformed_fit_json_names_the_file(runner, tmp_path, command, report):
+    fit_json = tmp_path / "fit_report.json"
+    fit_json.write_text(json.dumps(report), encoding="utf-8")
+    steps = ["--steps", "100", "--runs", "1"] if command == "mcmc" else []
+    result = runner.invoke(main, [command, "--fit-json", str(fit_json), "--rbar", "5", *steps,
+                                  "--output-dir", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # a ClickException, not a traceback
+    assert result.output.startswith(f"Error: {fit_json}: ")
+    assert not (tmp_path / "out").exists()
+
+
 # --------------------------------------------------------------- ordertest
 
 
@@ -489,6 +504,21 @@ def test_option_defaults_equal_the_library_defaults():
         assert option == library, name
 
 
+def test_reports_record_the_seed_flag(runner, tmp_path):
+    write_sequence_file(tmp_path)
+    out = tmp_path / "out"
+    for argv in (["ordertest", "--input", str(tmp_path / "rank_sequence.txt"), "--replicates", "2",
+                  "--len1", "300", "--len2", "300"],
+                 ["mcmc", "--alpha", "1.0", "--beta", "0", "--gamma", "1.0", "--rbar", "5", "--steps", "300",
+                  "--runs", "2", "--reference-size", "100"]):
+        result = runner.invoke(main, [*argv, "--seed", "23", "--output-dir", str(out)])
+        assert result.exit_code == 0, result.output
+    for name in ("order_test_report.json", "convergence_report.json"):
+        payload = json.loads(read(out / name))
+        assert payload["seed"] == 23 and type(payload["seed"]) is int, name
+        assert payload["levels"] == [0.05, 0.01, 0.001] and payload["halve_alpha"] is True, name
+
+
 def test_seed_flag_must_be_non_negative(runner, tmp_path):
     result = runner.invoke(
         main, ["mcmc", "--alpha", "1.0", "--beta", "0", "--gamma", "1.0", "--rbar", "5", "--steps", "100",
@@ -561,6 +591,8 @@ def test_pipeline_rejects_small_rbar(runner, rich_corpus_dir, tmp_path):
     )
     assert result.exit_code != 0
     assert "alphabet size" in result.output
+    assert (tmp_path / "o" / "extract_meta.json").is_file()  # checked right after extract
+    assert not (tmp_path / "o" / "fit_report.json").exists()
 
 
 def test_pipeline_names_failing_stage(runner, tmp_path):
@@ -575,6 +607,11 @@ def test_pipeline_names_failing_stage(runner, tmp_path):
     )
     assert result.exit_code != 0
     assert "stage 'fit' failed" in result.output
+    # Standalone, the same stage fails with the same message, without the stage prefix.
+    alone = runner.invoke(main, ["fit", "--input", str(tmp_path / "o" / "hapax_table.csv"),
+                                 "--output-dir", str(tmp_path / "o")])
+    assert alone.exit_code == 1 and isinstance(alone.exception, SystemExit)
+    assert result.output.replace("stage 'fit' failed: ", "").endswith(alone.output)
 
 
 # ------------------------------------------------------- options and config

@@ -69,7 +69,7 @@ def test_chain_single_state():
     f = target(1.0)
     result = run_chain(f, n_steps=100, seed=0)
     assert np.all(result.samples == 1)
-    assert result.acceptance_rate == 1.0
+    assert result.accepted / (100 - 1) == 1.0
 
 
 def test_chain_seed_determinism():
@@ -106,8 +106,7 @@ def test_chain_frequencies_match_target():
 def test_chain_acceptance_rate_matches_exact_mean():
     f = target_distribution(REFERENCE_PARAMS, 300)
     result = run_chain(f, n_steps=100_000, seed=5)
-    assert result.acceptance_rate == pytest.approx(mean_acceptance_exact(f), abs=0.01)
-    assert result.acceptance_rate == result.accepted / (100_000 - 1)
+    assert result.accepted / (100_000 - 1) == pytest.approx(mean_acceptance_exact(f), abs=0.01)
 
 
 @pytest.mark.parametrize("n_steps", [1, 2, 1000])
@@ -135,7 +134,6 @@ def assert_same_chain(f, **chain):
     assert np.array_equal(fast.samples, slow.samples)
     assert fast.samples.dtype == slow.samples.dtype
     assert fast.accepted == slow.accepted
-    assert fast.acceptance_rate == slow.acceptance_rate
 
 
 chain_configs = st.fixed_dictionaries(
@@ -303,15 +301,18 @@ def test_study_hands_each_run_to_callback():
 def test_study_records_integral_seeds():
     f = target(0.5, 0.3, 0.2)
     report = convergence_study(f, 2, 500, [1, 2, 3], seed=np.int64(7))
-    assert report.seed == 7 and type(report.seed) is int
     assert report == convergence_study(f, 2, 500, [1, 2, 3], seed=7)
-    assert convergence_study(f, 2, 500, [1, 2, 3], seed=[7, 8]).seed == -1
+    # A sequence of integers is a master seed too: run k draws from its child k.
+    seen = []
+    convergence_study(f, 2, 500, [1, 2, 3], seed=[7, 8], on_run=lambda k, r: seen.append(r))
+    for k, result in enumerate(seen):
+        alone = run_chain(f, n_steps=500, seed=np.random.SeedSequence([7, 8], spawn_key=(k,)))
+        assert np.array_equal(result.samples, alone.samples)
 
 
 def test_study_takes_a_seed_sequence_as_master_seed():
     f = target(0.5, 0.3, 0.2)
     report = convergence_study(f, 2, 500, [1, 2, 3], seed=np.random.SeedSequence(7))
-    assert report.seed == -1
     assert report.ks_statistics == convergence_study(f, 2, 500, [1, 2, 3], seed=7).ks_statistics
     # A spawned sequence hands run k the stream of its child k.
     master = np.random.SeedSequence(7).spawn(3)[2]
