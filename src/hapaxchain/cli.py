@@ -130,6 +130,14 @@ def _file_id(path: Path, key: str = "input") -> dict:
     return {key: path.name, f"{key}_sha256": persist.sha256_file(path)}
 
 
+def _corpus_id(o: dict) -> dict:
+    """The corpus by content, as ``_file_id`` gives a file: one SHA-256 over the name and
+    SHA-256 of each document, in reading order, and the manifest file, if any."""
+    docs = [[p.name, persist.sha256_file(p)] for p in corpus_mod.document_paths(o["corpus"], o["manifest"])]
+    manifest = _file_id(o["manifest"], "manifest") if o["manifest"] else {"manifest": None}
+    return {"corpus_sha256": persist.config_hash({"documents": docs}), **manifest}
+
+
 def _write_meta(out: Path, stage: str, config: dict, fields: dict, paths) -> Path:
     return persist.write_json(out / f"{stage}_meta.json", {
         "stage": stage, "seed": None, "config_hash": persist.config_hash({"stage": stage, **config}),
@@ -195,16 +203,15 @@ def _params(o: dict) -> ZMParams:
 
 def _run_extract(o: dict) -> dict[str, Path]:
     """Extract hapaxes: write hapax_table.csv and rank_sequence.txt."""
-    out, manifest = o["output_dir"], o["manifest"]
-    docs = corpus_mod.load_documents(o["corpus"], manifest)
+    out = o["output_dir"]
+    docs = corpus_mod.load_documents(o["corpus"], o["manifest"])
     table = corpus_mod.build_hapax_table(docs)
     seq = corpus_mod.build_rank_sequence(docs, table)
     counts = {"documents": len(docs), "hapaxes": len(table.words), "occurrences": table.total_occurrences,
               "alphabet_size": table.alphabet_size}
     outputs = {"hapax_table.csv": persist.write_hapax_table(out / "hapax_table.csv", table),
                "rank_sequence.txt": persist.write_rank_sequence(out / "rank_sequence.txt", seq)}
-    config = {"input_dir": str(o["corpus"]), "manifest": str(manifest) if manifest else None}
-    outputs["extract_meta.json"] = _write_meta(out, "extract", config, counts, outputs.values())
+    outputs["extract_meta.json"] = _write_meta(out, "extract", _corpus_id(o), counts, outputs.values())
     click.echo("extract: " + " ".join(f"{k}={v}" for k, v in counts.items()))
     return outputs
 
@@ -217,7 +224,7 @@ def _run_sequence(o: dict) -> dict[str, Path]:
     table = persist.read_hapax_table(table_path)
     seq = corpus_mod.build_rank_sequence(docs, table)
     seq_path = persist.write_rank_sequence(out / "rank_sequence.txt", seq)
-    meta_path = _write_meta(out, "sequence", {"input_dir": str(o["corpus"]), **_file_id(table_path, "table")},
+    meta_path = _write_meta(out, "sequence", {**_corpus_id(o), **_file_id(table_path, "table")},
                             {"length": len(seq)}, (seq_path,))
     click.echo(f"sequence: length={len(seq)} alphabet_size={table.alphabet_size}")
     return {"rank_sequence.txt": seq_path, "sequence_meta.json": meta_path}
@@ -357,17 +364,17 @@ def _run(stage: Stage, o: dict, prefix: str = "") -> dict[str, Path]:
 
 def _run_pipeline(o: dict) -> dict[str, Path]:
     """Run extract, fit, target, ordertest, mcmc and report in sequence."""
-    config = {k: str(v) if isinstance(v, Path) else v for k, v in o.items() if k != "output_dir"}
-    config_hash = persist.config_hash(config)
-    o = {**o, "fit_json": o["output_dir"] / "fit_report.json"}
     stages: dict[str, dict[str, str]] = {}
+    staged = {**o, "fit_json": o["output_dir"] / "fit_report.json"}
     for name in ("extract", "fit", "target", "ordertest", "mcmc", "report"):
-        outputs = _run(STAGES[name], o, f"stage '{name}' failed: ")
+        outputs = _run(STAGES[name], staged, f"stage '{name}' failed: ")
         stages[name] = {fname: persist.sha256_file(path) for fname, path in sorted(outputs.items())}
         if name == "extract":
             alphabet_size = persist.read_json(outputs["extract_meta.json"])["alphabet_size"]
             if o["rbar"] < alphabet_size:
                 raise click.ClickException(f"--rbar {o['rbar']} is below the observed alphabet size {alphabet_size}")
+    config = {**{k: v for k, v in o.items() if k not in ("corpus", "manifest", "output_dir")}, **_corpus_id(o)}
+    config_hash = persist.config_hash(config)
     manifest_path = persist.write_json(o["output_dir"] / "manifest.json", {
         "package": "hapaxchain", "version": __version__, "seed": o["seed"],
         "config_hash": config_hash, "config": config, "stages": stages})

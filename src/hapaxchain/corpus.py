@@ -29,6 +29,7 @@ __all__ = [
     "extract_document_hapaxes",
     "build_hapax_table",
     "build_rank_sequence",
+    "document_paths",
     "load_documents",
 ]
 
@@ -141,12 +142,10 @@ def build_rank_sequence(corpus: list[Document], table: HapaxTable) -> np.ndarray
     return np.array(out, dtype=np.int64)
 
 
-def load_documents(input_dir: str | Path, manifest: str | Path | None = None) -> list[Document]:
-    """Read UTF-8 ``.txt`` documents from a directory and list each one's hapaxes.
-
-    The list's (chronological) order is the manifest file order when
-    given (one file name per line), otherwise lexicographic file-name order.
-    """
+def document_paths(input_dir: str | Path, manifest: str | Path | None = None) -> list[Path]:
+    """The documents of a directory in (chronological) order: the manifest
+    file order when given (one file name per line), otherwise the ``.txt``
+    files in lexicographic file-name order."""
     root = Path(input_dir)
     if not root.is_dir():
         raise IngestionError(f"input directory not found: {root}")
@@ -160,9 +159,13 @@ def load_documents(input_dir: str | Path, manifest: str | Path | None = None) ->
         paths = sorted(root.glob("*.txt"), key=lambda p: p.name)
     if not paths:
         raise IngestionError(f"no documents found in {root}")
+    return paths
 
+
+def load_documents(input_dir: str | Path, manifest: str | Path | None = None) -> list[Document]:
+    """Read the UTF-8 documents of :func:`document_paths`, in its order, and list each one's hapaxes."""
     docs = []
-    for path in paths:
+    for path in document_paths(input_dir, manifest):
         try:
             text = path.read_text(encoding="utf-8", errors="strict")
         except UnicodeDecodeError as exc:

@@ -81,12 +81,6 @@ class _TransitionRows:
     def n_states(self) -> int:
         return int(self.states.size)
 
-    def state_index(self, state: int) -> int:
-        idx = int(np.searchsorted(self.states, state))
-        if idx >= self.states.size or self.states[idx] != state:
-            raise ValueError(f"state {state} not in transition matrix")
-        return idx
-
     @cached_property
     def cum(self) -> np.ndarray:
         """Running sum of each row's probabilities, built on first use."""
@@ -96,7 +90,7 @@ class _TransitionRows:
 @dataclass(frozen=True)
 class TransitionMatrix1(_TransitionRows):
     """Row-stochastic first-order matrix; row ``i`` belongs to state index
-    ``i``.  ``marginal`` draws the initial state when none is supplied."""
+    ``i``.  ``marginal`` draws the first state."""
 
     marginal: np.ndarray
 
@@ -143,15 +137,13 @@ class TransitionMatrix2(_TransitionRows):
         )
 
 
-def _count_pairs(values: np.ndarray, with_rows: bool = False):
+def _count_pairs(values: np.ndarray):
     """The one counting pass over a sequence: its sorted distinct
     ``states``, the state index ``idx`` of each observation, the sorted
-    codes ``i * n + j`` of the observed transitions ``pair_codes`` with
-    their ``pair_counts`` and, ``with_rows``, the row in ``pair_codes`` of
-    each step (None otherwise: only order 2 reads it)."""
+    codes ``i * n + j`` of the observed transitions ``pair_codes``, the
+    row in ``pair_codes`` of each step, and the ``pair_counts``."""
     states, idx = np.unique(values, return_inverse=True)
-    pairs = np.unique(idx[:-1] * states.size + idx[1:], return_inverse=with_rows, return_counts=True)
-    return states, idx, pairs[0], pairs[-1], pairs[1] if with_rows else None
+    return states, idx, *np.unique(idx[:-1] * states.size + idx[1:], return_inverse=True, return_counts=True)
 
 
 def _count_rows(codes: np.ndarray, counts: np.ndarray, n_rows: int, n_states: int):
@@ -165,7 +157,7 @@ def _count_rows(codes: np.ndarray, counts: np.ndarray, n_rows: int, n_states: in
 
 def _order1(counted) -> TransitionMatrix1:
     """First-order matrix of a sequence counted by :func:`_count_pairs`."""
-    states, idx, pair_codes, pair_counts, _ = counted
+    states, idx, pair_codes, _, pair_counts = counted
     n = states.size
     indptr, indices, counts, probs = _count_rows(pair_codes, pair_counts, n, n)
     empty = np.diff(indptr) == 0
@@ -202,7 +194,7 @@ def estimate_order2(seq) -> TransitionMatrix2:
     values = np.asarray(seq, dtype=np.int64)
     if values.size < 3:
         raise ValueError(f"need a sequence of length >= 3, got {values.size}")
-    states, idx, pair_codes, pair_counts, pair_rows = counted = _count_pairs(values, with_rows=True)
+    states, idx, pair_codes, pair_rows, pair_counts = counted = _count_pairs(values)
     n = states.size
     codes, counts = np.unique(pair_rows[:-1] * n + idx[2:], return_counts=True)
     return TransitionMatrix2(
@@ -214,21 +206,17 @@ def estimate_order2(seq) -> TransitionMatrix2:
     )
 
 
-def simulate_order1(tm: TransitionMatrix1, length: int, seed, initial: int | None = None) -> np.ndarray:
+def simulate_order1(tm: TransitionMatrix1, length: int, seed) -> np.ndarray:
     """Sample a seeded realization of the chain: ``length`` states.
 
-    The initial state is drawn from ``tm.marginal`` unless supplied
-    explicitly.  Each step takes the first non-zero column whose
-    cumulative probability exceeds a uniform draw (the last state if the
-    row's sum falls short of it).
+    The first state is drawn from ``tm.marginal``.  Each step takes the
+    first non-zero column whose cumulative probability exceeds a uniform
+    draw (the last state if the row's sum falls short of it).
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     rng = np.random.default_rng(seed)
-    if initial is not None:
-        current = tm.state_index(initial)
-    else:
-        current = int(rng.choice(tm.n_states, p=tm.marginal))
+    current = int(rng.choice(tm.n_states, p=tm.marginal))
     path = [current]
     if length > 1:
         cum, columns = tm._walk
@@ -238,29 +226,19 @@ def simulate_order1(tm: TransitionMatrix1, length: int, seed, initial: int | Non
     return tm.states[path]
 
 
-def simulate_order2(
-    tm: TransitionMatrix2, length: int, seed, initial_pair: tuple[int, int] | None = None
-) -> np.ndarray:
+def simulate_order2(tm: TransitionMatrix2, length: int, seed) -> np.ndarray:
     """Sample a seeded realization driven by the last two states: ``length`` states.
 
-    The initial pair is drawn from the empirical pair distribution when
-    not supplied.  Unobserved (or continuation-free) pairs fall back to
-    the first-order row of the current state.  Steps draw as in
+    The first pair is drawn from the empirical pair distribution
+    ``tm.pair_marginal``.  Unobserved (or continuation-free) pairs fall
+    back to the first-order row of the current state.  Steps draw as in
     :func:`simulate_order1`.
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     rng = np.random.default_rng(seed)
     n = tm.n_states
-    if initial_pair is not None:
-        try:
-            prev, current = (tm.state_index(int(s)) for s in initial_pair)
-        except ValueError:
-            raise ValueError(f"initial pair {initial_pair} contains an unknown state") from None
-    else:
-        code = int(tm.pair_codes[rng.choice(tm.pair_codes.size, p=tm.pair_marginal)])
-        prev, current = divmod(code, n)
-
+    prev, current = divmod(int(tm.pair_codes[rng.choice(tm.pair_codes.size, p=tm.pair_marginal)]), n)
     path = [prev, current]
     if length > 2:
         row_of, indptr, indices, cum = tm._walk

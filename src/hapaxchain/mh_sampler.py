@@ -34,12 +34,12 @@ class MHRunResult:
     accepted: int
 
 
-def run_chain(f: TargetDistribution, n_steps: int, seed=0, initial_state: int | None = None) -> MHRunResult:
+def run_chain(f: TargetDistribution, n_steps: int, seed=0) -> MHRunResult:
     """Generate ``n_steps`` states of the chain.
 
-    The start is ``initial_state`` or a seeded uniform draw over the
-    rank set; each step proposes j uniformly, draws u on [0, 1) and
-    accepts when u <= min(1, F_j / F_x).  No burn-in is discarded.
+    The start is a seeded uniform draw over the rank set; each step
+    proposes j uniformly, draws u on [0, 1) and accepts when
+    u <= min(1, F_j / F_x).  No burn-in is discarded.
 
     All proposals are drawn in one call, then all uniforms in one.  Since
     rounding is monotone, u * F_x <= u * max(F) for every state x, so a
@@ -52,13 +52,7 @@ def run_chain(f: TargetDistribution, n_steps: int, seed=0, initial_state: int | 
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     r_bar = f.r_bar
     rng = np.random.default_rng(seed)
-    if initial_state is not None:
-        if not 1 <= initial_state <= r_bar:
-            raise ValueError(f"initial state {initial_state} outside 1..{r_bar}")
-        current = initial_state - 1
-    else:
-        current = int(rng.integers(0, r_bar))
-
+    current = int(rng.integers(0, r_bar))
     proposals = rng.integers(0, r_bar, size=n_steps - 1)
     us = np.empty(n_steps)  # us[t] decides the step to state t
     rng.random(n_steps - 1, out=us[1:])

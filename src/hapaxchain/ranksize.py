@@ -6,7 +6,9 @@ and beta > -1, so f is defined, positive and strictly decreasing on
 r >= 1.  Fitting minimizes the untransformed residual sum of squares
 with a damped Gauss-Newton (Levenberg-Marquardt) iteration; the free
 parameters live in an internal log space (log alpha, log(1+beta),
-log gamma) which keeps every iterate inside the valid domain.
+log gamma) which keeps every iterate inside the valid domain, up to
+rounding: a fit that ends with 1 + beta too small to give beta > -1 has
+reached the beta = -1 boundary, and is an error.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ __all__ = [
 PARAM_NAMES = ("alpha", "beta", "gamma")
 
 # Fit settings: iteration cap, relative rss improvement that stops the
-# iteration, initial damping, and the factor damping grows or shrinks by.
+# iteration, starting damping, and the factor damping grows or shrinks by.
 MAX_ITER = 500
 REL_TOL = 1e-10
 DAMPING_INIT = 1e-3
@@ -173,8 +175,9 @@ def fit_zm(points, level: float = 0.95) -> FitResult:
     ranks and positive sizes.  Returns a :class:`FitResult` whose
     confidence intervals are Student-t based at ``level``.  Degenerate
     data that leaves parameters unidentifiable yields a result flagged
-    ``ill_conditioned`` with NaN intervals; exhausting the iteration cap
-    raises :class:`FitConvergenceError` carrying the best point so far.
+    ``ill_conditioned`` with NaN intervals; ending on the beta = -1
+    boundary raises :class:`ParameterDomainError`, and exhausting the
+    iteration cap :class:`FitConvergenceError` carrying the best point so far.
     """
     pts = np.asarray(list(points), dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -235,6 +238,9 @@ def fit_zm(points, level: float = 0.95) -> FitResult:
             converged = True
             break
 
+    if math.exp(theta[1]) - 1.0 <= -1.0:
+        raise ParameterDomainError(f"the fit reached the beta = -1 boundary: 1 + beta = {math.exp(theta[1]):.3g} "
+                                   f"on {ranks.size} points")
     params = _theta_to_params(theta)
     if not converged:
         raise FitConvergenceError(

@@ -1,3 +1,6 @@
+import functools
+
+import numpy as np
 import pytest
 
 
@@ -29,3 +32,26 @@ def rich_corpus_dir(tmp_path):
             " ".join(words + ["filler", "filler"]), encoding="utf-8"
         )
     return corpus
+
+
+@pytest.fixture(scope="session")
+def long_document_points():
+    """``points(seed)``: the (ordinal rank, hapax frequency) fit points of a
+    generated corpus of few long documents, 500 x 1 700 Zipf(1) tokens over
+    300 000 words.  The fit drives this shape towards beta = -1."""
+
+    @functools.cache
+    def points(seed):
+        rng = np.random.default_rng(seed)
+        vocab = 300_000
+        weights = 1.0 / np.arange(1, vocab + 1)
+        ids = rng.choice(vocab, size=(500, 1_700), p=weights / weights.sum())
+        hapaxes = []
+        for doc in ids:
+            words, counts = np.unique(doc, return_counts=True)
+            hapaxes.append(words[counts == 1])
+        freq = np.bincount(np.concatenate(hapaxes), minlength=vocab)
+        sizes = np.sort(freq[freq > 0])[::-1]
+        return np.column_stack((np.arange(1, sizes.size + 1), sizes))
+
+    return points

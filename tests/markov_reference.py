@@ -21,7 +21,7 @@ from hapaxchain.markov import TransitionMatrix1
 def from_dense(states, probs) -> TransitionMatrix1:
     """Kernel given by a dense ``n x n`` probability table; its non-zero
     entries become the rows, each with count 0 as no transition was
-    observed, and the initial state is drawn uniformly."""
+    observed, and the first state is drawn uniformly."""
     probs = np.asarray(probs, dtype=float)
     n = len(probs)
     rows, indices = np.nonzero(probs)
@@ -40,12 +40,6 @@ class DenseTransitionMatrix1:
     @property
     def n_states(self) -> int:
         return int(self.states.size)
-
-    def state_index(self, state: int) -> int:
-        idx = int(np.searchsorted(self.states, state))
-        if idx >= self.states.size or self.states[idx] != state:
-            raise ValueError(f"state {state} not in transition matrix")
-        return idx
 
 
 @dataclass(frozen=True)
@@ -115,14 +109,11 @@ def _cumulative_rows(probs: np.ndarray) -> list[list[float]]:
     return [row.cumsum().tolist() for row in probs]
 
 
-def simulate_order1(tm: DenseTransitionMatrix1, length: int, seed, initial: int | None = None) -> np.ndarray:
+def simulate_order1(tm: DenseTransitionMatrix1, length: int, seed) -> np.ndarray:
     rng = np.random.default_rng(seed)
     n = tm.n_states
-    if initial is not None:
-        current = tm.state_index(initial)
-    else:
-        weights = tm.marginal if tm.marginal is not None else np.full(n, 1.0 / n)
-        current = int(rng.choice(n, p=weights))
+    weights = tm.marginal if tm.marginal is not None else np.full(n, 1.0 / n)
+    current = int(rng.choice(n, p=weights))
     out = np.empty(length, dtype=np.int64)
     out[0] = current
     if length > 1:
@@ -136,18 +127,13 @@ def simulate_order1(tm: DenseTransitionMatrix1, length: int, seed, initial: int 
     return tm.states[out]
 
 
-def simulate_order2(
-    tm: DenseTransitionMatrix2, length: int, seed, initial_pair: tuple[int, int] | None = None
-) -> np.ndarray:
+def simulate_order2(tm: DenseTransitionMatrix2, length: int, seed) -> np.ndarray:
     rng = np.random.default_rng(seed)
     n = tm.n_states
     state_pos = {int(s): i for i, s in enumerate(tm.states)}
-    if initial_pair is not None:
-        prev, current = (state_pos[int(s)] for s in initial_pair)
-    else:
-        pairs = list(tm.pair_index.keys())
-        pick = pairs[int(rng.choice(len(pairs), p=tm.pair_marginal))]
-        prev, current = state_pos[pick[0]], state_pos[pick[1]]
+    pairs = list(tm.pair_index.keys())
+    pick = pairs[int(rng.choice(len(pairs), p=tm.pair_marginal))]
+    prev, current = state_pos[pick[0]], state_pos[pick[1]]
 
     out = np.empty(length, dtype=np.int64)
     out[0] = prev

@@ -18,15 +18,10 @@ import numpy as np
 from hapaxchain.mh_sampler import MHRunResult
 
 
-def run_chain(f, n_steps: int, seed=0, initial_state: int | None = None) -> MHRunResult:
+def run_chain(f, n_steps: int, seed=0) -> MHRunResult:
     r_bar = f.r_bar
     rng = np.random.default_rng(seed)
-    if initial_state is not None:
-        if not 1 <= initial_state <= r_bar:
-            raise ValueError(f"initial state {initial_state} outside 1..{r_bar}")
-        current = initial_state - 1
-    else:
-        current = int(rng.integers(0, r_bar))
+    current = int(rng.integers(0, r_bar))
 
     n = n_steps
     out = np.empty(n, dtype=np.int64)

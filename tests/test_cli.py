@@ -4,6 +4,8 @@ import hashlib
 import inspect
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -192,6 +194,17 @@ def test_fit_names_malformed_rank_size_line(runner, tmp_path, row):
     assert result.exit_code != 0
     assert f"Error: {csv_path}, line 3: not a row of rank,size: '{row}'" in result.output
     assert "Traceback" not in result.output
+
+
+def test_fit_on_the_beta_boundary_ends_in_an_error(runner, long_document_points, tmp_path):
+    csv_path = tmp_path / "points.csv"
+    points = long_document_points(2)
+    write_csv(csv_path, ["rank", "size"], points.tolist())
+    result = runner.invoke(main, ["fit", "--input", str(csv_path), "--output-dir", str(tmp_path / "out")])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert re.fullmatch(rf"Error: the fit reached the beta = -1 boundary: 1 \+ beta = \S+ on {len(points)} points\n",
+                        result.output)
+    assert not (tmp_path / "out" / "fit_report.json").exists()
 
 
 def test_fit_rejects_inconsistent_hapax_table(runner, tmp_path):
@@ -757,9 +770,15 @@ def test_report_figures_share_the_stage_table_writers(runner, rich_corpus_dir, t
 
 
 def test_pipeline_output_is_independent_of_output_dir(runner, rich_corpus_dir, tmp_path):
-    for name in ("a", "deeper/b"):
-        args = ["pipeline", str(rich_corpus_dir), "--output-dir", str(tmp_path / name), *PIPELINE_ARGS]
+    # The second run reads a copy of the corpus, and of its manifest, at another path.
+    copy = shutil.copytree(rich_corpus_dir, tmp_path / "elsewhere" / "corpus")
+    for corpus in (rich_corpus_dir, copy):
+        (corpus.parent / "order.txt").write_text("\n".join(sorted(p.name for p in corpus.iterdir())), encoding="utf-8")
+    for corpus, name in ((rich_corpus_dir, "a"), (copy, "deeper/b")):
+        args = ["pipeline", str(corpus), "--manifest", str(corpus.parent / "order.txt"),
+                "--output-dir", str(tmp_path / name), *PIPELINE_ARGS]
         assert runner.invoke(main, args).exit_code == 0
     assert snapshot(tmp_path / "a") == snapshot(tmp_path / "deeper" / "b")
     manifest = json.loads(read(tmp_path / "a" / "manifest.json"))
     assert "output_dir" not in manifest["config"]
+    assert str(tmp_path) not in read(tmp_path / "a" / "manifest.json") + read(tmp_path / "a" / "extract_meta.json")

@@ -33,15 +33,38 @@ def densify(tm, field="probs"):
     return dense
 
 
+def index(tm, state):
+    """Index of ``state``, one of ``tm.states``."""
+    i = int(np.searchsorted(tm.states, state))
+    assert tm.states[i] == state
+    return i
+
+
 def row(tm, i, j):
-    return densify(tm)[tm.state_index(i), tm.state_index(j)]
+    return densify(tm)[index(tm, i), index(tm, j)]
 
 
 def pair_row(tm, i, j):
     """Row of the order-2 matrix for the observed state pair (i, j), or None."""
-    code = tm.fallback.state_index(i) * tm.n_states + tm.fallback.state_index(j)
+    code = index(tm, i) * tm.n_states + index(tm, j)
     r = int(np.searchsorted(tm.pair_codes, code))
     return r if r < tm.pair_codes.size and tm.pair_codes[r] == code else None
+
+
+def one_hot(size, at):
+    law = np.zeros(size)
+    law[at] = 1.0
+    return law
+
+
+def start_at(tm, state):
+    """Order-1 ``tm`` (CSR or dense) whose first state is always ``state``."""
+    return dataclasses.replace(tm, marginal=one_hot(tm.n_states, index(tm, state)))
+
+
+def start_at_pair(tm, i, j):
+    """Order-2 ``tm`` whose first pair is always the observed pair (i, j)."""
+    return dataclasses.replace(tm, pair_marginal=one_hot(tm.pair_codes.size, pair_row(tm, i, j)))
 
 
 def dense_row(tm, r, field="probs"):
@@ -126,8 +149,7 @@ def test_estimated_rows_are_stochastic(values):
 
 def test_simulate_order1_deterministic_chain():
     tm = estimate_order1(seq([1, 2, 1, 2, 1]))
-    out = simulate_order1(tm, 4, seed=0, initial=1)
-    assert out.tolist() == [1, 2, 1, 2]
+    assert simulate_order1(start_at(tm, 1), 4, seed=0).tolist() == [1, 2, 1, 2]
 
 
 def test_simulate_order1_reproducible():
@@ -135,12 +157,6 @@ def test_simulate_order1_reproducible():
     a = simulate_order1(tm, 50, seed=123)
     b = simulate_order1(tm, 50, seed=123)
     assert a.tolist() == b.tolist()
-
-
-def test_simulate_order1_unknown_state():
-    tm = estimate_order1(seq([1, 2, 1]))
-    with pytest.raises(ValueError):
-        simulate_order1(tm, 5, seed=0, initial=7)
 
 
 def test_simulate_order1_iid_uniform_frequencies():
@@ -162,8 +178,7 @@ def test_estimate_of_simulation_recovers_matrix():
 
 def test_simulate_order2_deterministic():
     tm = estimate_order2(seq([1, 2, 1, 2, 1]))
-    out = simulate_order2(tm, 5, seed=0, initial_pair=(1, 2))
-    assert out.tolist() == [1, 2, 1, 2, 1]
+    assert simulate_order2(start_at_pair(tm, 1, 2), 5, seed=0).tolist() == [1, 2, 1, 2, 1]
 
 
 def test_simulate_order2_reproducible():
@@ -189,37 +204,41 @@ def test_simulate_order2_collapses_to_order1():
 
 
 def test_simulate_order2_unseen_pair_falls_back():
-    # (2, 2) never occurs in the source; the fallback row of state 2
-    # forces the successor of that pair to be 1.
-    tm = estimate_order2(seq([1, 1, 2, 1, 1, 2, 1]))
-    assert pair_row(tm, 2, 2) is None
-    out = simulate_order2(tm, 3, seed=0, initial_pair=(2, 2))
-    assert out.tolist()[:2] == [2, 2]
-    assert out.tolist()[2] == 1
-
-
-def test_simulate_order2_unknown_initial_pair_state():
-    tm = estimate_order2(seq([1, 2, 1, 2]))
-    with pytest.raises(ValueError):
-        simulate_order2(tm, 5, seed=0, initial_pair=(1, 9))
+    # (3, 3) never occurs in the source, but the walk reaches it: the final
+    # pair (1, 3) has no continuation, so the fallback row of state 3, seen
+    # only at the end, takes its self-loop.  On the unseen pair (3, 3) the
+    # fallback row of state 3 again forces 3.
+    tm = estimate_order2(seq([2, 1, 1, 3]))
+    assert pair_row(tm, 3, 3) is None
+    assert dense_row(tm, pair_row(tm, 1, 3), "counts").sum() == 0
+    out = simulate_order2(start_at_pair(tm, 2, 1), 6, seed=0)
+    assert out.tolist() == [2, 1, 1, 3, 3, 3]
 
 
 # ------------------------------------- cross-check against the dense reference
 
 
-def assert_order2_matches(tm, dense, length, seed, initial_pair=None):
-    got = simulate_order2(tm, length, seed, initial_pair=initial_pair)
-    want = ref.simulate_order2(dense, length, seed, initial_pair=initial_pair)
+def assert_order2_matches(tm, dense, length, seed, start=None):
+    """``start``, an observed pair, is then the first pair of both kernels."""
+    if start is not None:
+        tm = start_at_pair(tm, *start)
+        dense = dataclasses.replace(dense, pair_marginal=one_hot(len(dense.pair_index), dense.pair_index[start]))
+    got = simulate_order2(tm, length, seed)
+    want = ref.simulate_order2(dense, length, seed)
     assert got.tolist() == want.tolist()
     return got.tolist()
 
 
-def assert_simulations_match(values, length, seed, initial_pair=None):
+def assert_simulations_match(values, length, seed, start=None):
+    """Both orders against the reference; with ``start``, order 2 starts
+    from that pair and order 1 from its second state."""
     tm, dense = estimate_order2(values), ref.estimate_order2(values)
-    assert_order2_matches(tm, dense, length, seed, initial_pair)
-    initial = None if initial_pair is None else initial_pair[1]
-    got = simulate_order1(tm.fallback, length, seed, initial=initial)
-    want = ref.simulate_order1(dense.fallback, length, seed, initial=initial)
+    assert_order2_matches(tm, dense, length, seed, start)
+    tm1, dense1 = tm.fallback, dense.fallback
+    if start is not None:
+        tm1, dense1 = start_at(tm1, start[1]), start_at(dense1, start[1])
+    got = simulate_order1(tm1, length, seed)
+    want = ref.simulate_order1(dense1, length, seed)
     assert got.tolist() == want.tolist()
 
 
@@ -247,7 +266,7 @@ def test_simulations_equal_dense_reference_with_drawn_initial_pair():
 
 def test_simulations_equal_dense_reference_with_supplied_initial_pair():
     values = np.random.default_rng(1).integers(1, 30, size=5000)
-    assert_simulations_match(values, 20_000, 18, initial_pair=(int(values[7]), int(values[8])))
+    assert_simulations_match(values, 20_000, 18, start=(int(values[7]), int(values[8])))
 
 
 def test_simulations_equal_dense_reference_when_most_pairs_are_unseen():
@@ -260,18 +279,17 @@ def test_simulations_equal_dense_reference_when_most_pairs_are_unseen():
     uniform = np.full((n, n), 1.0 / n)
     tm = dataclasses.replace(tm, fallback=ref.from_dense(tm.states, uniform))
     dense = dataclasses.replace(dense, fallback=ref.DenseTransitionMatrix1(tm.states, None, uniform))
-    for initial_pair in (None, (int(values[0]), int(values[0]))):
-        out = assert_order2_matches(tm, dense, 5_000, 19, initial_pair)
-        unseen = sum(pair_row(tm, i, j) is None for i, j in zip(out[:-2], out[1:-1]))
-        assert unseen > 0.1 * len(out)
-    assert_simulations_match(values, 5_000, 20, initial_pair=(int(values[0]), int(values[0])))
+    out = assert_order2_matches(tm, dense, 5_000, 19)
+    unseen = sum(pair_row(tm, i, j) is None for i, j in zip(out[:-2], out[1:-1]))
+    assert unseen > 0.1 * len(out)
+    assert_simulations_match(values, 5_000, 20)
 
 
 def test_simulations_equal_dense_reference_from_continuation_free_final_pair():
     values = [1, 2, 3, 1, 2, 1, 3, 3, 2, 4]
     tm = estimate_order2(values)
     assert dense_row(tm, pair_row(tm, 2, 4), "counts").sum() == 0
-    assert_simulations_match(values, 500, 21, initial_pair=(2, 4))
+    assert_simulations_match(values, 500, 21, start=(2, 4))
 
 
 def test_simulations_equal_dense_reference_on_single_state():
@@ -293,8 +311,8 @@ def test_simulations_equal_dense_reference_when_rows_sum_below_one():
     tm, dense = estimate_order2(values), ref.estimate_order2(values)
     tm = dataclasses.replace(tm, probs=tm.probs / 2, fallback=short)
     dense = dataclasses.replace(dense, probs=dense.probs / 2, fallback=dense_short)
-    for initial_pair in (None, (3, 3)):
-        assert_order2_matches(tm, dense, 3_000, 24, initial_pair)
+    for start in (None, (3, 3)):
+        assert_order2_matches(tm, dense, 3_000, 24, start)
 
 
 def test_order2_on_thousands_of_states_stays_small():
@@ -356,9 +374,9 @@ def test_order_test_estimates_order1_once(monkeypatch):
     calls = []
     count_pairs = markov._count_pairs
 
-    def counted(values, **kwargs):
+    def counted(values):
         calls.append(1)
-        return count_pairs(values, **kwargs)
+        return count_pairs(values)
 
     monkeypatch.setattr(markov, "_count_pairs", counted)
     order_test(order1_source(n=500), replicates=2, seed=0)

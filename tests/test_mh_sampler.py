@@ -1,5 +1,7 @@
 """Metropolis-Hastings sampler, exact-kernel oracles and convergence study."""
 
+import functools
+import itertools
 from types import SimpleNamespace
 
 import mh_reference as ref
@@ -88,14 +90,6 @@ def test_chain_different_seeds_differ():
     assert not np.array_equal(a.samples, b.samples)
 
 
-def test_chain_initial_state_respected():
-    f = target(0.5, 0.3, 0.2)
-    result = run_chain(f, n_steps=10, seed=0, initial_state=3)
-    assert result.samples[0] == 3
-    with pytest.raises(ValueError):
-        run_chain(f, n_steps=10, seed=0, initial_state=4)
-
-
 def test_chain_frequencies_match_target():
     f = target(0.5, 0.3, 0.2)
     result = run_chain(f, n_steps=200_000, seed=77)
@@ -164,13 +158,23 @@ def test_chain_equals_scalar_loop_on_uniform_target(r_bar, config):
     assert_same_chain(SimpleNamespace(probs=np.full(r_bar, 1.0 / r_bar), r_bar=r_bar), **config)
 
 
+@functools.cache
+def seeds_starting_at(start, r_bar=300, count=3):
+    """The first ``count`` seeds whose chain starts at rank ``start``: its
+    first draw, uniform over 0..r_bar - 1, lands on ``start - 1``."""
+    seeds = itertools.count() if start is None else (
+        seed for seed in itertools.count() if np.random.default_rng(seed).integers(0, r_bar) == start - 1)
+    return list(itertools.islice(seeds, count))
+
+
 @pytest.mark.parametrize("params", [REFERENCE_PARAMS, ZMParams(1.0, 0.0, 1.5), ZMParams(1.0, 10.0, 1.0)])
 @pytest.mark.parametrize("n_steps", [1, 2, 3, 5000])
-@pytest.mark.parametrize("initial_state", [None, 1, 150, 300])
-def test_chain_equals_scalar_loop_on_short_chains_and_fixed_starts(params, n_steps, initial_state):
+@pytest.mark.parametrize("start", [None, 1, 150, 300])
+def test_chain_equals_scalar_loop_on_short_chains_and_fixed_starts(params, n_steps, start):
     f = target_distribution(params, 300)
-    for seed in range(3):
-        assert_same_chain(f, n_steps=n_steps, seed=seed, initial_state=initial_state)
+    for seed in seeds_starting_at(start):
+        assert_same_chain(f, n_steps=n_steps, seed=seed)
+        assert start is None or run_chain(f, n_steps, seed).samples[0] == start
 
 
 @settings(max_examples=25, deadline=None)

@@ -240,3 +240,19 @@ def test_fit_nonconvergence_carries_diagnostics(monkeypatch):
         fit_zm(points)
     assert err.value.n_iter == 3
     assert err.value.best_params.alpha > 0
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fit_of_few_long_documents_ends_on_the_beta_boundary(long_document_points, seed):
+    # log(1 + beta) runs below about -37, where exp(log(1 + beta)) - 1 rounds
+    # to -1.  Seed 2 fails alike, through the CLI (tests/test_cli.py).
+    points = long_document_points(seed)
+    with pytest.raises(ParameterDomainError,
+                       match=rf"^the fit reached the beta = -1 boundary: 1 \+ beta = \S+ on {len(points)} points$"):
+        fit_zm(points)
+
+
+def test_fit_of_few_long_documents_may_converge_inside_the_domain(long_document_points):
+    result = fit_zm(long_document_points(3))
+    assert result.params.beta == pytest.approx(376, rel=0.01)
+    assert result.n_iter == 14
