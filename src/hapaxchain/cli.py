@@ -152,14 +152,13 @@ def _write_stat_table(path: Path, index: str | None, column: str, values, levels
                              ([k, v, *thr][skip:] for k, v in enumerate(values)))
 
 
-def _note_vacuous(stage: str, battery: str, thresholds: dict[float, float], largest: float) -> None:
-    """One stderr line per level at which ``battery`` cannot reject: its threshold is at
-    or above ``largest``, the largest value its statistic can take (1 for KS, 0 for
-    chi-square with df = 0)."""
+def _note_vacuous(stage: str, battery: str, thresholds: dict[float, float]) -> None:
+    """One stderr line per level at which the KS ``battery`` cannot reject: its threshold
+    is at or above 1, the largest value a KS statistic can take."""
     for lv, thr in thresholds.items():
-        if thr >= largest:
+        if thr >= 1.0:
             click.echo(f"{stage}: {battery} cannot reject at level {lv:g}: threshold {thr:.6g}, "
-                       f"statistic at most {largest:g}", err=True)
+                       "statistic at most 1", err=True)
 
 
 # payload series, statistic column and battery of each order-test battery table
@@ -238,7 +237,8 @@ def _run_fit(o: dict) -> dict[str, Path]:
     source = _file_id(input_path)
     config_hash = persist.config_hash({"stage": "fit", **source, "level": o["level"]})
     report_path = persist.write_json(o["output_dir"] / "fit_report.json", {
-        "stage": "fit", "seed": None, "config_hash": config_hash, **source, **vars(result), "params": vars(p)})
+        "stage": "fit", "seed": None, "config_hash": config_hash, **source, "level": o["level"], **vars(result),
+        "params": vars(p)})
     click.echo(f"fit: alpha={p.alpha:.6g} beta={p.beta:.6g} gamma={p.gamma:.6g} "
                f"rss={result.rss:.6g} r2={result.r_squared:.6f}")
     return {"fit_report.json": report_path}
@@ -260,7 +260,10 @@ def _run_ordertest(o: dict) -> dict[str, Path]:
     out, levels = o["output_dir"], o["levels"]
     seq_path = _require(o.get("input") or out / "rank_sequence.txt", "extract")
     settings = {name: o[name] for name in ("replicates", "len1", "len2", "seed", "levels", "halve_alpha")}
-    report = order_test(persist.read_rank_sequence(seq_path), **settings)
+    values = persist.read_rank_sequence(seq_path)
+    if values.min() == values.max():  # skewness and kurtosis are NaN on a constant sample
+        raise click.ClickException(f"{seq_path} holds a single distinct rank; the order test needs at least two")
+    report = order_test(values, **settings)
     payload = {
         "stage": "ordertest", **settings, **vars(report),
         "config_hash": persist.config_hash({"stage": "ordertest", **_file_id(seq_path), **settings}),
@@ -269,9 +272,8 @@ def _run_ordertest(o: dict) -> dict[str, Path]:
     outputs = {"order_test_report.json": persist.write_json(out / "order_test_report.json", payload)}
     outputs.update(_write_order_tables(payload, out, (
         "ks_first_vs_second.csv", "wmw_pvalues.csv", "chi_square.csv", "ks_vs_empirical.csv", "indicators.csv")))
-    for battery, largest in (("ks_first_vs_second", 1.0), ("chi_square", 0.0 if report.df == 0 else np.inf),
-                             ("ks_vs_empirical", 1.0)):
-        _note_vacuous("ordertest", battery, report.thresholds[battery], largest)
+    for battery in ("ks_first_vs_second", "ks_vs_empirical"):
+        _note_vacuous("ordertest", battery, report.thresholds[battery])
     fractions = " ".join(f"{b}={d[levels[0]]:.3f}" for b, d in report.pass_fractions.items())
     click.echo(f"ordertest: replicates={o['replicates']} pass@{levels[0]:g}: {fractions}")
     return outputs
@@ -304,7 +306,7 @@ def _run_mcmc(o: dict) -> dict[str, Path]:
         "thresholds": thresholds, "pass_fraction": _keyed(report.pass_fraction)})
     outputs["ks_statistics.csv"] = _write_stat_table(
         out / "ks_statistics.csv", "run", "ks_stat", report.ks_statistics, levels, thresholds)
-    _note_vacuous("mcmc", "ks", report.thresholds, 1.0)
+    _note_vacuous("mcmc", "ks", report.thresholds)
     click.echo(f"mcmc: runs={o['runs']} steps={o['steps']} pass@{levels[0]:g}={report.pass_fraction[levels[0]]:.3f}")
     return outputs
 

@@ -144,8 +144,8 @@ def build_rank_sequence(corpus: list[Document], table: HapaxTable) -> np.ndarray
 
 def document_paths(input_dir: str | Path, manifest: str | Path | None = None) -> list[Path]:
     """The documents of a directory in (chronological) order: the manifest
-    file order when given (one file name per line), otherwise the ``.txt``
-    files in lexicographic file-name order."""
+    file order when given (one file name per line, no file twice), otherwise
+    the ``.txt`` files in lexicographic file-name order."""
     root = Path(input_dir)
     if not root.is_dir():
         raise IngestionError(f"input directory not found: {root}")
@@ -155,6 +155,9 @@ def document_paths(input_dir: str | Path, manifest: str | Path | None = None) ->
         for p in paths:
             if not p.is_file():
                 raise IngestionError(f"manifest names a missing file: {p}")
+        repeated = sorted(p.name for p, c in Counter(p.resolve() for p in paths).items() if c > 1)
+        if repeated:
+            raise IngestionError(f"manifest names a file more than once: {', '.join(repeated)}")
     else:
         paths = sorted(root.glob("*.txt"), key=lambda p: p.name)
     if not paths:

@@ -296,9 +296,9 @@ def order_test(seq, replicates: int = 100, len1: int | None = None, len2: int | 
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
-    for name, length in (("len1", len1), ("len2", len2)):
-        if length is not None and length < 1:
-            raise ValueError(f"{name} must be >= 1, got {length}")
+    for name, length, least in (("len1", len1, 2), ("len2", len2, 1)):  # indicators need two values
+        if length is not None and length < least:
+            raise ValueError(f"{name} must be >= {least}, got {length}")
     levels = check_levels(levels)
     values = np.asarray(seq, dtype=np.int64)
     tm2 = estimate_order2(values)

@@ -47,16 +47,7 @@ class ParameterDomainError(ValueError):
 
 
 class FitConvergenceError(RuntimeError):
-    """Raised when the fit iteration cap is reached before convergence.
-
-    Carries the best parameters seen so far plus diagnostics.
-    """
-
-    def __init__(self, message: str, best_params: "ZMParams", rss: float, n_iter: int):
-        super().__init__(message)
-        self.best_params = best_params
-        self.rss = rss
-        self.n_iter = n_iter
+    """Raised when the fit iteration cap is reached before convergence."""
 
 
 class UnidentifiableParameterError(RuntimeError):
@@ -95,19 +86,20 @@ def zm_eval(params: ZMParams, r) -> float:
 
 @dataclass(frozen=True)
 class TargetDistribution:
-    """Discrete probability vector over ranks 1..r_bar, decreasing in rank."""
+    """Discrete probability vector over ranks 1..r_bar, r_bar = len(probs), decreasing in rank."""
 
     probs: np.ndarray
-    r_bar: int
+
+    @property
+    def r_bar(self) -> int:
+        return len(self.probs)
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float)
-        if p.size != self.r_bar:
-            raise ValueError(f"probs length {p.size} != r_bar {self.r_bar}")
         if not np.all(p > 0):  # NaN fails too
             raise ValueError("target probabilities must all be positive")
         if abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError(f"target probabilities sum to {p.sum()!r}, not 1")
+            raise ValueError(f"target probabilities sum to {float(p.sum())!r}, not 1")
         if p.size > 1 and np.any(np.diff(p) >= 0):
             raise ValueError("target probabilities must be strictly decreasing in rank")
 
@@ -120,14 +112,13 @@ def target_distribution(params: ZMParams, r_bar: int) -> TargetDistribution:
     total = f.sum()
     if not math.isfinite(total) or total <= 0:
         raise ValueError("normalizer of the target distribution underflowed")
-    return TargetDistribution(probs=f / total, r_bar=int(r_bar))
+    return TargetDistribution(probs=f / total)
 
 
 @dataclass(frozen=True)
 class FitResult:
     params: ZMParams
     ci: dict[str, tuple[float, float]]
-    level: float
     rss: float
     r_squared: float
     n_points: int
@@ -177,7 +168,7 @@ def fit_zm(points, level: float = 0.95) -> FitResult:
     data that leaves parameters unidentifiable yields a result flagged
     ``ill_conditioned`` with NaN intervals; ending on the beta = -1
     boundary raises :class:`ParameterDomainError`, and exhausting the
-    iteration cap :class:`FitConvergenceError` carrying the best point so far.
+    iteration cap :class:`FitConvergenceError`.
     """
     pts = np.asarray(list(points), dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -241,14 +232,9 @@ def fit_zm(points, level: float = 0.95) -> FitResult:
     if math.exp(theta[1]) - 1.0 <= -1.0:
         raise ParameterDomainError(f"the fit reached the beta = -1 boundary: 1 + beta = {math.exp(theta[1]):.3g} "
                                    f"on {ranks.size} points")
-    params = _theta_to_params(theta)
     if not converged:
-        raise FitConvergenceError(
-            f"no convergence within {MAX_ITER} iterations (rss={rss:.6g})",
-            best_params=params,
-            rss=rss,
-            n_iter=n_iter,
-        )
+        raise FitConvergenceError(f"no convergence within {MAX_ITER} iterations (rss={rss:.6g})")
+    params = _theta_to_params(theta)
 
     # Chain rule: d/d(alpha, beta, gamma) = d/d(log alpha, log(1+beta), log gamma) / (alpha, 1+beta, gamma).
     jac_orig = jac / np.array([params.alpha, math.exp(theta[1]), params.gamma])
@@ -267,7 +253,6 @@ def fit_zm(points, level: float = 0.95) -> FitResult:
     return FitResult(
         params=params,
         ci=ci,
-        level=level,
         rss=rss,
         r_squared=r_squared,
         n_points=int(ranks.size),

@@ -53,7 +53,7 @@ def test_c2_literal_threshold_and_discrepancy():
 def _random_target(rng, size: int) -> TargetDistribution:
     raw = np.sort(rng.uniform(0.1, 1.0, size=size))[::-1]
     raw = raw + np.linspace(size * 1e-9, 0.0, size)  # break exact ties
-    return TargetDistribution(probs=raw / raw.sum(), r_bar=size)
+    return TargetDistribution(probs=raw / raw.sum())
 
 
 def test_c3_mh_exactness_oracle():

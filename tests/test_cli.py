@@ -118,6 +118,20 @@ def test_extract_manifest_order(runner, tmp_path):
     assert read(out / "rank_sequence.txt") == "1\n1\n"
 
 
+def test_extract_manifest_naming_a_document_twice_is_an_error(runner, tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "d0.txt").write_text("a b b", encoding="utf-8")
+    (corpus / "d1.txt").write_text("c d d", encoding="utf-8")
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("d0.txt\nd1.txt\nd0.txt\n", encoding="utf-8")
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["extract", str(corpus), "--manifest", str(manifest), "--output-dir", str(out)])
+    assert result.exit_code == 1
+    assert result.output == "Error: manifest names a file more than once: d0.txt\n"
+    assert not out.exists()
+
+
 def test_extract_respects_output_dir_envvar(runner, toy_corpus_dir, tmp_path, monkeypatch):
     out = tmp_path / "envout"
     monkeypatch.setenv("HAPAXCHAIN_OUTPUT_DIR", str(out))
@@ -268,6 +282,22 @@ def test_target_overflow_ends_in_a_clean_error_under_warnings_as_errors(tmp_path
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("text, problem", [("{not json", "Expecting property name"),
+                                           ('{"params": {"alpha": 1.0, "beta": -2.0, "gamma": 1.0}}',
+                                            "beta must exceed -1, got -2.0")])
+@pytest.mark.parametrize("command", ["target", "mcmc"])
+def test_fit_json_not_json_or_outside_the_domain_names_the_file(runner, tmp_path, command, text, problem):
+    fit_json = tmp_path / "fit_report.json"
+    fit_json.write_text(text, encoding="utf-8")
+    steps = ["--steps", "100", "--runs", "1"] if command == "mcmc" else []
+    result = runner.invoke(main, [command, "--fit-json", str(fit_json), "--rbar", "5", *steps,
+                                  "--output-dir", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # a ClickException, not a traceback
+    assert result.output.startswith(f"Error: {fit_json}: ") and problem in result.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_target_requires_params(runner, tmp_path):
     result = runner.invoke(main, ["target", "--output-dir", str(tmp_path)])
     assert result.exit_code != 0
@@ -315,20 +345,18 @@ def test_ordertest_writes_report_and_csvs(runner, tmp_path):
 
 
 def test_ordertest_names_levels_that_cannot_reject(runner, tmp_path):
-    # One state gives chi-square df = 0; five observations give KS thresholds above 1 at 0.01 and 0.001.
-    seq = tmp_path / "one_state.txt"
-    seq.write_text("1\n" * 5, encoding="utf-8")
+    # Five observations give KS thresholds above 1 at 0.01 and 0.001; with two
+    # states the chi-square statistic is unbounded, so it can always reject.
+    seq = tmp_path / "two_states.txt"
+    seq.write_text("1\n2\n1\n2\n1\n", encoding="utf-8")
     result = runner.invoke(main, ["ordertest", "--input", str(seq), "--replicates", "2",
                                   "--output-dir", str(tmp_path / "out")])
     assert result.exit_code == 0, result.output
     notes = result.stderr.splitlines()
-    assert [line for line in notes if "chi_square" in line] == [
-        f"ordertest: chi_square cannot reject at level {lv}: threshold 0, statistic at most 0"
-        for lv in ("0.05", "0.01", "0.001")]
     for battery in ("ks_first_vs_second", "ks_vs_empirical"):
         assert [line.split(":")[1] for line in notes if battery in line] == [
             f" {battery} cannot reject at level {lv}" for lv in ("0.01", "0.001")]
-    assert len(notes) == 7
+    assert len(notes) == 4
 
     write_sequence_file(tmp_path)
     result = runner.invoke(main, ["ordertest", "--input", str(tmp_path / "rank_sequence.txt"), "--replicates", "2",
@@ -651,6 +679,22 @@ def test_config_rejects_unknown_keys_and_wrong_types(runner, tmp_path, cfg, key)
     assert not (tmp_path / "out" / "order_test_report.json").exists()
 
 
+@pytest.mark.parametrize("text, problem", [("{replicates: 1}", "cannot read config file"),
+                                           ('[{"replicates": 1}]', "must hold a JSON object")])
+def test_config_file_must_be_a_json_object(runner, tmp_path, text, problem):
+    write_sequence_file(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text, encoding="utf-8")
+    result = runner.invoke(
+        main, ["ordertest", "--input", str(tmp_path / "rank_sequence.txt"), "--config", str(cfg_path),
+               "--output-dir", str(tmp_path / "out")],
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # a ClickException, not a traceback
+    assert result.output.startswith("Error: ") and problem in result.output and str(cfg_path) in result.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_accepts_keys_of_other_commands(runner, tmp_path):
     write_sequence_file(tmp_path)
     cfg_path = tmp_path / "cfg.json"
@@ -724,6 +768,25 @@ def test_ordertest_rejects_zero_replicates(runner, tmp_path):
     )
     assert result.exit_code == 1
     assert "Error: replicates must be >= 1" in result.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_ordertest_on_one_distinct_rank_is_an_error(runner, tmp_path):
+    # Skewness and kurtosis of a constant sample are NaN, which JSON cannot hold.
+    seq = tmp_path / "const.txt"
+    seq.write_text("1\n" * 5, encoding="utf-8")
+    result = runner.invoke(main, ["ordertest", "--input", str(seq), "--output-dir", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert result.output == f"Error: {seq} holds a single distinct rank; the order test needs at least two\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_ordertest_len1_below_two_names_it(runner, tmp_path):
+    write_sequence_file(tmp_path)
+    result = runner.invoke(main, ["ordertest", "--input", str(tmp_path / "rank_sequence.txt"), "--len1", "1",
+                                  "--output-dir", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert result.output == "Error: len1 must be >= 2, got 1\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -281,6 +281,16 @@ def test_load_documents_manifest_missing_file(tmp_path):
         load_documents(tmp_path, manifest)
 
 
+def test_load_documents_manifest_names_a_file_twice(tmp_path):
+    # Reading the document twice would count its hapaxes in two documents.
+    (tmp_path / "a.txt").write_text("alpha", encoding="utf-8")
+    (tmp_path / "b.txt").write_text("beta", encoding="utf-8")
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("a.txt\nb.txt\n./a.txt\n", encoding="utf-8")
+    with pytest.raises(IngestionError, match=r"^manifest names a file more than once: a\.txt$"):
+        load_documents(tmp_path, manifest)
+
+
 def test_load_documents_empty_dir(tmp_path):
     with pytest.raises(IngestionError, match="no documents"):
         load_documents(tmp_path)

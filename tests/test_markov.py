@@ -459,3 +459,10 @@ def test_simulations_are_one_int64_state_per_step(length):
 def test_order_test_config_rejects_invalid_settings(kwargs):
     with pytest.raises(ValueError):
         order_test(seq([1, 2, 1]), **kwargs)
+
+
+def test_order_test_len1_needs_two_values():
+    # Each first-order replicate's indicators need at least two values.
+    with pytest.raises(ValueError, match=r"^len1 must be >= 2, got 1$"):
+        order_test(seq([1, 2, 1, 2]), replicates=1, len1=1)
+    assert order_test(seq([1, 2, 1, 2]), replicates=1, len1=2, seed=0).len1 == 2

@@ -22,7 +22,7 @@ REFERENCE_PARAMS = ZMParams(alpha=6.029e8, beta=2540.0, gamma=1.896)
 
 
 def target(*probs):
-    return TargetDistribution(probs=np.asarray(probs, dtype=float), r_bar=len(probs))
+    return TargetDistribution(probs=np.asarray(probs, dtype=float))
 
 
 def random_target(rng, size):
@@ -32,7 +32,7 @@ def random_target(rng, size):
     raw = np.sort(raw)[::-1]
     if np.any(np.diff(raw) >= 0):  # nudge exact ties apart
         raw = raw + np.linspace(size * 1e-9, 0.0, size)
-    return TargetDistribution(probs=raw / raw.sum(), r_bar=size)
+    return TargetDistribution(probs=raw / raw.sum())
 
 
 # --------------------------------------------------------------- acceptance
@@ -117,7 +117,7 @@ def test_chain_rejects_fewer_than_one_step():
 
 def test_target_rejects_nan_probabilities():
     with pytest.raises(ValueError):
-        TargetDistribution(probs=np.array([0.6, 0.4, np.nan]), r_bar=3)
+        TargetDistribution(probs=np.array([0.6, 0.4, np.nan]))
 
 
 # ------------------------------------- sure-accept stepping vs the scalar loop
@@ -202,7 +202,7 @@ def test_kernel_near_uniform_target_is_near_uniform():
     # approaches the proposal itself, 1/r_bar everywhere
     eps = 1e-9
     raw = 1.0 + eps * np.arange(4, 0, -1)
-    f = TargetDistribution(probs=raw / raw.sum(), r_bar=4)
+    f = TargetDistribution(probs=raw / raw.sum())
     kernel = mh_transition_matrix(f)
     np.testing.assert_allclose(kernel, 0.25, atol=1e-8)
     np.testing.assert_allclose(kernel.sum(axis=1), 1.0, atol=1e-12)

@@ -1,6 +1,8 @@
 """File formats: the hapax table and rank sequence round trips, and the
 readers' line-numbered errors on malformed or self-contradictory files."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from hapaxchain.corpus import Document, HapaxTable, build_hapax_table
 from hapaxchain.persist import (
+    atomic_write_text,
     read_hapax_table,
     read_rank_sequence,
     read_rank_size_csv,
@@ -176,3 +179,19 @@ def test_rank_sequence_reader_names_the_line_that_is_not_a_rank(tmp_path, bad):
 def test_rank_sequence_reader_needs_a_rank(tmp_path, text):
     with pytest.raises(ValueError, match="contains no rank values"):
         read_rank_sequence(write(tmp_path, "s.txt", text))
+
+
+# ------------------------------------------------------------ atomic writes
+
+
+def test_failed_atomic_write_keeps_the_old_file_and_leaves_no_temp_file(tmp_path, monkeypatch):
+    path = write(tmp_path, "report.json", "old\n")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        atomic_write_text(path, "new\n")
+    assert path.read_text(encoding="utf-8") == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
