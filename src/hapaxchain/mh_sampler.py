@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .ranksize import TargetDistribution
-from .stats import DEFAULT_LEVELS, check_levels, child_seed, ks_threshold, ks_two_sample, pass_fractions
+from .stats import DEFAULT_LEVELS, _ks_from_counts, check_levels, child_seed, ks_threshold, pass_fractions
 
 __all__ = [
     "MHRunResult",
@@ -43,32 +43,37 @@ def run_chain(f: TargetDistribution, n_steps: int, seed=0) -> MHRunResult:
 
     All proposals are drawn in one call, then all uniforms in one.  Since
     rounding is monotone, u * F_x <= u * max(F) for every state x, so a
-    step with u * max(F) <= F_j is accepted whatever state it leaves: one
-    vector pass settles those steps as their proposals, and the scalar
-    test runs over the rest only, in order, each reading the already-final
-    state before it.
+    step with u * max(F) <= F_j is accepted whatever state it leaves and
+    keeps its proposal.  The scalar test runs over the undecided rest
+    only, in order, each step reading the state before it, or the loop's
+    own last state where that step was undecided too.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     r_bar = f.r_bar
     rng = np.random.default_rng(seed)
-    current = int(rng.integers(0, r_bar))
-    proposals = rng.integers(0, r_bar, size=n_steps - 1)
-    us = np.empty(n_steps)  # us[t] decides the step to state t
-    rng.random(n_steps - 1, out=us[1:])
+    out = np.empty(n_steps, dtype=np.int64)
+    out[0] = rng.integers(0, r_bar)
+    out[1:] = rng.integers(0, r_bar, size=n_steps - 1)
+    us = rng.random(n_steps - 1)  # us[t - 1] decides the step to state t
     p = np.asarray(f.probs, dtype=float)
-    sure = us[1:] * p.max() <= p[proposals]
-    # Every state starts as its step's proposal; a rejection copies the state before.
-    path, u, probs = [current, *proposals.tolist()], memoryview(us), p.tolist()
-    for t in (np.flatnonzero(~sure) + 1).tolist():
-        x = path[t - 1]
+    undecided = np.flatnonzero(us * p.max() > p[out[1:]]) + 1
+    proposals = out[undecided]
+    before = out[undecided - 1]
+    before[1:][np.diff(undecided) == 1] = -1  # not final yet: the loop carries its own state
+    probs, settled, x = p.tolist(), [], -1
+    for u, j, b in zip(memoryview(us[undecided - 1]), memoryview(proposals), memoryview(before)):
+        if b >= 0:
+            x = b
         # u <= min(1, F_j/F_x) without the min: u < 1 always holds.
-        if not u[t] * probs[x] <= probs[path[t]]:
-            path[t] = x
-    out = np.array(path, dtype=np.int64)
+        if u * probs[x] <= probs[j]:
+            x = j
+        settled.append(x)
+    states = np.fromiter(settled, dtype=np.int64, count=undecided.size)
+    out[undecided] = states
     # A rejected step never stays on its proposal: proposing the current
     # state is always accepted, as u * F_x <= F_x.
-    accepted = int(np.count_nonzero(out[1:] == proposals))
+    accepted = n_steps - 1 - int(np.count_nonzero(states != proposals))
     return MHRunResult(samples=out + 1, accepted=accepted)
 
 
@@ -98,19 +103,25 @@ def convergence_study(f: TargetDistribution, runs: int, n_steps: int, reference,
     sequence of them, or a ``SeedSequence``), spawn key (..., k), so the
     study is reproducible as a whole and each chain individually.  ``on_run``,
     when given, is called with k and each chain's result as it
-    finishes; no chain is kept otherwise.
+    finishes; no chain is kept otherwise.  ``reference`` must hold ranks,
+    integers in 1..r_bar: KS is taken from per-rank counts.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     levels = check_levels(levels)
-    reference = np.asarray(reference, dtype=float).ravel()
+    reference = np.asarray(reference).ravel()
     if reference.size == 0:
         raise ValueError("reference sample must be non-empty")
+    is_rank = np.isin(reference, np.arange(1, f.r_bar + 1))
+    if not is_rank.all():
+        bad = reference[np.argmin(is_rank)].item()
+        raise ValueError(f"reference ranks must be integers in 1..{f.r_bar}, got {bad!r}")
+    ref_counts = np.bincount(reference.astype(np.int64), minlength=f.r_bar + 1)
 
     ks_stats = []
     for k in range(runs):
         result = run_chain(f, n_steps, child_seed(seed, k))
-        ks_stats.append(ks_two_sample(result.samples, reference))
+        ks_stats.append(_ks_from_counts(np.bincount(result.samples, minlength=f.r_bar + 1), ref_counts))
         if on_run is not None:
             on_run(k, result)
 

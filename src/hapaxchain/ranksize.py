@@ -109,9 +109,10 @@ def target_distribution(params: ZMParams, r_bar: int) -> TargetDistribution:
     if r_bar < 1:
         raise ValueError(f"r_bar must be >= 1, got {r_bar}")
     f = zm_eval(params, np.arange(1, r_bar + 1))
-    total = f.sum()
+    with np.errstate(over="ignore"):  # a sum beyond the float range reads as inf
+        total = f.sum()
     if not math.isfinite(total) or total <= 0:
-        raise ValueError("normalizer of the target distribution underflowed")
+        raise ValueError(f"normalizer of the target distribution {'underflowed' if total == 0 else 'overflowed'}")
     return TargetDistribution(probs=f / total)
 
 

@@ -130,6 +130,13 @@ def ks_two_sample(a, b) -> float:
     at every distinct pooled value.
     """
     _, (ca, cb) = _tally(a, b)
+    return _ks_from_counts(ca, cb)
+
+
+def _ks_from_counts(ca, cb) -> float:
+    """KS statistic of two samples given as counts over the same ascending
+    values: the largest gap between their cumulative counts, each divided
+    by its total.  Values neither sample holds leave the gap unchanged."""
     na, nb = ca.sum(), cb.sum()
     if na == 0 or nb == 0:
         raise ValueError("ks_two_sample requires two non-empty samples")

@@ -221,6 +221,40 @@ def test_fit_on_the_beta_boundary_ends_in_an_error(runner, long_document_points,
     assert not (tmp_path / "out" / "fit_report.json").exists()
 
 
+@pytest.fixture
+def one_frequency_corpus(tmp_path):
+    """Five two-word documents whose ten words are each a hapax of one document:
+    every fit point has size 1."""
+    corpus = tmp_path / "one_frequency"
+    corpus.mkdir()
+    for x in "abcde":
+        (corpus / f"{x}.txt").write_text(f"w{x}a w{x}b", encoding="utf-8")
+    return corpus
+
+
+def test_fit_on_one_hapax_frequency_is_an_error(runner, one_frequency_corpus, tmp_path):
+    out = tmp_path / "out"
+    assert runner.invoke(main, ["extract", str(one_frequency_corpus), "--output-dir", str(out)]).exit_code == 0
+    result = runner.invoke(main, ["fit", "--output-dir", str(out)])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.output == (f"Error: {out / 'hapax_table.csv'}: every point has the same size (1); "
+                             "the rank-size law cannot be fitted to constant sizes\n")
+    assert not (out / "fit_report.json").exists()
+
+
+def test_pipeline_on_one_hapax_frequency_stops_at_fit(runner, one_frequency_corpus, tmp_path):
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["pipeline", str(one_frequency_corpus), "--output-dir", str(out),
+                                  "--rbar", "10", "--steps", "100", "--runs", "1", "--replicates", "1"])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.output.endswith(f"Error: stage 'fit' failed: {out / 'hapax_table.csv'}: "
+                                  "every point has the same size (1); "
+                                  "the rank-size law cannot be fitted to constant sizes\n")
+    assert (out / "hapax_table.csv").is_file()
+    assert not (out / "fit_report.json").exists()
+    assert not (out / "target_distribution.csv").exists()
+
+
 def test_fit_rejects_inconsistent_hapax_table(runner, tmp_path):
     table = tmp_path / "hapax_table.csv"
     table.write_text("word,frequency,dense_rank,ordinal_rank\na,5,1,1\nb,3,2,2\nc,2,7,3\nd,1,4,4\n",

@@ -1,5 +1,6 @@
 """Corpus ingestion, hapax tabulation and rank sequence tests."""
 
+import re
 from collections import Counter
 
 import numpy as np
@@ -14,6 +15,7 @@ from hapaxchain.corpus import (
     IngestionError,
     build_hapax_table,
     build_rank_sequence,
+    document_paths,
     extract_document_hapaxes,
     load_documents,
     tokenize,
@@ -92,6 +94,11 @@ def test_hapaxes_empty_document():
 
 def test_hapaxes_in_order_of_appearance():
     assert extract_document_hapaxes(["c", "b", "a", "b", "d"]) == ["c", "a", "d"]
+
+
+def test_document_rejects_an_empty_hapax():
+    with pytest.raises(ValueError, match=r"^hapaxes must not contain empty strings$"):
+        Document(id="d", hapaxes=("a", ""))
 
 
 # ------------------------------------------------------------ hapax table
@@ -293,6 +300,18 @@ def test_load_documents_manifest_names_a_file_twice(tmp_path):
 
 def test_load_documents_empty_dir(tmp_path):
     with pytest.raises(IngestionError, match="no documents"):
+        load_documents(tmp_path)
+
+
+def test_document_paths_missing_directory(tmp_path):
+    with pytest.raises(IngestionError, match=rf"^input directory not found: {re.escape(str(tmp_path / 'absent'))}$"):
+        document_paths(tmp_path / "absent")
+
+
+def test_load_documents_unreadable_file_names_it(tmp_path):
+    (tmp_path / "a.txt").write_text("alpha", encoding="utf-8")
+    (tmp_path / "b.txt").mkdir()  # listed as a document, but a directory cannot be read as text
+    with pytest.raises(IngestionError, match=rf"^cannot read {re.escape(str(tmp_path / 'b.txt'))}: "):
         load_documents(tmp_path)
 
 

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import mh_reference as ref
 import numpy as np
 import pytest
+import stats_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mh_reference import acceptance_prob, mean_acceptance_exact, mh_transition_matrix, stationary_oracle
@@ -186,6 +187,43 @@ def test_chain_equals_scalar_loop_under_seed_sequences(entropy, k, n_steps):
     assert_same_chain(f, n_steps=n_steps, seed=np.random.SeedSequence(entropy, spawn_key=(k,)))
 
 
+# From all sure (one rank) to nearly all undecided (beta = 0): a proposal of
+# rank 1 is always sure, so no law leaves every step undecided.
+CROSS_CHECK_LAWS = {
+    "paper": (REFERENCE_PARAMS, 300),
+    "beta10-gamma1": (ZMParams(1.0, 10.0, 1.0), 300),
+    "beta0-gamma1.5": (ZMParams(1.0, 0.0, 1.5), 300),
+    "one-rank": (REFERENCE_PARAMS, 1),
+}
+
+
+def undecided_steps(f, n_steps, seed):
+    """Steps 1..n_steps-1 of the seeded chain that are not sure accepts,
+    u * max(F) > F_j, from the chain's own draws replayed."""
+    rng = np.random.default_rng(seed)
+    rng.integers(0, f.r_bar)
+    proposals = rng.integers(0, f.r_bar, size=n_steps - 1)
+    return rng.random(n_steps - 1) * f.probs.max() > f.probs[proposals]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(CROSS_CHECK_LAWS)), st.one_of(st.integers(1, 3), st.integers(4, 5000)),
+       st.integers(min_value=0, max_value=2**63))
+def test_chain_equals_scalar_loop_across_laws(law, n_steps, seed):
+    assert_same_chain(target_distribution(*CROSS_CHECK_LAWS[law]), n_steps=n_steps, seed=seed)
+
+
+@pytest.mark.parametrize("law", ["paper", "beta10-gamma1", "beta0-gamma1.5"])
+@pytest.mark.parametrize("n_steps", [5, 2000])
+def test_chain_equals_scalar_loop_with_undecided_runs_at_both_ends(law, n_steps):
+    # The first two and the last two steps are undecided: the loop starts
+    # from the start state and carries its own state into the chain's end.
+    f = target_distribution(*CROSS_CHECK_LAWS[law])
+    seeds = (s for s in itertools.count() if undecided_steps(f, n_steps, s)[[0, 1, -2, -1]].all())
+    for seed in itertools.islice(seeds, 3):
+        assert_same_chain(f, n_steps=n_steps, seed=seed)
+
+
 # ------------------------------------------------------------ exact kernel
 
 
@@ -326,6 +364,42 @@ def test_study_takes_a_seed_sequence_as_master_seed():
         alone = run_chain(f, n_steps=500, seed=np.random.SeedSequence(7, spawn_key=(2, k)))
         assert np.array_equal(result.samples, alone.samples)
     assert master.n_children_spawned == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=60), st.floats(min_value=0.5, max_value=3.0),
+       st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=2000), st.data())
+def test_study_ks_equals_the_sort_based_statistic(r_bar, gamma, runs, n_steps, data):
+    # The reference may miss ranks, and chains may miss ranks the reference holds.
+    f = target_distribution(ZMParams(1.0, 0.0, gamma), r_bar)
+    reference = data.draw(st.lists(st.integers(min_value=1, max_value=r_bar), min_size=1, max_size=300))
+    chains = []
+    report = convergence_study(f, runs, n_steps, reference, seed=data.draw(st.integers(0, 2**32)),
+                               on_run=lambda k, r: chains.append(r.samples))
+    assert report.ks_statistics == [stats_reference.ks_two_sample(s, reference) for s in chains]
+
+
+def test_study_ks_equals_the_sort_based_statistic_at_paper_law():
+    f = target_distribution(REFERENCE_PARAMS, 300)
+    reference = iid_sample(f, 3000, seed=5)
+    chains = []
+    report = convergence_study(f, 4, 20_000, reference, seed=3, on_run=lambda k, r: chains.append(r.samples))
+    assert report.ks_statistics == [stats_reference.ks_two_sample(s, reference) for s in chains]
+
+
+@pytest.mark.parametrize("reference, bad", [
+    ([1, 2, 0], "0"), ([3, -1], "-1"), ([1, 301, 302], "301"), ([1, 2.5], "2.5"), ([1.0, float("nan")], "nan")])
+def test_study_rejects_references_that_are_not_ranks(reference, bad):
+    ran = []
+    with pytest.raises(ValueError, match=rf"^reference ranks must be integers in 1\.\.300, got {bad}$"):
+        convergence_study(target_distribution(REFERENCE_PARAMS, 300), 1, 10, reference,
+                          on_run=lambda k, r: ran.append(k))
+    assert ran == []
+
+
+def test_study_takes_integral_float_ranks_as_ranks():
+    f = target(0.5, 0.3, 0.2)
+    assert convergence_study(f, 2, 500, [1.0, 2.0, 3.0], seed=4) == convergence_study(f, 2, 500, [1, 2, 3], seed=4)
 
 
 def test_study_validates_inputs():

@@ -99,6 +99,15 @@ def test_target_probabilities_must_sum_to_one():
         TargetDistribution(probs=np.array([0.5, 0.4]))
 
 
+@pytest.mark.parametrize("params, problem", [
+    (ZMParams(alpha=1e-300, beta=1e3, gamma=10.0), "underflowed"),  # every f(r) is 0
+    (ZMParams(alpha=1e308, beta=0.0, gamma=1e-3), "overflowed"),  # each f(r) is finite, their sum is not
+])
+def test_target_normalizer_out_of_range_is_an_error(params, problem):
+    with pytest.raises(ValueError, match=rf"^normalizer of the target distribution {problem}$"):
+        target_distribution(params, 300)
+
+
 @pytest.mark.parametrize("probs", [[0.4, 0.6], [0.25, 0.25, 0.5], [0.5, 0.25, 0.25]])
 def test_target_probabilities_must_decrease(probs):
     with pytest.raises(ValueError, match=r"^target probabilities must be strictly decreasing in rank$"):
@@ -171,6 +180,19 @@ def test_fit_validates_input():
         fit_zm([(1, 2.0), (2, 1.0), (2, 0.7), (3, 0.5)])  # non-increasing ranks
     with pytest.raises(ValueError):
         fit_zm([(1, 2.0), (2, 1.0), (3, -0.5), (4, 0.2)])  # negative size
+    for points in ([1.0, 2.0, 3.0, 4.0], [(1, 2.0, 0), (2, 1.0, 0), (3, 0.5, 0), (4, 0.2, 0)]):
+        with pytest.raises(ValueError, match=r"^points must be \(rank, size\) pairs$"):
+            fit_zm(points)
+    for ranks in ((0, 1, 2, 3), (1, 1.5, 2, 3)):
+        with pytest.raises(ValueError, match=r"^ranks must be positive integers$"):
+            fit_zm(zip(ranks, (4.0, 3.0, 2.0, 1.0)))
+
+
+@pytest.mark.parametrize("level", [0.0, 1.0, -0.5, 95.0])
+def test_fit_level_must_lie_in_the_unit_interval(level):
+    points = synthetic_points(ZMParams(alpha=100.0, beta=5.0, gamma=1.5), range(1, 11))
+    with pytest.raises(ValueError, match=rf"^confidence level must be in \(0, 1\), got {level}$"):
+        fit_zm(points, level=level)
 
 
 def test_fit_constant_sizes_flagged():
@@ -236,6 +258,12 @@ def test_ci_level_nesting():
         lo95, hi95 = fit95.ci[name]
         lo99, hi99 = fit99.ci[name]
         assert lo99 < lo95 and hi99 > hi95
+
+
+@pytest.mark.parametrize("level", [0.0, 1.0])
+def test_ci_level_must_lie_in_the_unit_interval(level):
+    with pytest.raises(ValueError, match=rf"^confidence level must be in \(0, 1\), got {level}$"):
+        confidence_intervals(REFERENCE_PARAMS, np.eye(5, 3), np.ones(5), level)
 
 
 def test_ci_singular_covariance_raises():
