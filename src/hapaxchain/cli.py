@@ -234,8 +234,8 @@ def _run_fit(o: dict) -> dict[str, Path]:
     input_path = _require(o.get("input") or o["output_dir"] / "hapax_table.csv", "extract")
     points = persist.read_rank_size_csv(input_path)
     result = fit_zm(points, level=o["level"])
-    if len({size for _, size in points}) == 1:  # checked after fit_zm has vetted the points
-        raise click.ClickException(f"{input_path}: every point has the same size ({points[0][1]:g}); "
+    if (points[:, 1] == points[0, 1]).all():  # checked after fit_zm has vetted the points
+        raise click.ClickException(f"{input_path}: every point has the same size ({points[0, 1]:g}); "
                                    "the rank-size law cannot be fitted to constant sizes")
     p = result.params
     source = _file_id(input_path)

@@ -46,8 +46,10 @@ class ConsistencyError(RuntimeError):
     """A corpus token is missing from the table it was built from."""
 
 
-# Runs of Unicode letters, with apostrophes kept when internal.
+# Runs of Unicode letters, with apostrophes kept when internal; the letters
+# of lowercased ASCII text are exactly a-z.
 _TOKEN_RE = re.compile(r"[^\W\d_]+(?:'[^\W\d_]+)*")
+_ASCII_TOKEN_RE = re.compile(r"[a-z]+(?:'[a-z]+)*")
 _APOSTROPHE_VARIANTS = str.maketrans({"’": "'", "ʼ": "'"})
 
 
@@ -57,9 +59,12 @@ def tokenize(raw_text: str) -> list[str]:
     Digits, punctuation and whitespace separate tokens; apostrophes
     survive only between letters (curly apostrophes are normalized
     first), so "don't" stays whole while quoting marks fall away.
+    ASCII text, which holds no curly apostrophe, takes the faster
+    ASCII pattern, which finds the same tokens.
     """
-    text = raw_text.translate(_APOSTROPHE_VARIANTS).lower()
-    return _TOKEN_RE.findall(text)
+    if raw_text.isascii():
+        return _ASCII_TOKEN_RE.findall(raw_text.lower())
+    return _TOKEN_RE.findall(raw_text.translate(_APOSTROPHE_VARIANTS).lower())
 
 
 @dataclass(frozen=True)

@@ -109,11 +109,10 @@ def _rows(path, lines: list[str], header: str, parse) -> list[tuple]:
     return rows
 
 
-def read_hapax_table(path: str | Path) -> HapaxTable:
-    """The table a hapax table file holds.  Its words must be distinct, its
-    rows in ordinal order and its rank columns equal to the ranks derived
-    from its frequencies; a ``ValueError`` names the first line that breaks this."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines() or [""]
+def _hapax_rows(path, text: str) -> HapaxTable:
+    """The table of a hapax table file's text, read and checked row by row; a
+    ``ValueError`` names the first line that is not a row or breaks a check."""
+    lines = text.splitlines() or [""]
     rows = lines[0] == HAPAX_HEADER and _rows(path, lines, HAPAX_HEADER, lambda w, f, d, o: (w, int(f), int(d), int(o)))
     if not rows:
         raise ValueError(f"{path} is not a hapax table file with at least one row")
@@ -128,6 +127,50 @@ def read_hapax_table(path: str | Path) -> HapaxTable:
         seen.add(word)
         previous = key
     return table
+
+
+# Line ends that str.splitlines() knows besides "\n"; a text holding one is read row by row.
+_OTHER_LINE_ENDS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_ROW_SEPARATORS = np.frombuffer(b",,,\n", np.uint8)
+
+
+def _hapax_columns(text: str) -> HapaxTable | None:
+    """The table of a hapax table file's text, read column by column, or None
+    unless the text is the header and rows of four fields, each ended by "\n",
+    whose integers fit int64 and which pass every check of :func:`_hapax_rows`."""
+    header, _, body = text.partition("\n")
+    if header != HAPAX_HEADER or not body.endswith("\n") or any(c in body for c in _OTHER_LINE_ENDS):
+        return None
+    raw = np.frombuffer(body.encode("utf-8"), np.uint8)  # in UTF-8 these two bytes are only "," and "\n"
+    separators = raw[(raw == ord(",")) | (raw == ord("\n"))]
+    if separators.size % 4 or (separators.reshape(-1, 4) != _ROW_SEPARATORS).any():  # blank lines too
+        return None
+    cells = body[:-1].replace("\n", ",").split(",")
+    words = cells[0::4]
+    try:
+        freq, dense, ordinal = np.array([cells[1::4], cells[2::4], cells[3::4]], dtype=np.int64)  # int() per cell
+    except (ValueError, OverflowError):
+        return None
+    ties = freq[1:] == freq[:-1]
+    in_word_order = np.fromiter(map(str.__lt__, words, words[1:]), bool, len(words) - 1)
+    if (freq.min() < 1 or (freq[1:] > freq[:-1]).any() or (ties & ~in_word_order).any()
+            or len(set(words)) < len(words) or (ordinal != np.arange(1, len(words) + 1)).any()
+            or (dense != np.cumsum(np.diff(freq, prepend=0) != 0)).any()):
+        return None
+    return HapaxTable(words=tuple(words), frequencies=tuple(freq.tolist()))
+
+
+def read_hapax_table(path: str | Path) -> HapaxTable:
+    """The table a hapax table file holds.  Its words must be distinct, its
+    rows in ordinal order and its rank columns equal to the ranks derived
+    from its frequencies; a ``ValueError`` names the first line that breaks this.
+
+    A file as :func:`write_hapax_table` writes it is read in one split, its
+    integer columns parsed at once and checked as arrays; any other file
+    (blank lines, a missing final newline, a field int64 cannot hold) or a
+    failed check is read again row by row, which names the line."""
+    text = Path(path).read_text(encoding="utf-8")
+    return _hapax_columns(text) or _hapax_rows(path, text)
 
 
 def write_rank_sequence(path: str | Path, values) -> Path:
@@ -164,14 +207,16 @@ def write_target_distribution(path: str | Path, target: TargetDistribution) -> P
     return write_csv(path, ["rank", "prob"], enumerate(target.probs, 1))
 
 
-def read_rank_size_csv(path: str | Path) -> list[tuple[int, float]]:
-    """Read fit input: either a rank,size CSV or a hapax table, whose
-    ordinal ranks and frequencies then serve as the points."""
+def read_rank_size_csv(path: str | Path) -> np.ndarray:
+    """Read fit input as an (n, 2) float array of (rank, size) points, from
+    either a rank,size CSV or a hapax table, whose ordinal ranks and
+    frequencies then serve as the points."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\r\n")
         if header.replace(" ", "") == "rank,size":
             rows = _rows(path, [header, *fh.read().splitlines()], "rank,size", lambda r, s: (int(r), float(s)))
-            return [(rank, size) for _, rank, size in rows]
+            return np.array([(rank, size) for _, rank, size in rows], dtype=float)
     if header == HAPAX_HEADER:
-        return read_hapax_table(path).ordinal_points()
+        sizes = np.array(read_hapax_table(path).frequencies, dtype=float)
+        return np.column_stack((np.arange(1.0, sizes.size + 1), sizes))
     raise ValueError(f"{path}: expected a 'rank,size' header or a hapax table, got {header!r}")

@@ -7,8 +7,8 @@ r >= 1.  Fitting minimizes the untransformed residual sum of squares
 with a damped Gauss-Newton (Levenberg-Marquardt) iteration; the free
 parameters live in an internal log space (log alpha, log(1+beta),
 log gamma) which keeps every iterate inside the valid domain, up to
-rounding: a fit that ends with 1 + beta too small to give beta > -1 has
-reached the beta = -1 boundary, and is an error.
+rounding: a fit whose 1 + beta becomes too small to give beta > -1 has
+reached the beta = -1 boundary; it stops there, and is an error.
 """
 
 from __future__ import annotations
@@ -167,11 +167,12 @@ def fit_zm(points, level: float = 0.95) -> FitResult:
     ranks and positive sizes.  Returns a :class:`FitResult` whose
     confidence intervals are Student-t based at ``level``.  Degenerate
     data that leaves parameters unidentifiable yields a result flagged
-    ``ill_conditioned`` with NaN intervals; ending on the beta = -1
-    boundary raises :class:`ParameterDomainError`, and exhausting the
+    ``ill_conditioned`` with NaN intervals; reaching the beta = -1
+    boundary, where the iteration stops at once, raises
+    :class:`ParameterDomainError`, and exhausting the
     iteration cap :class:`FitConvergenceError`.
     """
-    pts = np.asarray(list(points), dtype=float)
+    pts = np.asarray(points if isinstance(points, np.ndarray) else list(points), dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be (rank, size) pairs")
     ranks = pts[:, 0]
@@ -224,6 +225,8 @@ def fit_zm(points, level: float = 0.95) -> FitResult:
             break
         improvement = rss - rss_new
         theta, f, jac, residuals = theta_new, f_new, jac_new, residuals_new
+        if math.exp(theta[1]) - 1.0 <= -1.0:  # 1 + beta underflowed: the fit has left through beta = -1
+            break
         rss_prev, rss = rss, rss_new
         damping = max(damping / DAMPING_STEP, 1e-15)
         if rss == 0.0 or improvement <= REL_TOL * max(rss_prev, 1e-300):

@@ -152,6 +152,17 @@ def test_sequence_rebuilds_from_table(runner, toy_corpus_dir, tmp_path):
     assert read(out / "rank_sequence.txt") == EXPECTED_SEQUENCE
 
 
+@pytest.mark.parametrize("text", [EXPECTED_TABLE.replace("\n", "\r\n"), EXPECTED_TABLE.replace("\n", "\n\n", 2),
+                                  EXPECTED_TABLE.rstrip("\n")])
+def test_sequence_reads_crlf_and_blank_line_tables_alike(runner, toy_corpus_dir, tmp_path, text):
+    table = tmp_path / "table.csv"
+    table.write_bytes(text.encode("utf-8"))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["sequence", str(toy_corpus_dir), "--table", str(table), "--output-dir", str(out)])
+    assert result.exit_code == 0, result.output
+    assert read(out / "rank_sequence.txt") == EXPECTED_SEQUENCE
+
+
 def test_sequence_without_table_fails(runner, toy_corpus_dir, tmp_path):
     result = runner.invoke(
         main, ["sequence", str(toy_corpus_dir), "--output-dir", str(tmp_path / "nowhere")]

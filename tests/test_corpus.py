@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hapaxchain import corpus as corpus_mod
 from hapaxchain.corpus import (
     ConsistencyError,
     Document,
@@ -66,6 +67,30 @@ def test_tokenize_internal_apostrophes_survive():
 
 def test_tokenize_unicode_letters():
     assert tokenize("naïve café — coöperate") == ["naïve", "café", "coöperate"]
+
+
+# ASCII letters in both cases, digits, "_", apostrophes, punctuation and whitespace.
+ascii_text = st.text(st.sampled_from("aBzZ09_'' -.,;:!?\"()\t\n"), max_size=60) | st.text(
+    st.characters(max_codepoint=127), max_size=60)
+
+
+@settings(max_examples=300)
+@given(ascii_text)
+def test_ascii_pattern_finds_the_unicode_patterns_tokens(text):
+    unicode_tokens = corpus_mod._TOKEN_RE.findall(text.translate(corpus_mod._APOSTROPHE_VARIANTS).lower())
+    assert corpus_mod._ASCII_TOKEN_RE.findall(text.lower()) == unicode_tokens
+    tokens = tokenize(text)
+    assert type(tokens) is list and tokens == unicode_tokens
+
+
+@pytest.mark.parametrize("text, tokens", [
+    ("Don’t be NAIVE", ["don't", "be", "naive"]),  # one curly apostrophe: normalized, then one token
+    ("a naïve don't", ["a", "naïve", "don't"]),  # one non-ASCII letter stays inside its word
+])
+def test_one_non_ascii_character_takes_the_unicode_pattern(text, tokens):
+    assert not text.isascii()
+    assert corpus_mod._ASCII_TOKEN_RE.findall(text.lower()) != tokens  # the ASCII pattern would split the word
+    assert tokenize(text) == tokens
 
 
 def test_tokenize_deterministic():

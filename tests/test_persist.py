@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from hapaxchain.corpus import Document, HapaxTable, build_hapax_table
 from hapaxchain.persist import (
+    _hapax_columns,
+    _hapax_rows,
     atomic_write_text,
     read_hapax_table,
     read_rank_sequence,
@@ -103,18 +105,113 @@ def test_not_a_table(tmp_path, text):
         read_hapax_table(path)
 
 
+def table_lines(counts):
+    """The rows, without line ends, of the table of a word -> frequency mapping."""
+    rows = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    table = HapaxTable(words=tuple(w for w, _ in rows), frequencies=tuple(f for _, f in rows))
+    return [f"{w},{f},{d},{o}" for o, (w, f, d) in enumerate(zip(table.words, table.frequencies, table.dense_ranks), 1)]
+
+
+def spoil(lines, how, i, j):
+    """``lines`` (the rows of a table) spoiled in one of a few ways at rows i and j."""
+    lines, i, j = list(lines), i % len(lines), j % len(lines)
+    fields = lines[i].split(",")
+    if how == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    elif how == "repeat":
+        lines[i] = ",".join([lines[j].split(",")[0], *fields[1:]])
+    elif how == "rank":
+        fields[2 + j % 2] = str(int(fields[2 + j % 2]) + 1 + j % 3)
+        lines[i] = ",".join(fields)
+    elif how == "frequency":  # row i's frequency set to j - 2, the dense ranks derived from the new column
+        rows = [ln.split(",") for ln in lines]
+        rows[i][1] = str(j - 2)
+        dense = np.cumsum(np.diff([int(r[1]) for r in rows], prepend=0) != 0)
+        lines = [f"{w},{f},{d},{o}" for (w, f, _, o), d in zip(rows, dense.tolist())]
+    elif how == "field":
+        fields[1 + j % 3] = ["x", "1.0", "", "9" * 20, " 1"][j % 5]
+        lines[i] = ",".join(fields)
+    elif how == "width":
+        lines[i] = ",".join(fields[:3] if j % 2 else [*fields, "1"])
+    elif how == "shift" and i + 1 < len(lines):  # a row's last field moved to the next: four fields a row on average
+        lines[i], lines[i + 1] = ",".join(fields[:3]), f"{fields[3]},{lines[i + 1]}"
+    elif how == "line end":  # a line end that str.splitlines() knows, inside a word
+        lines[i] = "\x85" + lines[i]
+    elif how == "blank":
+        lines.insert(i, "")
+    return lines
+
+
+def outcome(read):
+    try:
+        table = read()
+    except ValueError as exc:
+        return str(exc)
+    assert all(type(f) is int for f in table.frequencies)
+    return table
+
+
+@settings(max_examples=150)
+@given(st.dictionaries(st.text("abcé\x00 ", min_size=1, max_size=3), st.integers(1, 4), min_size=1, max_size=12),
+       st.sampled_from(["none", "swap", "repeat", "rank", "frequency", "field", "width", "shift", "line end",
+                        "blank"]),
+       st.integers(0, 11), st.integers(0, 11), st.sampled_from(["\n", "\r\n"]), st.booleans())
+def test_table_reader_agrees_with_the_row_loop(tmp_path_factory, counts, how, i, j, newline, final_newline):
+    lines = [HEADER.rstrip("\n"), *spoil(table_lines(counts), how, i, j)]
+    text = newline.join(lines) + (newline if final_newline else "")
+    path = tmp_path_factory.mktemp("t") / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert outcome(lambda: read_hapax_table(path)) == outcome(lambda: _hapax_rows(path, path.read_text(encoding="utf-8")))
+
+
+@settings(max_examples=40)
+@given(st.dictionaries(st.text("abcé\x00 ", min_size=1, max_size=3), st.integers(1, 4), min_size=1, max_size=12))
+def test_written_tables_are_read_column_wise(counts):
+    text = HEADER + "".join(ln + "\n" for ln in table_lines(counts))
+    assert _hapax_columns(text) == _hapax_rows("t.csv", text)
+
+
+@pytest.mark.parametrize("text", [
+    HEADER + "a,2,1,1\nb,1,2,2\n\n",  # blank line
+    HEADER + "a,2,1,1\nb,1,2,2",  # no final newline
+    HEADER + "a,2,1,1\nb,1,2,3\n",  # a rank column off
+    HEADER + "a,2,1,1\nb,1,2\n",  # a field short
+    HEADER + "a,2,1,1\nb,1,2,99999999999999999999\n",  # beyond int64
+    HEADER + "a,2,1,1\nb\x85,1,2,2\n",  # a line end that str.splitlines() knows
+    HEADER + "a,2,1\n1,b,1,2,2\n",  # three fields, then five: the columns would line up
+    HEADER + "a,1,1,1\nb,2,2,2\n",  # frequency rises
+    HEADER + "a,1,1,1\nb,0,2,2\n",  # frequency below 1
+    HEADER + "b,1,1,1\na,1,1,2\n",  # tie not in word order
+    HEADER + "b,2,1,1\na,1,2,2\nb,1,2,3\n",  # word repeated with another frequency
+])
+def test_other_texts_are_left_to_the_row_loop(text):
+    assert _hapax_columns(text) is None
+
+
+def test_crlf_and_blank_lines_read_as_the_plain_table(tmp_path):
+    table = toy_table()
+    plain = write_hapax_table(tmp_path / "t.csv", table).read_text(encoding="utf-8")
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(plain.replace("\n", "\r\n").encode("utf-8"))
+    blank = write(tmp_path, "blank.csv", plain.replace("\n", "\n\n", 2).rstrip("\n"))
+    assert read_hapax_table(crlf) == read_hapax_table(blank) == table
+
+
 # --------------------------------------------------------------- fit input
 
 
 def test_fit_input_from_hapax_table_is_its_ordinal_points(tmp_path):
     table = toy_table()
     path = write_hapax_table(tmp_path / "t.csv", table)
-    assert read_rank_size_csv(path) == table.ordinal_points() == [(1, 2), (2, 1), (3, 1)]
+    points = read_rank_size_csv(path)
+    assert points.dtype == np.float64 and points.shape == (3, 2)
+    assert points.tolist() == [list(p) for p in table.ordinal_points()] == [[1, 2], [2, 1], [3, 1]]
 
 
 def test_fit_input_from_rank_size_csv(tmp_path):
     path = write(tmp_path, "p.csv", "rank, size\n1,5.5\n\n2,4\n3,1e-3\n")
-    assert read_rank_size_csv(path) == [(1, 5.5), (2, 4.0), (3, 1e-3)]
+    points = read_rank_size_csv(path)
+    assert points.dtype == np.float64 and points.tolist() == [[1, 5.5], [2, 4.0], [3, 1e-3]]
 
 
 @pytest.mark.parametrize("row", ["2,4,1", "2,x", "2", "2.5,4"])

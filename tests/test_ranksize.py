@@ -295,6 +295,19 @@ def test_fit_of_few_long_documents_ends_on_the_beta_boundary(long_document_point
         fit_zm(points)
 
 
+def test_fit_stops_as_soon_as_it_leaves_through_the_beta_boundary(long_document_points, monkeypatch):
+    # Crept on along the overflow guard in subnormal arithmetic, the fit on
+    # seed 0 used to evaluate the model 45 times before raising.
+    from hapaxchain import ranksize
+
+    calls = []
+    model = ranksize._model_and_jacobian_log
+    monkeypatch.setattr(ranksize, "_model_and_jacobian_log", lambda *args: calls.append(1) or model(*args))
+    with pytest.raises(ParameterDomainError, match="beta = -1 boundary"):
+        fit_zm(long_document_points(0))
+    assert len(calls) < 30
+
+
 def test_fit_of_few_long_documents_may_converge_inside_the_domain(long_document_points):
     result = fit_zm(long_document_points(3))
     assert result.params.beta == pytest.approx(376, rel=0.01)
