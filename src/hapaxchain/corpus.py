@@ -109,10 +109,6 @@ class HapaxTable:
     def dense_rank_of(self) -> dict[str, int]:
         return dict(zip(self.words, self.dense_ranks))
 
-    def ordinal_points(self) -> list[tuple[int, int]]:
-        """(ordinal_rank, frequency) pairs, the fitting view of the table."""
-        return list(enumerate(self.frequencies, 1))
-
 
 def extract_document_hapaxes(tokens) -> list[str]:
     """Tokens occurring exactly once in a document's tokens, in order of appearance

@@ -153,11 +153,12 @@ def _hapax_columns(text: str) -> HapaxTable | None:
         return None
     ties = freq[1:] == freq[:-1]
     in_word_order = np.fromiter(map(str.__lt__, words, words[1:]), bool, len(words) - 1)
+    table = HapaxTable(words=tuple(words), frequencies=tuple(freq.tolist()))
     if (freq.min() < 1 or (freq[1:] > freq[:-1]).any() or (ties & ~in_word_order).any()
             or len(set(words)) < len(words) or (ordinal != np.arange(1, len(words) + 1)).any()
-            or (dense != np.cumsum(np.diff(freq, prepend=0) != 0)).any()):
+            or tuple(dense.tolist()) != table.dense_ranks):
         return None
-    return HapaxTable(words=tuple(words), frequencies=tuple(freq.tolist()))
+    return table
 
 
 def read_hapax_table(path: str | Path) -> HapaxTable:

@@ -1,14 +1,7 @@
 import functools
-import os
 
 import numpy as np
 import pytest
-from hypothesis import settings
-
-# HYPOTHESIS_PROFILE=ci: no per-example deadline on slow shared runners, and a
-# failure prints the blob that reproduces it.
-settings.register_profile("ci", deadline=None, print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

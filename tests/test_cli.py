@@ -200,7 +200,7 @@ def test_fit_accepts_hapax_table(runner, rich_corpus_dir, tmp_path):
 def test_fit_rank_size_csv_matches_hapax_table(runner, rich_corpus_dir, tmp_path):
     out = tmp_path / "out"
     assert runner.invoke(main, ["extract", str(rich_corpus_dir), "--output-dir", str(out)]).exit_code == 0
-    points = read_hapax_table(out / "hapax_table.csv").ordinal_points()
+    points = enumerate(read_hapax_table(out / "hapax_table.csv").frequencies, 1)
     csv_path = write_csv(tmp_path / "points.csv", ["rank", "size"], points)
     reports = []
     for argv in (["--input", str(csv_path)], []):
@@ -871,7 +871,7 @@ def test_report_figures_share_the_stage_table_writers(runner, rich_corpus_dir, t
     fig1 = read(out / "fig1_ranksize.csv").splitlines()
     assert fig1[0] == "rank,size_observed,size_fitted"
     assert [tuple(map(int, line.split(",")[:2])) for line in fig1[1:]] == \
-        read_hapax_table(out / "hapax_table.csv").ordinal_points()
+        list(enumerate(read_hapax_table(out / "hapax_table.csv").frequencies, 1))
     for line in fig1[1:]:
         rank, _, fitted = line.split(",")
         assert float(fitted) == pytest.approx(zm_eval(params, int(rank)), rel=1e-12)

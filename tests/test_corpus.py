@@ -139,7 +139,6 @@ def test_build_table_toy_corpus():
     assert table.frequencies == (2, 1, 1)
     assert table.dense_ranks == (1, 2, 2)
     assert table.dense_rank_of() == {"a": 1, "c": 2, "d": 2}
-    assert table.ordinal_points() == [(1, 2), (2, 1), (3, 1)]
     assert table.total_occurrences == 4
     assert table.alphabet_size == 2
 
@@ -147,7 +146,6 @@ def test_build_table_toy_corpus():
 def test_build_table_single_doc():
     table = build_hapax_table([doc(["a"])])
     assert (table.words, table.frequencies, table.dense_ranks) == (("a",), (1,), (1,))
-    assert table.ordinal_points() == [(1, 1)]
     assert table.total_occurrences == 1
     assert table.alphabet_size == 1
 
@@ -251,14 +249,9 @@ def test_corpus_invariants(token_corpus):
         for f2, d2 in zip(frequencies, dense_ranks):
             assert (f1 > f2) == (d1 < d2)
 
-    # ordinal ranks are a bijection onto 1..n, lexicographic inside a class
-    points = table.ordinal_points()
-    assert sorted(r for r, _ in points) == list(range(1, len(words) + 1))
-    by_ordinal = [(words[r - 1], f) for r, f in sorted(points)]
-    assert [f for _, f in by_ordinal] == list(frequencies)
-    for (w1, f1), (w2, f2) in zip(by_ordinal, by_ordinal[1:]):
-        if f1 == f2:
-            assert w1 < w2
+    # words are in ordinal order: frequency descending, lexicographic inside a class
+    for (w1, f1), (w2, f2) in zip(zip(words, frequencies), zip(words[1:], frequencies[1:])):
+        assert f1 > f2 or (f1 == f2 and w1 < w2)
 
     assert table.alphabet_size == len(set(frequencies))
     assert max(dense_ranks) == table.alphabet_size
