@@ -18,6 +18,7 @@ import numpy as np
 
 from .stats import (
     DEFAULT_LEVELS,
+    _ks_from_counts,
     check_levels,
     child_seed,
     chi_square_gof,
@@ -312,6 +313,7 @@ def order_test(seq, replicates: int = 100, len1: int | None = None, len2: int | 
     chi_stats: list[float] = []
     ks_emp: list[float] = []
     indicator_lists: dict[str, list[float]] = {name: [] for name in INDICATOR_NAMES}
+    observed_counts, observed = _indicators_of(values, tm1.states)
 
     for k in range(replicates):
         sim1 = simulate_order1(tm1, len1, child_seed(seed, 1, k))
@@ -322,11 +324,9 @@ def order_test(seq, replicates: int = 100, len1: int | None = None, len2: int | 
 
         sim1_counts, indicators = _indicators_of(sim1, tm1.states)
         chi_stats.append(chi_square_gof(sim1_counts, tm1.marginal)[0])
-        ks_emp.append(ks_two_sample(sim1, values))
+        ks_emp.append(_ks_from_counts(sim1_counts, observed_counts))  # both over tm1.states
         for name, val in indicators.items():
             indicator_lists[name].append(val)
-
-    observed = _indicators_of(values, tm1.states)[1]
 
     thresholds = {
         "ks_first_vs_second": {lv: ks_threshold(lv, len1, len2, halve_alpha) for lv in levels},

@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import tempfile
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -97,81 +98,60 @@ def _line_error(path, number: int, lines: list[str], problem: str) -> ValueError
     return ValueError(f"{path}, line {number}: {problem}: {lines[number - 1]!r}")
 
 
-def _rows(path, lines: list[str], header: str, parse) -> list[tuple]:
-    """(line number, *parse(*fields)) of each non-blank line after the header."""
-    rows = []
-    for number, ln in enumerate(lines[1:], 2):
-        try:
-            if ln:
-                rows.append((number, *parse(*ln.split(","))))
-        except (TypeError, ValueError):  # a wrong number of fields, or a field that does not convert
-            raise _line_error(path, number, lines, f"not a row of {header}") from None
-    return rows
-
-
-def _hapax_rows(path, text: str) -> HapaxTable:
-    """The table of a hapax table file's text, read and checked row by row; a
-    ``ValueError`` names the first line that is not a row or breaks a check."""
-    lines = text.splitlines() or [""]
-    rows = lines[0] == HAPAX_HEADER and _rows(path, lines, HAPAX_HEADER, lambda w, f, d, o: (w, int(f), int(d), int(o)))
-    if not rows:
-        raise ValueError(f"{path} is not a hapax table file with at least one row")
-    _, words, frequencies, *_ = zip(*rows)
-    table, seen, previous = HapaxTable(words=words, frequencies=frequencies), set(), ()
-    for rank, ((number, word, freq, dense, ordinal), want) in enumerate(zip(rows, table.dense_ranks), 1):
-        key = (-freq, word)  # increases strictly down a table in ordinal order
-        if freq < 1 or word in seen or key <= previous:
-            raise _line_error(path, number, lines, "repeated word, frequency below 1, or row out of ordinal order")
-        if (dense, ordinal) != (want, rank):
-            raise _line_error(path, number, lines, f"dense_rank,ordinal_rank should read {want},{rank}")
-        seen.add(word)
-        previous = key
-    return table
-
-
-# Line ends that str.splitlines() knows besides "\n"; a text holding one is read row by row.
-_OTHER_LINE_ENDS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-_ROW_SEPARATORS = np.frombuffer(b",,,\n", np.uint8)
-
-
-def _hapax_columns(text: str) -> HapaxTable | None:
-    """The table of a hapax table file's text, read column by column, or None
-    unless the text is the header and rows of four fields, each ended by "\n",
-    whose integers fit int64 and which pass every check of :func:`_hapax_rows`."""
-    header, _, body = text.partition("\n")
-    if header != HAPAX_HEADER or not body.endswith("\n") or any(c in body for c in _OTHER_LINE_ENDS):
+def _columns(rows: list[str], types: tuple) -> list | None:
+    """The columns of comma-separated ``rows``, split at once: a list for ``str``, else an array of that
+    dtype (which calls ``int()`` or ``float()`` per cell, so takes the spellings they take); or None
+    unless each row has one field per type and each field converts."""
+    if set(map(str.count, rows, repeat(","))) != {len(types) - 1}:
         return None
-    raw = np.frombuffer(body.encode("utf-8"), np.uint8)  # in UTF-8 these two bytes are only "," and "\n"
-    separators = raw[(raw == ord(",")) | (raw == ord("\n"))]
-    if separators.size % 4 or (separators.reshape(-1, 4) != _ROW_SEPARATORS).any():  # blank lines too
-        return None
-    cells = body[:-1].replace("\n", ",").split(",")
-    words = cells[0::4]
+    cells = ",".join(rows).split(",")
     try:
-        freq, dense, ordinal = np.array([cells[1::4], cells[2::4], cells[3::4]], dtype=np.int64)  # int() per cell
-    except (ValueError, OverflowError):
+        return [cells[i::len(types)] if t is str else np.array(cells[i::len(types)], dtype=t)
+                for i, t in enumerate(types)]
+    except (ValueError, OverflowError):  # a field that does not convert, or an integer beyond int64
         return None
-    ties = freq[1:] == freq[:-1]
-    in_word_order = np.fromiter(map(str.__lt__, words, words[1:]), bool, len(words) - 1)
-    table = HapaxTable(words=tuple(words), frequencies=tuple(freq.tolist()))
-    if (freq.min() < 1 or (freq[1:] > freq[:-1]).any() or (ties & ~in_word_order).any()
-            or len(set(words)) < len(words) or (ordinal != np.arange(1, len(words) + 1)).any()
-            or tuple(dense.tolist()) != table.dense_ranks):
-        return None
+
+
+def _row_error(path, lines: list[str], index: int, problem: str) -> ValueError:
+    """The error naming row ``index`` (from 0) of a file's ``lines``: its non-blank lines after the first."""
+    return _line_error(path, [n for n, ln in enumerate(lines[1:], 2) if ln][index], lines, problem)
+
+
+def _read_columns(path, lines: list[str], header: str, types: tuple) -> list | None:
+    """The :func:`_columns` of a file's rows, or None if it has none; an error names the first line not a row."""
+    rows = list(filter(None, lines[1:]))  # the non-blank lines after the header
+    columns = _columns(rows, types)
+    if columns is None and rows:
+        index = next(i for i, row in enumerate(rows) if _columns([row], types) is None)
+        raise _row_error(path, lines, index, f"not a row of {header}")
+    return columns
+
+
+def _hapax_table(path, lines: list[str]) -> HapaxTable:
+    """The table of a hapax table file's ``lines``, checked as arrays; an error names its first bad line."""
+    columns = lines[0] == HAPAX_HEADER and _read_columns(path, lines, HAPAX_HEADER, (str, np.int64, np.int64, np.int64))
+    if not columns:
+        raise ValueError(f"{path} is not a hapax table file with at least one row")
+    words, freq, dense, ordinal = columns
+    table, rank = HapaxTable(words=tuple(words), frequencies=tuple(freq.tolist())), np.arange(1, len(words) + 1)
+    after = np.fromiter(map(str.__gt__, words[1:], words), bool)  # each word after the one above it
+    misplaced = (freq < 1) | np.append(False, (freq[1:] > freq[:-1]) | ((freq[1:] == freq[:-1]) & ~after))
+    if len(set(words)) < rank.size:  # each row of a word but its first is misplaced
+        first = dict(zip(words[::-1], rank[::-1].tolist()))  # the rank of each word's first row
+        misplaced |= np.fromiter(map(first.__getitem__, words), np.int64, rank.size) < rank
+    bad = misplaced | (dense != table.dense_ranks) | (ordinal != rank)
+    if bad.any():
+        i = int(bad.argmax())
+        raise _row_error(path, lines, i, "repeated word, frequency below 1, or row out of ordinal order" if misplaced[i]
+                         else f"dense_rank,ordinal_rank should read {table.dense_ranks[i]},{i + 1}")
     return table
 
 
 def read_hapax_table(path: str | Path) -> HapaxTable:
-    """The table a hapax table file holds.  Its words must be distinct, its
-    rows in ordinal order and its rank columns equal to the ranks derived
-    from its frequencies; a ``ValueError`` names the first line that breaks this.
-
-    A file as :func:`write_hapax_table` writes it is read in one split, its
-    integer columns parsed at once and checked as arrays; any other file
-    (blank lines, a missing final newline, a field int64 cannot hold) or a
-    failed check is read again row by row, which names the line."""
-    text = Path(path).read_text(encoding="utf-8")
-    return _hapax_columns(text) or _hapax_rows(path, text)
+    """The table a hapax table file holds.  Its words must be distinct, its rows in ordinal order and
+    its rank columns equal to the ranks its frequencies give; a ``ValueError`` names the first line
+    that breaks this, or that is not a row: four fields whose integers fit int64."""
+    return _hapax_table(path, Path(path).read_text(encoding="utf-8").splitlines() or [""])
 
 
 def write_rank_sequence(path: str | Path, values) -> Path:
@@ -209,15 +189,15 @@ def write_target_distribution(path: str | Path, target: TargetDistribution) -> P
 
 
 def read_rank_size_csv(path: str | Path) -> np.ndarray:
-    """Read fit input as an (n, 2) float array of (rank, size) points, from
-    either a rank,size CSV or a hapax table, whose ordinal ranks and
-    frequencies then serve as the points."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\r\n")
-        if header.replace(" ", "") == "rank,size":
-            rows = _rows(path, [header, *fh.read().splitlines()], "rank,size", lambda r, s: (int(r), float(s)))
-            return np.array([(rank, size) for _, rank, size in rows], dtype=float)
-    if header == HAPAX_HEADER:
-        sizes = np.array(read_hapax_table(path).frequencies, dtype=float)
+    """Fit input as an (n, 2) float array of (rank, size) points: the rows of a rank,size CSV (an int64
+    rank and a float size each), or the ordinal ranks and frequencies of a hapax table."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines() or [""]
+    if lines[0] == HAPAX_HEADER:
+        sizes = np.array(_hapax_table(path, lines).frequencies, dtype=float)
         return np.column_stack((np.arange(1.0, sizes.size + 1), sizes))
-    raise ValueError(f"{path}: expected a 'rank,size' header or a hapax table, got {header!r}")
+    if lines[0].replace(" ", "") != "rank,size":
+        raise ValueError(f"{path}: expected a 'rank,size' header or a hapax table, got {lines[0]!r}")
+    columns = _read_columns(path, lines, "rank,size", (np.int64, np.float64))
+    if columns is None:
+        raise ValueError(f"{path} holds no rank,size rows")
+    return np.column_stack(columns)

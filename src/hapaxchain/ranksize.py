@@ -164,7 +164,7 @@ def fit_zm(points, level: float = 0.95) -> FitResult:
     """Least-squares fit of the rank-size law to (rank, size) points.
 
     Needs at least 4 points with strictly increasing positive integer
-    ranks and positive sizes.  Returns a :class:`FitResult` whose
+    ranks and positive finite sizes.  Returns a :class:`FitResult` whose
     confidence intervals are Student-t based at ``level``.  Degenerate
     data that leaves parameters unidentifiable yields a result flagged
     ``ill_conditioned`` with NaN intervals; reaching the beta = -1
@@ -175,6 +175,8 @@ def fit_zm(points, level: float = 0.95) -> FitResult:
     pts = np.asarray(points if isinstance(points, np.ndarray) else list(points), dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be (rank, size) pairs")
+    if not np.isfinite(pts).all():
+        raise ValueError("ranks and sizes must be finite, not nan or infinite")
     ranks = pts[:, 0]
     sizes = pts[:, 1]
     if ranks.size < 4:

@@ -6,6 +6,7 @@ read attributes of the results.  These tests run it on an empty plan and
 apply its counters to small real results, so a break shows in the test
 suite and not only in a traced benchmark run."""
 
+import importlib
 import importlib.util
 import json
 import os
@@ -56,3 +57,16 @@ def test_counters_read_real_results():
     seq = np.random.default_rng(2).integers(1, 6, size=400)
     matrix_mb = counters["markov.estimate_order2"]((seq,), {}, estimate_order2(seq))["matrix_mb"]
     assert 0 < matrix_mb < 1
+
+
+def test_per_layer_metrics_name_public_functions():
+    # A per-layer metric module.function.stat of a traced module needs the
+    # function to stay public, or the traced benchmark stops on it.
+    modules = load_traced().TRACED_MODULES
+    per_layer = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
+    named = {tuple(parts[:2]) for parts in (m["name"].split(".") for m in per_layer)
+             if len(parts) == 3 and parts[0] in modules}
+    assert len(named) > 20
+    missing = [f"{module}.{function}" for module, function in sorted(named)
+               if function not in importlib.import_module(f"hapaxchain.{module}").__all__]
+    assert missing == []

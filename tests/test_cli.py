@@ -221,6 +221,24 @@ def test_fit_names_malformed_rank_size_line(runner, tmp_path, row):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("size", ["nan", "inf"])
+def test_fit_rejects_a_non_finite_size(runner, tmp_path, size):
+    csv_path = tmp_path / "points.csv"
+    csv_path.write_text(f"rank,size\n1,5\n2,{size}\n3,2\n4,1\n", encoding="utf-8")
+    result = runner.invoke(main, ["fit", "--input", str(csv_path), "--output-dir", str(tmp_path / "out")])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.output == "Error: ranks and sizes must be finite, not nan or infinite\n"
+    assert not (tmp_path / "out" / "fit_report.json").exists()
+
+
+def test_fit_names_a_rank_size_file_without_rows(runner, tmp_path):
+    csv_path = tmp_path / "points.csv"
+    csv_path.write_text("rank,size\n", encoding="utf-8")
+    result = runner.invoke(main, ["fit", "--input", str(csv_path), "--output-dir", str(tmp_path / "out")])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.output == f"Error: {csv_path} holds no rank,size rows\n"
+
+
 def test_fit_on_the_beta_boundary_ends_in_an_error(runner, long_document_points, tmp_path):
     csv_path = tmp_path / "points.csv"
     points = long_document_points(2)

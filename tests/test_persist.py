@@ -2,16 +2,16 @@
 readers' line-numbered errors on malformed or self-contradictory files."""
 
 import os
+import re
 
 import numpy as np
+import persist_reference as ref
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hapaxchain.corpus import Document, HapaxTable, build_hapax_table
 from hapaxchain.persist import (
-    _hapax_columns,
-    _hapax_rows,
     atomic_write_text,
     read_hapax_table,
     read_rank_sequence,
@@ -91,7 +91,8 @@ def test_rows_must_be_distinct_words_in_ordinal_order(tmp_path, rows, line):
         read_hapax_table(path)
 
 
-@pytest.mark.parametrize("row", ["c,1", "c,1,2,3,4", "c,one,2,3", "c,1,2,x"])
+@pytest.mark.parametrize("row", ["c,1", "c,1,2,3,4", "c,one,2,3", "c,1,2,x",
+                                 f"c,{'9' * 20},2,3"])  # a frequency beyond int64
 def test_malformed_row_names_its_line(tmp_path, row):
     path = write(tmp_path, "bad.csv", HEADER + "a,2,1,1\n" + row + "\n")
     with pytest.raises(ValueError, match=r"bad\.csv, line 3: not a row of word,frequency,dense_rank,ordinal_rank"):
@@ -142,13 +143,22 @@ def spoil(lines, how, i, j):
     return lines
 
 
-def outcome(read):
+def outcome(read, path):
+    """What ``read(path)`` gives: its error message, its table, or its points bit for bit."""
     try:
-        table = read()
+        result = read(path)
     except ValueError as exc:
         return str(exc)
-    assert all(type(f) is int for f in table.frequencies)
-    return table
+    if isinstance(result, np.ndarray):
+        return result.dtype, result.shape, result.tobytes()
+    assert all(type(f) is int for f in result.frequencies)
+    return result
+
+
+def agree(path):
+    """Assert that the readers give what the row-by-row reference readers give on ``path``."""
+    assert outcome(read_hapax_table, path) == outcome(ref.read_hapax_table, path)
+    assert outcome(read_rank_size_csv, path) == outcome(ref.read_rank_size_csv, path)
 
 
 @settings(max_examples=150, deadline=None)
@@ -161,14 +171,7 @@ def test_table_reader_agrees_with_the_row_loop(tmp_path_factory, counts, how, i,
     text = newline.join(lines) + (newline if final_newline else "")
     path = tmp_path_factory.mktemp("t") / "t.csv"
     path.write_bytes(text.encode("utf-8"))
-    assert outcome(lambda: read_hapax_table(path)) == outcome(lambda: _hapax_rows(path, path.read_text(encoding="utf-8")))
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.dictionaries(st.text("abcé\x00 ", min_size=1, max_size=3), st.integers(1, 4), min_size=1, max_size=12))
-def test_written_tables_are_read_column_wise(counts):
-    text = HEADER + "".join(ln + "\n" for ln in table_lines(counts))
-    assert _hapax_columns(text) == _hapax_rows("t.csv", text)
+    agree(path)
 
 
 @pytest.mark.parametrize("text", [
@@ -184,8 +187,8 @@ def test_written_tables_are_read_column_wise(counts):
     HEADER + "b,1,1,1\na,1,1,2\n",  # tie not in word order
     HEADER + "b,2,1,1\na,1,2,2\nb,1,2,3\n",  # word repeated with another frequency
 ])
-def test_other_texts_are_left_to_the_row_loop(text):
-    assert _hapax_columns(text) is None
+def test_table_texts_agree_with_the_row_loop(tmp_path, text):
+    agree(write(tmp_path, "t.csv", text))
 
 
 def test_crlf_and_blank_lines_read_as_the_plain_table(tmp_path):
@@ -232,6 +235,44 @@ def test_fit_input_needs_a_known_header(tmp_path, text):
     path = write(tmp_path, "p.csv", text)
     with pytest.raises(ValueError, match=r"expected a 'rank,size' header or a hapax table"):
         read_rank_size_csv(path)
+
+
+@pytest.mark.parametrize("text", ["rank,size", "rank,size\n", "rank, size\n\n\n"])
+def test_fit_input_needs_a_rank_size_row(tmp_path, text):
+    path = write(tmp_path, "p.csv", text)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))} holds no rank,size rows$"):
+        read_rank_size_csv(path)
+
+
+def spoil_points(lines, how, i, j):
+    """``lines`` (the rows of a rank,size CSV) spoiled in one of a few ways at rows i and j."""
+    lines, i = list(lines), i % len(lines)
+    rank, size = lines[i].split(",")
+    if how == "rank":
+        lines[i] = ",".join([["x", "1.0", "", "9" * 20, " 1", "+2", "1_0", "-3"][j % 8], size])
+    elif how == "size":
+        lines[i] = ",".join([rank, ["x", "", "nan", "-inf", " 1e-3 ", "1_0.5", "9" * 400, "0x1"][j % 8]])
+    elif how == "width":
+        lines[i] = rank if j % 2 else f"{lines[i]},1"
+    elif how == "shift" and i + 1 < len(lines):  # two fields a row on average
+        lines[i], lines[i + 1] = rank, f"{size},{lines[i + 1]}"
+    elif how == "line end":
+        lines[i] = "\x85" + lines[i]
+    elif how == "blank":
+        lines.insert(i, "")
+    return lines
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.floats(min_value=1e-300, max_value=1e300), min_size=1, max_size=12),
+       st.sampled_from(["none", "rank", "size", "width", "shift", "line end", "blank"]),
+       st.integers(0, 11), st.integers(0, 15), st.sampled_from(["\n", "\r\n"]), st.booleans())
+def test_rank_size_reader_agrees_with_the_row_loop(tmp_path_factory, sizes, how, i, j, newline, final_newline):
+    rows = [f"{r},{s!r}" for r, s in enumerate(sizes, 1)]
+    lines = ["rank,size", *spoil_points(rows, how, i, j)]
+    path = tmp_path_factory.mktemp("p") / "p.csv"
+    path.write_bytes((newline.join(lines) + (newline if final_newline else "")).encode("utf-8"))
+    assert outcome(read_rank_size_csv, path) == outcome(ref.read_rank_size_csv, path)
 
 
 # ----------------------------------------------------------- rank sequence

@@ -188,6 +188,15 @@ def test_fit_validates_input():
             fit_zm(zip(ranks, (4.0, 3.0, 2.0, 1.0)))
 
 
+@pytest.mark.parametrize("at, bad", [(1, math.nan), (1, math.inf), (0, math.inf), (0, math.nan)])
+def test_fit_rejects_non_finite_points(at, bad):
+    # A nan or infinite size used to pass every check and end the fit in an error about gamma.
+    points = [list(p) for p in synthetic_points(ZMParams(alpha=100.0, beta=5.0, gamma=1.5), range(1, 11))]
+    points[-1][at] = bad
+    with pytest.raises(ValueError, match=r"^ranks and sizes must be finite, not nan or infinite$"):
+        fit_zm(points)
+
+
 @pytest.mark.parametrize("level", [0.0, 1.0, -0.5, 95.0])
 def test_fit_level_must_lie_in_the_unit_interval(level):
     points = synthetic_points(ZMParams(alpha=100.0, beta=5.0, gamma=1.5), range(1, 11))
