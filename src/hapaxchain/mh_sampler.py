@@ -41,40 +41,46 @@ def run_chain(f: TargetDistribution, n_steps: int, seed=0) -> MHRunResult:
     proposes j uniformly, draws u on [0, 1) and accepts when
     u <= min(1, F_j / F_x).  No burn-in is discarded.
 
-    All proposals are drawn in one call, then all uniforms in one.  Since
-    rounding is monotone, u * F_x <= u * max(F) for every state x, so a
-    step with u * max(F) <= F_j is accepted whatever state it leaves and
-    keeps its proposal.  The scalar test runs over the undecided rest
-    only, in order, each step reading the state before it, or the loop's
-    own last state where that step was undecided too.
+    The start and all proposals are drawn as ranks, then all uniforms in
+    one call.  Since rounding is monotone, u * F_x <= u * max(F) for every
+    state x, so a step with u * max(F) <= F_j is accepted whatever state
+    it leaves and keeps its proposal.  Of the undecided rest, a head
+    follows a final state (a sure step or the start), so all heads take
+    the scalar test u * F_x <= F_j at once, as one vector of the same
+    IEEE products and comparisons.  Only a tail, which follows another
+    undecided step, runs through the scalar loop, in order, reading a
+    head's settled state or the loop's own last state.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    r_bar = f.r_bar
     rng = np.random.default_rng(seed)
-    out = np.empty(n_steps, dtype=np.int64)
-    out[0] = rng.integers(0, r_bar)
-    out[1:] = rng.integers(0, r_bar, size=n_steps - 1)
+    out = np.empty(n_steps, dtype=np.int64)  # the chain's ranks
+    out[0] = rng.integers(1, f.r_bar + 1)
+    out[1:] = rng.integers(1, f.r_bar + 1, size=n_steps - 1)
     us = rng.random(n_steps - 1)  # us[t - 1] decides the step to state t
-    p = np.asarray(f.probs, dtype=float)
+    p = np.concatenate(([0.0], f.probs))  # p[r] = F_r; rank 0 is no state
     undecided = np.flatnonzero(us * p.max() > p[out[1:]]) + 1
-    proposals = out[undecided]
-    before = out[undecided - 1]
-    before[1:][np.diff(undecided) == 1] = -1  # not final yet: the loop carries its own state
-    probs, settled, x = p.tolist(), [], -1
-    for u, j, b in zip(memoryview(us[undecided - 1]), memoryview(proposals), memoryview(before)):
-        if b >= 0:
+    chained = np.diff(undecided, prepend=-1) == 1  # the state before is undecided too
+    heads, tails = undecided[~chained], undecided[chained]
+    held, moved = out[heads - 1], out[heads]
+    # u <= min(1, F_j/F_x) without the min: u < 1 always holds.
+    taken = us[heads - 1] * p[held] <= p[moved]
+    out[heads] = np.where(taken, moved, held)
+    proposals, before = out[tails], out[tails - 1]
+    before[1:][np.diff(tails) == 1] = 0  # a tail after a tail: the loop carries its own state
+    probs, settled = p.tolist(), []
+    for u, j, b in zip(memoryview(us[tails - 1]), memoryview(proposals), memoryview(before)):
+        if b:
             x = b
-        # u <= min(1, F_j/F_x) without the min: u < 1 always holds.
         if u * probs[x] <= probs[j]:
             x = j
         settled.append(x)
-    states = np.fromiter(settled, dtype=np.int64, count=undecided.size)
-    out[undecided] = states
+    states = np.fromiter(settled, dtype=np.int64, count=tails.size)
+    out[tails] = states
     # A rejected step never stays on its proposal: proposing the current
     # state is always accepted, as u * F_x <= F_x.
-    accepted = n_steps - 1 - int(np.count_nonzero(states != proposals))
-    return MHRunResult(samples=out + 1, accepted=accepted)
+    rejected = heads.size - np.count_nonzero(taken) + np.count_nonzero(states != proposals)
+    return MHRunResult(samples=out, accepted=n_steps - 1 - int(rejected))
 
 
 def iid_sample(f: TargetDistribution, size: int, seed) -> np.ndarray:

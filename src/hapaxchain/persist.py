@@ -112,6 +112,17 @@ def _columns(rows: list[str], types: tuple) -> list | None:
         return None
 
 
+def _first_failing(items: list, fails) -> int:
+    """The index of the first item that ``fails`` alone, where ``items`` as a whole fails and a block of
+    them fails exactly when one of its items does.  The failing block is halved down to one item: about
+    log2(len(items)) calls, on non-empty blocks that hold about len(items) items together."""
+    lo, hi = 0, len(items)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if fails(items[lo:mid]) else (mid, hi)
+    return lo
+
+
 def _row_error(path, lines: list[str], index: int, problem: str) -> ValueError:
     """The error naming row ``index`` (from 0) of a file's ``lines``: its non-blank lines after the first."""
     return _line_error(path, [n for n, ln in enumerate(lines[1:], 2) if ln][index], lines, problem)
@@ -122,7 +133,7 @@ def _read_columns(path, lines: list[str], header: str, types: tuple) -> list | N
     rows = list(filter(None, lines[1:]))  # the non-blank lines after the header
     columns = _columns(rows, types)
     if columns is None and rows:
-        index = next(i for i, row in enumerate(rows) if _columns([row], types) is None)
+        index = _first_failing(rows, lambda block: _columns(block, types) is None)
         raise _row_error(path, lines, index, f"not a row of {header}")
     return columns
 
@@ -177,8 +188,9 @@ def read_rank_sequence(path: str | Path) -> np.ndarray:
     values = _ranks(text)
     if values is None:
         lines = text.splitlines()
-        number = next(n for n, ln in enumerate(lines, 1) if _ranks(ln) is None)
-        raise _line_error(path, number, lines, "not a rank (an integer >= 1)")
+        # The lines' tokens are the text's: str.split() splits at every line end str.splitlines() knows.
+        index = _first_failing(lines, lambda block: _ranks("\n".join(block)) is None)
+        raise _line_error(path, index + 1, lines, "not a rank (an integer >= 1)")
     if values.size == 0:
         raise ValueError(f"{path} contains no rank values")
     return values

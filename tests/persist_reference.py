@@ -1,12 +1,14 @@
-"""Row-by-row reference readers of the hapax table and the rank,size CSV.
+"""Row-by-row reference readers of the hapax table, the rank,size CSV and
+the rank sequence.
 
-This is the straightforward loop the package's column-wise reader
-replaces: each non-blank line after the header split and converted on
+This is the straightforward loop the package's column-wise readers
+replace: each non-blank line after the header split and converted on
 its own, then the hapax rows checked one at a time against the words
-before them and the ranks their frequencies give.  An integer field must
-fit int64, as the package reads integer columns as int64 arrays.  The
-tests compare the package's readers against these: the same table or
-points, or the same error message.
+before them and the ranks their frequencies give; and each line of a
+rank sequence split and checked on its own.  An integer field must fit
+int64, as the package reads integer columns as int64 arrays.  The tests
+compare the package's readers against these: the same table, points or
+ranks, or the same error message.
 """
 
 from __future__ import annotations
@@ -73,3 +75,19 @@ def read_rank_size_csv(path) -> np.ndarray:
     if not rows:
         raise ValueError(f"{path} holds no rank,size rows")
     return np.array([(rank, size) for _, rank, size in rows], dtype=float)
+
+
+def read_rank_sequence(path) -> np.ndarray:
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    values = []
+    for number, ln in enumerate(lines, 1):
+        try:
+            ranks = [int64(field) for field in ln.split()]
+        except ValueError:
+            ranks = [0]
+        if min(ranks, default=1) < 1:
+            raise _line_error(path, number, lines, "not a rank (an integer >= 1)")
+        values.extend(ranks)
+    if not values:
+        raise ValueError(f"{path} contains no rank values")
+    return np.array(values, dtype=np.int64)

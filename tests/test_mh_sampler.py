@@ -68,11 +68,15 @@ def test_acceptance_out_of_range():
 # -------------------------------------------------------------------- chain
 
 
-def test_chain_single_state():
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 100])
+def test_chain_single_state(n_steps):
+    # r_bar = 1: each step proposes the one rank and is sure, so no step is a head or a tail.
     f = target(1.0)
-    result = run_chain(f, n_steps=100, seed=0)
-    assert np.all(result.samples == 1)
-    assert result.accepted / (100 - 1) == 1.0
+    for seed in range(3):
+        result = run_chain(f, n_steps=n_steps, seed=seed)
+        assert result.samples.tolist() == [1] * n_steps
+        assert result.accepted == n_steps - 1
+        assert_same_chain(f, n_steps=n_steps, seed=seed)
 
 
 def test_chain_seed_determinism():
@@ -162,9 +166,9 @@ def test_chain_equals_scalar_loop_on_uniform_target(r_bar, config):
 @functools.cache
 def seeds_starting_at(start, r_bar=300, count=3):
     """The first ``count`` seeds whose chain starts at rank ``start``: its
-    first draw, uniform over 0..r_bar - 1, lands on ``start - 1``."""
+    first draw, uniform over 1..r_bar, lands on ``start``."""
     seeds = itertools.count() if start is None else (
-        seed for seed in itertools.count() if np.random.default_rng(seed).integers(0, r_bar) == start - 1)
+        seed for seed in itertools.count() if np.random.default_rng(seed).integers(1, r_bar + 1) == start)
     return list(itertools.islice(seeds, count))
 
 
@@ -197,13 +201,20 @@ CROSS_CHECK_LAWS = {
 }
 
 
+def replay(f, n_steps, seed):
+    """The uniforms and proposals of steps 1..n_steps-1 of the seeded chain,
+    entry t - 1 for step t, from the chain's own draws replayed."""
+    rng = np.random.default_rng(seed)
+    rng.integers(1, f.r_bar + 1)
+    proposals = rng.integers(1, f.r_bar + 1, size=n_steps - 1)
+    return rng.random(n_steps - 1), proposals
+
+
 def undecided_steps(f, n_steps, seed):
     """Steps 1..n_steps-1 of the seeded chain that are not sure accepts,
-    u * max(F) > F_j, from the chain's own draws replayed."""
-    rng = np.random.default_rng(seed)
-    rng.integers(0, f.r_bar)
-    proposals = rng.integers(0, f.r_bar, size=n_steps - 1)
-    return rng.random(n_steps - 1) * f.probs.max() > f.probs[proposals]
+    u * max(F) > F_j."""
+    us, proposals = replay(f, n_steps, seed)
+    return us * f.probs.max() > f.probs[proposals - 1]
 
 
 @settings(max_examples=60, deadline=None)
@@ -221,6 +232,64 @@ def test_chain_equals_scalar_loop_with_undecided_runs_at_both_ends(law, n_steps)
     f = target_distribution(*CROSS_CHECK_LAWS[law])
     seeds = (s for s in itertools.count() if undecided_steps(f, n_steps, s)[[0, 1, -2, -1]].all())
     for seed in itertools.islice(seeds, 3):
+        assert_same_chain(f, n_steps=n_steps, seed=seed)
+
+
+def after(mask):
+    """For each step t of ``mask`` (steps 1..n-1), whether step t - 1 is set: never for step 1, after the start."""
+    return np.append(False, mask[:-1])
+
+
+def lone_undecided_step_rejected_after_a_sure_step(f, us, j, undecided, rejected, before):
+    next_undecided = np.append(undecided[1:], True)  # the last step has no sure step after it
+    return (undecided & ~after(undecided) & ~next_undecided & rejected)[1:].any()
+
+
+def tail_after_a_rejected_head(f, us, j, undecided, rejected, before):
+    # The tail reads the head's settled state, which is the state before the
+    # head; reading the head's proposal instead would decide it the other way.
+    p = np.append(0.0, f.probs)
+    head = (undecided & ~after(undecided) & rejected)[:-1] & undecided[1:]
+    tail_takes = us[1:] * p[before[1:]] <= p[j[1:]]
+    return (head & (tail_takes != (us[1:] * p[j[:-1]] <= p[j[1:]]))).any()
+
+
+def step_one_undecided_and_rejected(f, us, j, undecided, rejected, before):
+    return undecided[0] and rejected[0]
+
+
+def last_step_undecided_as_a_head(f, us, j, undecided, rejected, before):
+    return undecided[-1] and rejected[-1] and not undecided[-2]
+
+
+def last_step_undecided_as_a_tail(f, us, j, undecided, rejected, before):
+    return undecided[-1] and rejected[-1] and undecided[-2]
+
+
+@functools.cache
+def seeds_where(case, law, n_steps, count=2):
+    """The first ``count`` seeds whose chain of ``n_steps`` has ``case``, from its draws replayed."""
+    f = target_distribution(*CROSS_CHECK_LAWS[law])
+
+    def has_case(seed):
+        us, proposals = replay(f, n_steps, seed)
+        chain = ref.run_chain(f, n_steps, seed).samples
+        undecided = us * f.probs.max() > f.probs[proposals - 1]
+        return case(f, us, proposals, undecided, chain[1:] != proposals, chain[:-1])
+
+    return list(itertools.islice(filter(has_case, itertools.count()), count))
+
+
+@pytest.mark.parametrize("law", ["paper", "beta10-gamma1", "beta0-gamma1.5"])
+@pytest.mark.parametrize("case, n_steps", [
+    (lone_undecided_step_rejected_after_a_sure_step, 2000), (tail_after_a_rejected_head, 2000),
+    (step_one_undecided_and_rejected, 6), (last_step_undecided_as_a_head, 6), (last_step_undecided_as_a_tail, 6)],
+    ids=lambda case: getattr(case, "__name__", None))
+def test_chain_equals_scalar_loop_at_each_kind_of_undecided_step(case, n_steps, law):
+    # A head follows a final state and is decided in the vector pass; a tail
+    # follows an undecided step and is decided in the scalar loop.
+    f = target_distribution(*CROSS_CHECK_LAWS[law])
+    for seed in seeds_where(case, law, n_steps):
         assert_same_chain(f, n_steps=n_steps, seed=seed)
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hapaxchain import persist
 from hapaxchain.corpus import Document, HapaxTable, build_hapax_table
 from hapaxchain.persist import (
     atomic_write_text,
@@ -275,6 +276,25 @@ def test_rank_size_reader_agrees_with_the_row_loop(tmp_path_factory, sizes, how,
     assert outcome(read_rank_size_csv, path) == outcome(ref.read_rank_size_csv, path)
 
 
+def count_calls(monkeypatch, name):
+    """The list that records each call of ``persist.<name>``, which it then wraps."""
+    calls, parse = [], getattr(persist, name)
+    monkeypatch.setattr(persist, name, lambda *args: calls.append(args) or parse(*args))
+    return calls
+
+
+@pytest.mark.parametrize("read, header, row, bad", [
+    (read_hapax_table, HEADER.rstrip(), "w{0:06d},1,1,{0}", "zzz,1,x,1"), (read_rank_size_csv, "rank,size", "{0},1", "x,1")])
+def test_a_bad_last_row_is_found_by_halving(tmp_path, monkeypatch, read, header, row, bad):
+    rows = 120_000
+    path = write(tmp_path, "t.csv", "\n".join([header, *map(row.format, range(1, rows + 1)), bad, ""]))
+    calls = count_calls(monkeypatch, "_columns")
+    with pytest.raises(ValueError, match=rf"t\.csv, line {rows + 2}: not a row of {header}: '{bad}'$"):
+        read(path)
+    assert len(calls) <= 2 + np.log2(rows + 1)  # the whole table, then one call per halving
+    assert all(block for block, _ in calls)
+
+
 # ----------------------------------------------------------- rank sequence
 
 
@@ -317,6 +337,38 @@ def test_rank_sequence_reader_names_the_line_that_is_not_a_rank(tmp_path, bad):
 def test_rank_sequence_reader_needs_a_rank(tmp_path, text):
     with pytest.raises(ValueError, match="contains no rank values"):
         read_rank_sequence(write(tmp_path, "s.txt", text))
+
+
+# Tokens that are ranks, that are not, and line ends that str.splitlines() knows.
+RANK_SPOILERS = ["0", "-2", "x", "1.5", "", " ", "9" * 20, "+3", "1_000", " 7 ", "0x1", "1e3", "-0", "\u0663",
+                 "\x85", "\u2028 4", "\x1c", "\t5\x0b6", "\f"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 2**62), min_size=1, max_size=12), st.sampled_from(["none", "line", "token", "insert"]),
+       st.integers(0, 11), st.sampled_from(RANK_SPOILERS), st.sampled_from(["\n", "\r\n"]), st.booleans())
+def test_rank_sequence_reader_agrees_with_the_line_loop(tmp_path_factory, values, how, i, spoiler, newline,
+                                                        final_newline):
+    lines, i = [str(v) for v in values], i % len(values)
+    if how == "line":
+        lines[i] = spoiler
+    elif how == "token":
+        lines[i] = f"{lines[i]} {spoiler}"
+    elif how == "insert":
+        lines.insert(i, spoiler)
+    path = tmp_path_factory.mktemp("s") / "s.txt"
+    path.write_bytes((newline.join(lines) + (newline if final_newline else "")).encode("utf-8"))
+    assert outcome(read_rank_sequence, path) == outcome(ref.read_rank_sequence, path)
+
+
+def test_a_bad_last_rank_is_found_by_halving(tmp_path, monkeypatch):
+    lines = 200_000
+    path = write(tmp_path, "s.txt", "3\n" * lines + "x\n")
+    calls = count_calls(monkeypatch, "_ranks")
+    with pytest.raises(ValueError, match=rf"s\.txt, line {lines + 1}: not a rank \(an integer >= 1\): 'x'$"):
+        read_rank_sequence(path)
+    assert len(calls) <= 2 + np.log2(lines + 1)  # the whole text, then one call per halving
+    assert all(text.strip() for text, in calls)
 
 
 # ------------------------------------------------------------ atomic writes
