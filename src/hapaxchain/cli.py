@@ -130,12 +130,11 @@ def _file_id(path: Path, key: str = "input") -> dict:
     return {key: path.name, f"{key}_sha256": persist.sha256_file(path)}
 
 
-def _corpus_id(o: dict) -> dict:
-    """The corpus by content, as ``_file_id`` gives a file: one SHA-256 over the name and
-    SHA-256 of each document, in reading order, and the manifest file, if any."""
-    docs = [[p.name, persist.sha256_file(p)] for p in corpus_mod.document_paths(o["corpus"], o["manifest"])]
-    manifest = _file_id(o["manifest"], "manifest") if o["manifest"] else {"manifest": None}
-    return {"corpus_sha256": persist.config_hash({"documents": docs}), **manifest}
+def _corpus_id(docs: list[corpus_mod.Document], manifest: Path | None) -> dict:
+    """The loaded corpus by content, as ``_file_id`` gives a file: one SHA-256 over the
+    file name and SHA-256 of each document, in reading order, and the manifest file, if any."""
+    record = persist.config_hash({"documents": [[d.file, d.sha256] for d in docs]})
+    return {"corpus_sha256": record, **(_file_id(manifest, "manifest") if manifest else {"manifest": None})}
 
 
 def _write_meta(out: Path, stage: str, config: dict, fields: dict, paths) -> Path:
@@ -204,13 +203,14 @@ def _run_extract(o: dict) -> dict[str, Path]:
     """Extract hapaxes: write hapax_table.csv and rank_sequence.txt."""
     out = o["output_dir"]
     docs = corpus_mod.load_documents(o["corpus"], o["manifest"])
+    o["corpus_id"] = _corpus_id(docs, o["manifest"])  # the pipeline's manifest records it too
     table = corpus_mod.build_hapax_table(docs)
     seq = corpus_mod.build_rank_sequence(docs, table)
     counts = {"documents": len(docs), "hapaxes": len(table.words), "occurrences": table.total_occurrences,
               "alphabet_size": table.alphabet_size}
     outputs = {"hapax_table.csv": persist.write_hapax_table(out / "hapax_table.csv", table),
                "rank_sequence.txt": persist.write_rank_sequence(out / "rank_sequence.txt", seq)}
-    outputs["extract_meta.json"] = _write_meta(out, "extract", _corpus_id(o), counts, outputs.values())
+    outputs["extract_meta.json"] = _write_meta(out, "extract", o["corpus_id"], counts, outputs.values())
     click.echo("extract: " + " ".join(f"{k}={v}" for k, v in counts.items()))
     return outputs
 
@@ -223,7 +223,7 @@ def _run_sequence(o: dict) -> dict[str, Path]:
     table = persist.read_hapax_table(table_path)
     seq = corpus_mod.build_rank_sequence(docs, table)
     seq_path = persist.write_rank_sequence(out / "rank_sequence.txt", seq)
-    meta_path = _write_meta(out, "sequence", {**_corpus_id(o), **_file_id(table_path, "table")},
+    meta_path = _write_meta(out, "sequence", {**_corpus_id(docs, o["manifest"]), **_file_id(table_path, "table")},
                             {"length": len(seq)}, (seq_path,))
     click.echo(f"sequence: length={len(seq)} alphabet_size={table.alphabet_size}")
     return {"rank_sequence.txt": seq_path, "sequence_meta.json": meta_path}
@@ -379,7 +379,7 @@ def _run_pipeline(o: dict) -> dict[str, Path]:
             alphabet_size = persist.read_json(outputs["extract_meta.json"])["alphabet_size"]
             if o["rbar"] < alphabet_size:
                 raise click.ClickException(f"--rbar {o['rbar']} is below the observed alphabet size {alphabet_size}")
-    config = {**{k: v for k, v in o.items() if k not in ("corpus", "manifest", "output_dir")}, **_corpus_id(o)}
+    config = {**{k: v for k, v in o.items() if k not in ("corpus", "manifest", "output_dir")}, **staged["corpus_id"]}
     config_hash = persist.config_hash(config)
     manifest_path = persist.write_json(o["output_dir"] / "manifest.json", {
         "package": "hapaxchain", "version": __version__, "seed": o["seed"],

@@ -11,6 +11,7 @@ the rank sequence.
 
 from __future__ import annotations
 
+import hashlib
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -46,10 +47,11 @@ class ConsistencyError(RuntimeError):
     """A corpus token is missing from the table it was built from."""
 
 
-# Runs of Unicode letters, with apostrophes kept when internal; the letters
-# of lowercased ASCII text are exactly a-z.
+# Runs of Unicode letters, with apostrophes kept when internal; in lowercased
+# ASCII text the letters are a-z, and every other character but "'" separates.
 _TOKEN_RE = re.compile(r"[^\W\d_]+(?:'[^\W\d_]+)*")
-_ASCII_TOKEN_RE = re.compile(r"[a-z]+(?:'[a-z]+)*")
+_ASCII_SEPARATORS = str.maketrans({c: " " for c in map(chr, range(128)) if c not in "abcdefghijklmnopqrstuvwxyz'"})
+_LOOSE_APOSTROPHE_RE = re.compile(r"'(?:(?![a-z])|(?<![a-z]'))")
 _APOSTROPHE_VARIANTS = str.maketrans({"’": "'", "ʼ": "'"})
 
 
@@ -59,21 +61,25 @@ def tokenize(raw_text: str) -> list[str]:
     Digits, punctuation and whitespace separate tokens; apostrophes
     survive only between letters (curly apostrophes are normalized
     first), so "don't" stays whole while quoting marks fall away.
-    ASCII text, which holds no curly apostrophe, takes the faster
-    ASCII pattern, which finds the same tokens.
+    ASCII text, which holds no curly apostrophe, finds the same tokens by
+    string passes: separators and loose apostrophes become spaces, then a split.
     """
     if raw_text.isascii():
-        return _ASCII_TOKEN_RE.findall(raw_text.lower())
+        text = raw_text.lower().translate(_ASCII_SEPARATORS)
+        return (_LOOSE_APOSTROPHE_RE.sub(" ", text) if "'" in text else text).split()
     return _TOKEN_RE.findall(raw_text.translate(_APOSTROPHE_VARIANTS).lower())
 
 
 @dataclass(frozen=True)
 class Document:
     """One document's hapaxes, in order of appearance; its place in the
-    corpus list is its chronological position."""
+    corpus list is its chronological position.  A loaded document also
+    keeps its file name and the SHA-256 of the bytes it was read from."""
 
     id: str
     hapaxes: tuple[str, ...]
+    file: str = ""
+    sha256: str = ""
 
     def __post_init__(self):
         if "" in self.hapaxes:
@@ -151,8 +157,11 @@ def document_paths(input_dir: str | Path, manifest: str | Path | None = None) ->
     if not root.is_dir():
         raise IngestionError(f"input directory not found: {root}")
     if manifest is not None:
-        names = [ln.strip() for ln in Path(manifest).read_text(encoding="utf-8").splitlines() if ln.strip()]
-        paths = [root / name for name in names]
+        try:
+            lines = Path(manifest).read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise IngestionError(f"invalid UTF-8 in manifest {manifest}: {exc}") from exc
+        paths = [root / ln.strip() for ln in lines if ln.strip()]
         for p in paths:
             if not p.is_file():
                 raise IngestionError(f"manifest names a missing file: {p}")
@@ -167,14 +176,18 @@ def document_paths(input_dir: str | Path, manifest: str | Path | None = None) ->
 
 
 def load_documents(input_dir: str | Path, manifest: str | Path | None = None) -> list[Document]:
-    """Read the UTF-8 documents of :func:`document_paths`, in its order, and list each one's hapaxes."""
+    """Read the documents of :func:`document_paths`, in its order, and list each one's hapaxes.
+    Each file is read once: its bytes are decoded as strict UTF-8, with no newline
+    translation (CR and LF both separate tokens), and the document keeps their SHA-256."""
     docs = []
     for path in document_paths(input_dir, manifest):
         try:
-            text = path.read_text(encoding="utf-8", errors="strict")
+            data = path.read_bytes()
+            text = data.decode("utf-8", "strict")
         except UnicodeDecodeError as exc:
             raise IngestionError(f"invalid UTF-8 in {path}: {exc}") from exc
         except OSError as exc:
             raise IngestionError(f"cannot read {path}: {exc}") from exc
-        docs.append(Document(id=path.stem, hapaxes=tuple(extract_document_hapaxes(tokenize(text)))))
+        docs.append(Document(path.stem, tuple(extract_document_hapaxes(tokenize(text))),
+                             path.name, hashlib.sha256(data).hexdigest()))
     return docs

@@ -1,0 +1,28 @@
+"""Reference forms of two corpus fast paths.
+
+``ASCII_TOKEN_RE`` is the pattern that tokenized ASCII text before the
+string passes of ``corpus.tokenize``: runs of a-z with internal
+apostrophes, found in the lowercased text.  ``corpus_id`` is the corpus
+record as the CLI built it from paths: list the documents again and hash
+each file, instead of taking the digests ``load_documents`` keeps.  The
+tests compare the package against both.
+"""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+from hapaxchain import persist
+from hapaxchain.corpus import document_paths
+
+ASCII_TOKEN_RE = re.compile(r"[a-z]+(?:'[a-z]+)*")
+
+
+def corpus_id(corpus: Path, manifest: Path | None = None) -> dict:
+    """One SHA-256 over the file name and SHA-256 of each document, in reading
+    order, and the manifest by file name and SHA-256, if any."""
+    docs = [[p.name, persist.sha256_file(p)] for p in document_paths(corpus, manifest)]
+    manifest_id = ({"manifest": manifest.name, "manifest_sha256": persist.sha256_file(manifest)} if manifest
+                   else {"manifest": None})
+    return {"corpus_sha256": persist.config_hash({"documents": docs}), **manifest_id}

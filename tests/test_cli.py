@@ -1,7 +1,9 @@
 """End-to-end tests of the command line interface."""
 
+import builtins
 import hashlib
 import inspect
+import io
 import json
 import os
 import re
@@ -13,9 +15,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from corpus_reference import corpus_id
 from markov_reference import from_dense
 
-from hapaxchain import corpus
+from hapaxchain import corpus, persist
 from hapaxchain.cli import OPTIONS, _convert, main
 from hapaxchain.markov import order_test, simulate_order1
 from hapaxchain.mh_sampler import convergence_study
@@ -130,6 +133,54 @@ def test_extract_manifest_naming_a_document_twice_is_an_error(runner, tmp_path):
     assert result.exit_code == 1
     assert result.output == "Error: manifest names a file more than once: d0.txt\n"
     assert not out.exists()
+
+
+def test_extract_manifest_invalid_utf8_names_the_manifest(runner, toy_corpus_dir, tmp_path):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_bytes(b"doc0.txt\xff\n")
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["extract", str(toy_corpus_dir), "--manifest", str(manifest), "--output-dir", str(out)])
+    assert result.exit_code == 1
+    assert result.output == (f"Error: invalid UTF-8 in manifest {manifest}: 'utf-8' codec can't decode byte 0xff "
+                             "in position 8: invalid start byte\n")
+    assert not out.exists()
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """How often each file was opened, by resolved path, through ``open`` or pathlib."""
+    counts: dict[Path, int] = {}
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            key = Path(file).resolve()
+            counts[key] = counts.get(key, 0) + 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    return counts
+
+
+@pytest.mark.parametrize("with_manifest", [False, True])
+def test_extract_and_sequence_read_each_document_once(runner, rich_corpus_dir, tmp_path, opened, with_manifest):
+    manifest = tmp_path / "order.txt"
+    manifest.write_text("\n".join(sorted((p.name for p in rich_corpus_dir.iterdir()), reverse=True)), encoding="utf-8")
+    flags = ["--manifest", str(manifest)] if with_manifest else []
+    expected = corpus_id(rich_corpus_dir, manifest if with_manifest else None)
+    documents = sorted(p.resolve() for p in rich_corpus_dir.glob("*.txt"))
+    out = tmp_path / "out"
+    for stage in ("extract", "sequence"):
+        opened.clear()
+        result = runner.invoke(main, [stage, str(rich_corpus_dir), *flags, "--output-dir", str(out)])
+        assert result.exit_code == 0, result.output
+        assert {p: n for p, n in opened.items() if p.parent == rich_corpus_dir.resolve()} == dict.fromkeys(documents, 1)
+    table = {"table": "hapax_table.csv", "table_sha256": persist.sha256_file(out / "hapax_table.csv")}
+    assert json.loads(read(out / "extract_meta.json"))["config_hash"] == persist.config_hash(
+        {"stage": "extract", **expected})
+    assert json.loads(read(out / "sequence_meta.json"))["config_hash"] == persist.config_hash(
+        {"stage": "sequence", **expected, **table})
 
 
 def test_extract_respects_output_dir_envvar(runner, toy_corpus_dir, tmp_path, monkeypatch):
@@ -893,6 +944,21 @@ def test_report_figures_share_the_stage_table_writers(runner, rich_corpus_dir, t
     for line in fig1[1:]:
         rank, _, fitted = line.split(",")
         assert float(fitted) == pytest.approx(zm_eval(params, int(rank)), rel=1e-12)
+
+
+@pytest.mark.parametrize("with_manifest", [False, True])
+def test_pipeline_records_the_corpus_read_by_extract(runner, rich_corpus_dir, tmp_path, opened, with_manifest):
+    manifest = tmp_path / "order.txt"
+    manifest.write_text("\n".join(sorted(p.name for p in rich_corpus_dir.iterdir())), encoding="utf-8")
+    flags = ["--manifest", str(manifest)] if with_manifest else []
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["pipeline", str(rich_corpus_dir), *flags, "--output-dir", str(out), *PIPELINE_ARGS])
+    assert result.exit_code == 0, result.output
+    documents = sorted(p.resolve() for p in rich_corpus_dir.glob("*.txt"))
+    assert {p: n for p, n in opened.items() if p.parent == rich_corpus_dir.resolve()} == dict.fromkeys(documents, 1)
+    recorded = json.loads(read(out / "manifest.json"))
+    expected = corpus_id(rich_corpus_dir, manifest if with_manifest else None)
+    assert recorded["config_hash"] == persist.config_hash({**recorded["config"], **expected})
 
 
 def test_pipeline_output_is_independent_of_output_dir(runner, rich_corpus_dir, tmp_path):

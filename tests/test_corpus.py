@@ -1,10 +1,12 @@
 """Corpus ingestion, hapax tabulation and rank sequence tests."""
 
+import hashlib
 import re
 from collections import Counter
 
 import numpy as np
 import pytest
+from corpus_reference import ASCII_TOKEN_RE
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -69,18 +71,36 @@ def test_tokenize_unicode_letters():
     assert tokenize("naïve café — coöperate") == ["naïve", "café", "coöperate"]
 
 
-# ASCII letters in both cases, digits, "_", apostrophes, punctuation and whitespace.
-ascii_text = st.text(st.sampled_from("aBzZ09_'' -.,;:!?\"()\t\n"), max_size=60) | st.text(
-    st.characters(max_codepoint=127), max_size=60)
+# ASCII letters in both cases, digits, "_", apostrophes, punctuation and whitespace;
+# apostrophes alone, doubled, leading and trailing, among capitals, digits, "_" and
+# the separators str.split() takes for whitespace; and any ASCII text.
+ascii_text = (
+    st.text(st.sampled_from("aBzZ09_'' -.,;:!?\"()\t\n"), max_size=60)
+    | st.lists(st.sampled_from(["'", "''", "a", "zq", "Don", "T", "_", "0", "9", " ", "-", "\n",
+                                "\x0b", "\x1c", "\x1d", "\x1e", "\x1f"]), max_size=30).map("".join)
+    | st.text(st.characters(max_codepoint=127), max_size=60))
 
 
-@settings(max_examples=300)
+@settings(max_examples=500)
 @given(ascii_text)
 def test_ascii_pattern_finds_the_unicode_patterns_tokens(text):
     unicode_tokens = corpus_mod._TOKEN_RE.findall(text.translate(corpus_mod._APOSTROPHE_VARIANTS).lower())
-    assert corpus_mod._ASCII_TOKEN_RE.findall(text.lower()) == unicode_tokens
+    assert ASCII_TOKEN_RE.findall(text.lower()) == unicode_tokens
     tokens = tokenize(text)
     assert type(tokens) is list and tokens == unicode_tokens
+
+
+def test_ascii_separators_keep_the_letters_and_the_apostrophe():
+    # The table keeps an ASCII character, once lowercased, if and only if the
+    # Unicode pattern takes it for a letter, or it is the apostrophe.
+    table = corpus_mod._ASCII_SEPARATORS
+    for char in map(chr, range(128)):
+        kept = ord(char) not in table
+        assert kept == (char in "abcdefghijklmnopqrstuvwxyz'"), repr(char)
+        assert char.translate(table) == (char if kept else " "), repr(char)
+        lowered = char.lower()
+        assert (ord(lowered) not in table) == (char == "'" or corpus_mod._TOKEN_RE.fullmatch(char) is not None), \
+            repr(char)
 
 
 @pytest.mark.parametrize("text, tokens", [
@@ -89,7 +109,7 @@ def test_ascii_pattern_finds_the_unicode_patterns_tokens(text):
 ])
 def test_one_non_ascii_character_takes_the_unicode_pattern(text, tokens):
     assert not text.isascii()
-    assert corpus_mod._ASCII_TOKEN_RE.findall(text.lower()) != tokens  # the ASCII pattern would split the word
+    assert ASCII_TOKEN_RE.findall(text.lower()) != tokens  # the ASCII pattern would split the word
     assert tokenize(text) == tokens
 
 
@@ -331,6 +351,34 @@ def test_load_documents_unreadable_file_names_it(tmp_path):
     (tmp_path / "b.txt").mkdir()  # listed as a document, but a directory cannot be read as text
     with pytest.raises(IngestionError, match=rf"^cannot read {re.escape(str(tmp_path / 'b.txt'))}: "):
         load_documents(tmp_path)
+
+
+def test_load_documents_keeps_each_files_name_and_digest(tmp_path):
+    (tmp_path / "a.txt").write_bytes(b"alpha beta")
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    (sub / "b.txt").write_bytes(b"\xef\xbb\xbfgamma\r\n")
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("sub/b.txt\na.txt\n", encoding="utf-8")
+    docs = load_documents(tmp_path, manifest)
+    assert [(d.id, d.file) for d in docs] == [("b", "b.txt"), ("a", "a.txt")]
+    assert [d.sha256 for d in docs] == [hashlib.sha256(p.read_bytes()).hexdigest()
+                                        for p in (sub / "b.txt", tmp_path / "a.txt")]
+
+
+def test_load_documents_reads_crlf_cr_and_bom_documents_as_lf(tmp_path):
+    # Bytes are decoded without newline translation; CR, LF and a BOM all separate tokens.
+    text = "Don't stop'\nthe 'music' now\n\nthe end\nnaïve o'clock\n"
+    variants = {"lf": text, "crlf": text.replace("\n", "\r\n"), "cr": text.replace("\n", "\r"),
+                "bom": "\ufeff" + text, "bom_crlf": "\ufeff" + text.replace("\n", "\r\n"),
+                "ascii_crlf": text.replace("ï", "i").replace("\n", "\r\n")}
+    for name, variant in variants.items():
+        (tmp_path / f"{name}.txt").write_bytes(variant.encode("utf-8"))
+    hapaxes = {d.id: d.hapaxes for d in load_documents(tmp_path)}
+    assert hapaxes["lf"] == ("don't", "stop", "music", "now", "end", "naïve", "o'clock")
+    for name in ("crlf", "cr", "bom", "bom_crlf"):
+        assert hapaxes[name] == hapaxes["lf"], name
+    assert hapaxes["ascii_crlf"] == tuple(h.replace("ï", "i") for h in hapaxes["lf"])
 
 
 def test_load_documents_invalid_utf8_names_file(tmp_path):
