@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import os
 import tempfile
 from itertools import repeat
@@ -69,8 +70,17 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _nan_to_null(value):
+    """``value`` with each non-finite float in it, which strict JSON cannot hold, replaced by None (null)."""
+    if isinstance(value, dict):
+        return {k: _nan_to_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_nan_to_null(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def write_json(path: str | Path, payload: dict) -> Path:
-    return atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    return atomic_write_text(path, json.dumps(_nan_to_null(payload), sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def read_json(path: str | Path) -> dict:
@@ -79,8 +89,8 @@ def read_json(path: str | Path) -> dict:
 
 def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
-        return FLOAT_FMT.format(float(value))
-    return str(value)
+        return FLOAT_FMT.format(float(value)) if math.isfinite(value) else ""
+    return "" if value is None else str(value)
 
 
 def write_csv(path: str | Path, header: list[str], rows) -> Path:

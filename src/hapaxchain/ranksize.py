@@ -196,12 +196,9 @@ def fit_zm(points, level: float = 0.95) -> FitResult:
     rss = float(residuals @ residuals)
     damping = DAMPING_INIT
 
-    converged = False
-    n_iter = 0
     for n_iter in range(1, MAX_ITER + 1):
         jtj = jac.T @ jac
         jtr = jac.T @ residuals
-        step_ok = False
         # Inner damping search: raise damping until a step reduces the rss.
         for _ in range(60):
             lhs = jtj + damping * np.diag(np.diag(jtj))
@@ -216,29 +213,22 @@ def fit_zm(points, level: float = 0.95) -> FitResult:
                 continue
             f_new, jac_new = _model_and_jacobian_log(theta_new, ranks)
             residuals_new = sizes - f_new
-            rss_new = float(residuals_new @ residuals_new)
+            with np.errstate(over="ignore"):  # an rss beyond the float range reads as inf
+                rss_new = float(residuals_new @ residuals_new)
             if math.isfinite(rss_new) and rss_new <= rss:
-                step_ok = True
                 break
             damping *= DAMPING_STEP
-        if not step_ok:
-            # No downhill direction at any damping: local minimum.
-            converged = True
-            break
-        improvement = rss - rss_new
-        theta, f, jac, residuals = theta_new, f_new, jac_new, residuals_new
+        else:
+            break  # no downhill direction at any damping: a local minimum
+        theta, jac, residuals = theta_new, jac_new, residuals_new
         if math.exp(theta[1]) - 1.0 <= -1.0:  # 1 + beta underflowed: the fit has left through beta = -1
-            break
+            raise ParameterDomainError(f"the fit reached the beta = -1 boundary: 1 + beta = {math.exp(theta[1]):.3g} "
+                                       f"on {ranks.size} points")
         rss_prev, rss = rss, rss_new
         damping = max(damping / DAMPING_STEP, 1e-15)
-        if rss == 0.0 or improvement <= REL_TOL * max(rss_prev, 1e-300):
-            converged = True
+        if rss == 0.0 or rss_prev - rss <= REL_TOL * max(rss_prev, 1e-300):
             break
-
-    if math.exp(theta[1]) - 1.0 <= -1.0:
-        raise ParameterDomainError(f"the fit reached the beta = -1 boundary: 1 + beta = {math.exp(theta[1]):.3g} "
-                                   f"on {ranks.size} points")
-    if not converged:
+    else:
         raise FitConvergenceError(f"no convergence within {MAX_ITER} iterations (rss={rss:.6g})")
     params = _theta_to_params(theta)
 

@@ -277,4 +277,4 @@ def shannon_entropy(counts) -> float:
     if total <= 0:
         raise ValueError("shannon_entropy requires a positive total count")
     p = c[c > 0] / total
-    return float(-(p * np.log(p)).sum())
+    return 0.0 - float((p * np.log(p)).sum())  # not -x, which is -0.0 for a single state

@@ -19,7 +19,7 @@ from corpus_reference import corpus_id
 from markov_reference import from_dense
 
 from hapaxchain import corpus, persist
-from hapaxchain.cli import OPTIONS, _convert, main
+from hapaxchain.cli import OPTIONS, _convert, _write_order_tables, main
 from hapaxchain.markov import order_test, simulate_order1
 from hapaxchain.mh_sampler import convergence_study
 from hapaxchain.persist import read_hapax_table, write_csv, write_rank_sequence
@@ -299,6 +299,16 @@ def test_fit_on_the_beta_boundary_ends_in_an_error(runner, long_document_points,
     assert re.fullmatch(rf"Error: the fit reached the beta = -1 boundary: 1 \+ beta = \S+ on {len(points)} points\n",
                         result.output)
     assert not (tmp_path / "out" / "fit_report.json").exists()
+
+
+def test_fit_whose_trial_step_overflows_the_rss_exits_zero(runner, tmp_path):
+    # A numpy RuntimeWarning fails the test: the rss of a rejected trial step reads as inf, silently.
+    rng = np.random.default_rng(15)
+    r = np.arange(1, 133)
+    s = 1e4 / (34.1 + r) ** 2.66 * (1 + rng.normal(0, 0.05, 132))
+    csv_path = write_csv(tmp_path / "points.csv", ["rank", "size"], zip(r.tolist(), s.tolist()))
+    result = runner.invoke(main, ["fit", "--input", str(csv_path), "--output-dir", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
 
 
 @pytest.fixture
@@ -883,6 +893,30 @@ def test_ordertest_rejects_zero_replicates(runner, tmp_path):
     assert result.exit_code == 1
     assert "Error: replicates must be >= 1" in result.output
     assert not (tmp_path / "out").exists()
+
+
+def test_ordertest_writes_strict_json_and_empty_cells_for_undefined_indicators(runner, tmp_path):
+    # Rank 3 only ends the sequence, so its self-loop is absorbing: replicates that start
+    # there stay constant, and their skewness and kurtosis are undefined.
+    seq = tmp_path / "seq.txt"
+    seq.write_text("1\n2\n1\n2\n1\n2\n1\n2\n1\n3\n", encoding="utf-8")
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["ordertest", "--input", str(seq), "--replicates", "30", "--output-dir", str(out)])
+    assert result.exit_code == 0, result.output
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    payload = json.loads(read(out / "order_test_report.json"), parse_constant=reject)
+    assert [payload["indicators"][name].count(None) for name in ("skewness", "kurtosis")] == [3, 3]
+    # report renders the indicator table again from this JSON.
+    _write_order_tables(payload, tmp_path, ("fig2.csv", "fig3.csv", "fig4.csv", "fig5.csv", "fig7_indicators.csv"))
+    for table in (out / "indicators.csv", tmp_path / "fig7_indicators.csv"):
+        rows = [line.split(",") for line in read(table).splitlines()]
+        cells = dict(zip(rows[0], zip(*rows[1:])))
+        assert cells["skewness"].count("") == cells["kurtosis"].count("") == 3
+        assert not {"nan", "-nan", "inf", "-inf", "-0", "None"} & {cell for row in rows for cell in row}
+        assert "0" in cells["entropy"]
 
 
 def test_ordertest_on_one_distinct_rank_is_an_error(runner, tmp_path):

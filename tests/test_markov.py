@@ -465,6 +465,14 @@ def test_simulations_are_one_int64_state_per_step(length):
         assert len(out) == length
 
 
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("length", [0, -3])
+def test_simulations_reject_a_length_below_one(order, length):
+    tm2 = estimate_order2(order1_source(n=500))
+    with pytest.raises(ValueError, match=rf"^length must be >= 1, got {length}$"):
+        simulate_order1(tm2.fallback, length, seed=1) if order == 1 else simulate_order2(tm2, length, seed=2)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [{"replicates": 0}, {"len1": 0}, {"len2": 0}, {"levels": ()}, {"levels": (0.05, 1.0)}, {"levels": (0.0,)},

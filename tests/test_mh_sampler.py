@@ -120,6 +120,12 @@ def test_chain_rejects_fewer_than_one_step():
         run_chain(target(0.5, 0.3, 0.2), 0)
 
 
+@pytest.mark.parametrize("size", [0, -2])
+def test_iid_sample_rejects_a_size_below_one(size):
+    with pytest.raises(ValueError, match=rf"^size must be >= 1, got {size}$"):
+        iid_sample(target(0.5, 0.3, 0.2), size, seed=0)
+
+
 def test_target_rejects_nan_probabilities():
     with pytest.raises(ValueError):
         TargetDistribution(probs=np.array([0.6, 0.4, np.nan]))

@@ -1,6 +1,8 @@
 """File formats: the hapax table and rank sequence round trips, and the
 readers' line-numbered errors on malformed or self-contradictory files."""
 
+import json
+import math
 import os
 import re
 
@@ -369,6 +371,18 @@ def test_a_bad_last_rank_is_found_by_halving(tmp_path, monkeypatch):
         read_rank_sequence(path)
     assert len(calls) <= 2 + np.log2(lines + 1)  # the whole text, then one call per halving
     assert all(text.strip() for text, in calls)
+
+
+# ------------------------------------------------------- non-finite values
+
+
+def test_non_finite_floats_are_null_in_json_and_empty_in_csv(tmp_path):
+    payload = {"a": [1.5, math.nan, np.float64(-math.inf)], "b": {"c": (math.inf, 2)}, "d": math.nan, "e": None}
+    text = persist.write_json(tmp_path / "r.json", payload).read_text(encoding="utf-8")
+    assert json.loads(text) == {"a": [1.5, None, None], "b": {"c": [None, 2]}, "d": None, "e": None}
+    rows = [[1, math.nan, np.float64(math.inf), None, 0.25, "x"]]
+    assert persist.write_csv(tmp_path / "t.csv", list("abcdef"), rows).read_text(encoding="utf-8") == \
+        "a,b,c,d,e,f\n1,,,,0.25,x\n"
 
 
 # ------------------------------------------------------------ atomic writes

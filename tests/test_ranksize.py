@@ -283,6 +283,78 @@ def test_ci_singular_covariance_raises():
         confidence_intervals(true, collinear, residuals, 0.95)
 
 
+@pytest.mark.parametrize("jacobian, problem", [
+    (np.ones((3, 3)), r"3 points cannot identify 3 parameters"),
+    (np.column_stack((np.ones(10), np.arange(10.0), np.zeros(10))),
+     r"unidentifiable parameter: degenerate Jacobian column"),
+])
+def test_ci_unidentifiable_jacobian_raises(jacobian, problem):
+    with pytest.raises(UnidentifiableParameterError, match=rf"^{problem}$"):
+        confidence_intervals(REFERENCE_PARAMS, jacobian, np.ones(len(jacobian)), 0.95)
+
+
+# ------------------------------------------------------------ fit outcomes
+
+
+def test_fit_whose_trial_step_overflows_the_rss_converges_without_a_warning():
+    # A rejected trial step's residuals square beyond the float range; the rss
+    # reads as inf and the step is rejected, with no RuntimeWarning.
+    rng = np.random.default_rng(15)
+    r = np.arange(1, 133)
+    s = 1e4 / (34.1 + r) ** 2.66 * (1 + rng.normal(0, 0.05, 132))
+    result = fit_zm(np.column_stack((r, s)))
+    assert result.r_squared > 0.99 and not result.ill_conditioned
+
+
+def test_fit_retries_a_solve_that_fails_once(monkeypatch):
+    points = synthetic_points(ZMParams(alpha=100.0, beta=5.0, gamma=1.5), range(1, 201))
+    expected = fit_zm(points)
+    solve, failed = np.linalg.solve, []
+
+    def fail_once(*args):
+        if not failed:
+            failed.append(1)
+            raise np.linalg.LinAlgError("singular matrix")
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", fail_once)
+    result = fit_zm(points)
+    assert failed
+    for name in ("alpha", "beta", "gamma"):
+        assert getattr(result.params, name) == pytest.approx(getattr(expected.params, name), rel=1e-6)
+
+
+def test_fit_without_a_downhill_step_returns_its_start(monkeypatch):
+    # Every trial step raises the rss, at each of the 60 dampings: the start is a local minimum.
+    from hapaxchain import ranksize
+
+    points = np.array(synthetic_points(ZMParams(alpha=100.0, beta=5.0, gamma=1.5), range(1, 51)), dtype=float)
+    start = ranksize._initial_theta(points[:, 0], points[:, 1])
+    model, calls = ranksize._model_and_jacobian_log, []
+
+    def uphill(theta, r):
+        calls.append(1)
+        f, jac = model(theta, r)
+        return (f if len(calls) == 1 else f + 1e6), jac
+
+    monkeypatch.setattr(ranksize, "_model_and_jacobian_log", uphill)
+    result = fit_zm(points)
+    assert result.params == ranksize._theta_to_params(start)
+    assert result.n_iter == 1 and len(calls) == 1 + 60
+    f, _ = model(start, points[:, 0])
+    assert result.rss == float((points[:, 1] - f) @ (points[:, 1] - f))
+
+
+def test_fit_with_singular_normal_equations_is_flagged_ill_conditioned(monkeypatch):
+    points = synthetic_points(ZMParams(alpha=100.0, beta=5.0, gamma=1.5), range(1, 101))
+    expected = fit_zm(points)
+    monkeypatch.setattr(np.linalg, "cond", lambda a: math.inf)
+    result = fit_zm(points)
+    assert result.ill_conditioned
+    assert all(math.isnan(lo) and math.isnan(hi) for lo, hi in result.ci.values())
+    assert (result.params, result.rss, result.n_iter) == (expected.params, expected.rss, expected.n_iter)
+
+
 def test_fit_nonconvergence_carries_diagnostics(monkeypatch):
     from hapaxchain import ranksize
     from hapaxchain.ranksize import FitConvergenceError

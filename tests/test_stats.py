@@ -385,7 +385,9 @@ def test_entropy_uniform():
 
 
 def test_entropy_point_mass():
-    assert shannon_entropy([0, 9, 0]) == 0.0
+    # 0.0, not -0.0, which a table prints as -0.
+    for counts in ([0, 9, 0], [5]):
+        assert math.copysign(1.0, shannon_entropy(counts)) == 1.0 and shannon_entropy(counts) == 0.0
 
 
 def test_entropy_hand_value():
@@ -395,3 +397,23 @@ def test_entropy_hand_value():
 def test_entropy_requires_mass():
     with pytest.raises(ValueError):
         shannon_entropy([0, 0])
+
+
+# ------------------------------------------------------------ input checks
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: chi_square_gof([1, 2], [1.0]), r"^state count mismatch: 2 observed vs 1 expected$"),
+    (lambda: chi_square_gof([0, 0], [0.5, 0.5]), r"^chi_square_gof requires a positive total observed count$"),
+    (lambda: chi_square_gof([1, 2], [-0.5, 1.5]), r"^expected probabilities must be non-negative$"),
+    (lambda: chi_square_gof([1, 2], [0.0, 0.0]), r"^expected probabilities must have a positive sum$"),
+    (lambda: chi_square_threshold(0.0, 3), r"^alpha must be in \(0, 1\), got 0\.0$"),
+    (lambda: chi_square_threshold(1.0, 3), r"^alpha must be in \(0, 1\), got 1\.0$"),
+    (lambda: chi_square_threshold(0.05, -1), r"^df must be >= 0, got -1$"),
+    (lambda: wmw_test([], [1, 2]), r"^wmw_test requires two non-empty samples$"),
+    (lambda: wmw_test([1, 2], []), r"^wmw_test requires two non-empty samples$"),
+    (lambda: shannon_entropy([1, -1, 2]), r"^counts must be non-negative$"),
+])
+def test_statistics_reject_invalid_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
