@@ -190,7 +190,7 @@ def _params(o: dict) -> ZMParams:
             if not all(type(v) in (int, float) for v in values):
                 raise TypeError
             return ZMParams(*values)
-        except ValueError as exc:  # not JSON, or a law outside its domain
+        except (ValueError, OverflowError) as exc:  # not JSON, a law outside its domain, or beyond floats
             raise click.ClickException(f"{path}: {exc}")
         except (KeyError, TypeError):
             raise click.ClickException(f"{path}: 'params' must be an object holding the numbers alpha, beta and gamma")

@@ -3,16 +3,17 @@
 A hapax legomenon is a token occurring exactly once within one document;
 its corpus frequency is the number of documents in which it is a hapax.
 A corpus is a list of documents in chronological order.  This module
-tokenizes documents, lists each one's hapaxes in order of appearance as
-it loads them, tabulates their frequencies under dense and ordinal
-ranks, and maps the lists, in corpus order, through the dense ranks to
-the rank sequence.
+tokenizes documents through one character table, lists each one's
+hapaxes in order of appearance as it loads them, tabulates their
+frequencies under dense and ordinal ranks, and maps the lists, in corpus
+order, through the dense ranks to the rank sequence.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
+import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -47,27 +48,25 @@ class ConsistencyError(RuntimeError):
     """A corpus token is missing from the table it was built from."""
 
 
-# Runs of Unicode letters, with apostrophes kept when internal; in lowercased
-# ASCII text the letters are a-z, and every other character but "'" separates.
-_TOKEN_RE = re.compile(r"[^\W\d_]+(?:'[^\W\d_]+)*")
-_ASCII_SEPARATORS = str.maketrans({c: " " for c in map(chr, range(128)) if c not in "abcdefghijklmnopqrstuvwxyz'"})
-_LOOSE_APOSTROPHE_RE = re.compile(r"'(?:(?![a-z])|(?<![a-z]'))")
-_APOSTROPHE_VARIANTS = str.maketrans({"’": "'", "ʼ": "'"})
+class _CharTable(dict):
+    def __missing__(self, code: int) -> str:  # classify each code point once: "'", a letter, or a space
+        char = chr(code)
+        return self.setdefault(code, "'" if char in "'’ʼ" else char if char.isalnum() and not char.isdecimal() else " ")
+
+
+_CHARS = _CharTable()
+_LOOSE_APOSTROPHE_RE = re.compile(r"'(?:(?![^' ])|(?<![^' ]'))")  # "'" not between two letters
 
 
 def tokenize(raw_text: str) -> list[str]:
-    """Split text into lowercase word tokens.
-
-    Digits, punctuation and whitespace separate tokens; apostrophes
-    survive only between letters (curly apostrophes are normalized
-    first), so "don't" stays whole while quoting marks fall away.
-    ASCII text, which holds no curly apostrophe, finds the same tokens by
-    string passes: separators and loose apostrophes become spaces, then a split.
+    r"""Split text into lowercase word tokens: runs of letters (``[^\W\d_]``), with an apostrophe
+    (``'``, ``’`` or ``ʼ``) kept only between two letters, so "don't" stays whole while quoting
+    marks fall away.  The text is put in NFC and lowercased; ``_CHARS`` then blanks every other
+    character, caching each code point's class (about 100 MB if every code point is seen), loose
+    apostrophes are blanked, and the text is split.
     """
-    if raw_text.isascii():
-        text = raw_text.lower().translate(_ASCII_SEPARATORS)
-        return (_LOOSE_APOSTROPHE_RE.sub(" ", text) if "'" in text else text).split()
-    return _TOKEN_RE.findall(raw_text.translate(_APOSTROPHE_VARIANTS).lower())
+    text = unicodedata.normalize("NFC", raw_text).lower().translate(_CHARS)
+    return (_LOOSE_APOSTROPHE_RE.sub(" ", text) if "'" in text else text).split()
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ import numpy as np
 from .stats import (
     DEFAULT_LEVELS,
     _ks_from_counts,
+    _tally,
     check_levels,
     child_seed,
     chi_square_gof,
@@ -272,10 +273,9 @@ class OrderTestReport:
 
 
 def _indicators_of(values: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
-    """The count of each of ``states`` in ``values``, a sequence over them
-    (each distinct value looked up once), and the sequence's indicators."""
-    seen, seen_counts = np.unique(values, return_counts=True)
-    counts = np.bincount(np.searchsorted(states, seen), weights=seen_counts, minlength=states.size)
+    """The count of each of ``states`` in ``values``, a sequence over them,
+    and the sequence's indicators."""
+    counts = _tally(states, values)[1][1]
     d = descriptive_stats(values)
     return counts, {"mean": d.mean, "std_dev": d.std_dev, "kurtosis": d.kurtosis, "skewness": d.skewness,
                     "entropy": shannon_entropy(counts)}

@@ -1,8 +1,9 @@
 """Reference forms of two corpus fast paths.
 
-``ASCII_TOKEN_RE`` is the pattern that tokenized ASCII text before the
-string passes of ``corpus.tokenize``: runs of a-z with internal
-apostrophes, found in the lowercased text.  ``corpus_id`` is the corpus
+``tokenize`` is the tokenizer as a regular expression: ``TOKEN_RE`` finds
+runs of Unicode letters with internal apostrophes in the NFC text, its
+curly apostrophes made straight, lowercased.  ``corpus.tokenize`` finds
+the same tokens through a character table.  ``corpus_id`` is the corpus
 record as the CLI built it from paths: list the documents again and hash
 each file, instead of taking the digests ``load_documents`` keeps.  The
 tests compare the package against both.
@@ -11,12 +12,18 @@ tests compare the package against both.
 from __future__ import annotations
 
 import re
+import unicodedata
 from pathlib import Path
 
 from hapaxchain import persist
 from hapaxchain.corpus import document_paths
 
-ASCII_TOKEN_RE = re.compile(r"[a-z]+(?:'[a-z]+)*")
+TOKEN_RE = re.compile(r"[^\W\d_]+(?:'[^\W\d_]+)*")
+_APOSTROPHES = str.maketrans({"’": "'", "ʼ": "'"})
+
+
+def tokenize(raw_text: str) -> list[str]:
+    return TOKEN_RE.findall(unicodedata.normalize("NFC", raw_text).translate(_APOSTROPHES).lower())
 
 
 def corpus_id(corpus: Path, manifest: Path | None = None) -> dict:

@@ -70,3 +70,18 @@ def test_per_layer_metrics_name_public_functions():
     missing = [f"{module}.{function}" for module, function in sorted(named)
                if function not in importlib.import_module(f"hapaxchain.{module}").__all__]
     assert missing == []
+
+
+def test_set_up_probes_run_on_the_package(tmp_path, monkeypatch):
+    # bench/run.py measures set-up with two probes before any workload runs: a child
+    # that only imports hapaxchain.cli, and -X importtime, which must list scipy.stats.
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "bench_run", run)  # its dataclasses look their module up
+    spec.loader.exec_module(run)
+    times = run.importtime(tmp_path, 0)
+    assert set(times) == {"setup.import.scipy_stats_s", "setup.import.hapaxchain_s"}
+    assert all(t > 0 for t in times.values())
+    wall, scaled = run.import_only(tmp_path)
+    assert wall > 0 and scaled > 0

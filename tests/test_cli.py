@@ -10,6 +10,7 @@ import re
 import shutil
 import subprocess
 import sys
+import unicodedata
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +87,27 @@ def test_extract_finds_each_documents_hapaxes_once(runner, rich_corpus_dir, tmp_
     result = runner.invoke(main, ["extract", str(rich_corpus_dir), "--output-dir", str(tmp_path / "out")])
     assert result.exit_code == 0, result.output
     assert len(calls) == len(list(rich_corpus_dir.glob("*.txt"))) == 12
+
+
+# Curly quotes and apostrophes, em dashes, accented and Cyrillic words ("й" and the
+# accented letters decompose under NFD); "café" is a hapax of the first document only.
+UNICODE_DOCUMENTS = ("“Don’t panic,” she said — naïve café, Москва.",
+                     "Don't say café twice: café! Москва — привет, йод.")
+UNICODE_TABLE = ("word,frequency,dense_rank,ordinal_rank\ndon't,2,1,1\nмосква,2,1,2\ncafé,1,2,3\nnaïve,1,2,4\n"
+                 "panic,1,2,5\nsaid,1,2,6\nsay,1,2,7\nshe,1,2,8\ntwice,1,2,9\nйод,1,2,10\nпривет,1,2,11\n")
+
+
+@pytest.mark.parametrize("form", ["NFC", "NFD"])
+def test_extract_unicode_corpus_in_either_normal_form(runner, tmp_path, form):
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    for k, text in enumerate(UNICODE_DOCUMENTS):
+        (corpus_dir / f"doc{k}.txt").write_text(unicodedata.normalize(form, text), encoding="utf-8")
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["extract", str(corpus_dir), "--output-dir", str(out)])
+    assert result.exit_code == 0, result.output
+    assert read(out / "hapax_table.csv") == UNICODE_TABLE
+    assert read(out / "rank_sequence.txt") == "1\n2\n2\n2\n2\n2\n1\n1\n2\n2\n1\n2\n2\n"
 
 
 def test_extract_empty_dir_fails(runner, tmp_path):
@@ -408,7 +430,9 @@ def test_target_overflow_ends_in_a_clean_error_under_warnings_as_errors(tmp_path
 
 @pytest.mark.parametrize("text, problem", [("{not json", "Expecting property name"),
                                            ('{"params": {"alpha": 1.0, "beta": -2.0, "gamma": 1.0}}',
-                                            "beta must exceed -1, got -2.0")])
+                                            "beta must exceed -1, got -2.0"),
+                                           pytest.param('{"params": {"alpha": 1%s, "beta": 0, "gamma": 1}}' % ("0" * 400),
+                                                        "int too large to convert to float", id="beyond-float")])
 @pytest.mark.parametrize("command", ["target", "mcmc"])
 def test_fit_json_not_json_or_outside_the_domain_names_the_file(runner, tmp_path, command, text, problem):
     fit_json = tmp_path / "fit_report.json"

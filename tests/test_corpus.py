@@ -2,12 +2,15 @@
 
 import hashlib
 import re
+import sys
+import unicodedata
 from collections import Counter
 
 import numpy as np
 import pytest
-from corpus_reference import ASCII_TOKEN_RE
-from hypothesis import given, settings
+from corpus_reference import TOKEN_RE
+from corpus_reference import tokenize as reference_tokenize
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hapaxchain import corpus as corpus_mod
@@ -69,6 +72,7 @@ def test_tokenize_internal_apostrophes_survive():
 
 def test_tokenize_unicode_letters():
     assert tokenize("naïve café — coöperate") == ["naïve", "café", "coöperate"]
+    assert tokenize(unicodedata.normalize("NFD", "naïve café")) == ["naïve", "café"]  # NFC first
 
 
 # ASCII letters in both cases, digits, "_", apostrophes, punctuation and whitespace;
@@ -79,38 +83,35 @@ ascii_text = (
     | st.lists(st.sampled_from(["'", "''", "a", "zq", "Don", "T", "_", "0", "9", " ", "-", "\n",
                                 "\x0b", "\x1c", "\x1d", "\x1e", "\x1f"]), max_size=30).map("".join)
     | st.text(st.characters(max_codepoint=127), max_size=60))
+# The three apostrophes, combining marks (one with no precomposed form after "a"),
+# letters that lowercase to two code points or that are digits of no decimal value,
+# next to any character; and any text.
+unicode_text = (
+    ascii_text
+    | st.lists(st.sampled_from(["'", "’", "ʼ", "\u0301", "\u0308", "\u0327", "\u093f", "a", "E", "i", "İ", "ß",
+                                "é", "я", "Й", "Ⅻ", "²", "٣", "_", " ", "—", "“"]) | st.characters(),
+               max_size=30).map("".join)
+    | st.text(max_size=60))
 
 
-@settings(max_examples=500)
-@given(ascii_text)
-def test_ascii_pattern_finds_the_unicode_patterns_tokens(text):
-    unicode_tokens = corpus_mod._TOKEN_RE.findall(text.translate(corpus_mod._APOSTROPHE_VARIANTS).lower())
-    assert ASCII_TOKEN_RE.findall(text.lower()) == unicode_tokens
+@settings(max_examples=1000)
+@given(unicode_text)
+@example("".join(map(chr, range(128))))
+@example("Don’t be NAIVE")
+@example("a naïve don't")
+def test_tokenize_finds_the_reference_patterns_tokens(text):
     tokens = tokenize(text)
-    assert type(tokens) is list and tokens == unicode_tokens
+    assert type(tokens) is list and tokens == reference_tokenize(text)
 
 
-def test_ascii_separators_keep_the_letters_and_the_apostrophe():
-    # The table keeps an ASCII character, once lowercased, if and only if the
-    # Unicode pattern takes it for a letter, or it is the apostrophe.
-    table = corpus_mod._ASCII_SEPARATORS
-    for char in map(chr, range(128)):
-        kept = ord(char) not in table
-        assert kept == (char in "abcdefghijklmnopqrstuvwxyz'"), repr(char)
-        assert char.translate(table) == (char if kept else " "), repr(char)
-        lowered = char.lower()
-        assert (ord(lowered) not in table) == (char == "'" or corpus_mod._TOKEN_RE.fullmatch(char) is not None), \
-            repr(char)
-
-
-@pytest.mark.parametrize("text, tokens", [
-    ("Don’t be NAIVE", ["don't", "be", "naive"]),  # one curly apostrophe: normalized, then one token
-    ("a naïve don't", ["a", "naïve", "don't"]),  # one non-ASCII letter stays inside its word
-])
-def test_one_non_ascii_character_takes_the_unicode_pattern(text, tokens):
-    assert not text.isascii()
-    assert ASCII_TOKEN_RE.findall(text.lower()) != tokens  # the ASCII pattern would split the word
-    assert tokenize(text) == tokens
+def test_char_table_classifies_each_code_point_as_the_pattern_does():
+    # A fresh table, so the module's own cache only holds characters it has seen in texts.
+    chars = [chr(code) for code in range(sys.maxunicode + 1) if not 0xD800 <= code <= 0xDFFF]
+    table = corpus_mod._CharTable()
+    mapped = "".join(chars).translate(table)
+    want = ["'" if char in "'’ʼ" else char if TOKEN_RE.fullmatch(char) else " " for char in chars]
+    assert [(char, got) for char, got, w in zip(chars, mapped, want) if got != w] == []
+    assert len(mapped) == len(table) == len(chars)
 
 
 def test_tokenize_deterministic():
