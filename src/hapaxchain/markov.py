@@ -16,21 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .stats import (
-    DEFAULT_LEVELS,
-    _ks_from_counts,
-    _tally,
-    check_levels,
-    child_seed,
-    chi_square_gof,
-    chi_square_threshold,
-    descriptive_stats,
-    ks_threshold,
-    ks_two_sample,
-    pass_fractions,
-    shannon_entropy,
-    wmw_test,
-)
+from .stats import (DEFAULT_LEVELS, _describe, _ks_from_counts, _tally, _wmw_from_counts, check_levels, child_seed,
+                    chi_square_gof, chi_square_threshold, ks_threshold, pass_fractions, shannon_entropy)
 
 __all__ = [
     "TransitionMatrix1",
@@ -272,13 +259,21 @@ class OrderTestReport:
     len2: int
 
 
-def _indicators_of(values: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
-    """The count of each of ``states`` in ``values``, a sequence over them,
-    and the sequence's indicators."""
-    counts = _tally(states, values)[1][1]
-    d = descriptive_stats(values)
-    return counts, {"mean": d.mean, "std_dev": d.std_dev, "kurtosis": d.kurtosis, "skewness": d.skewness,
-                    "entropy": shannon_entropy(counts)}
+def _indicators(x: np.ndarray, c: np.ndarray) -> tuple[float, ...]:
+    """The ``INDICATOR_NAMES`` of a sequence given as counts ``c`` of the states ``x``."""
+    d = _describe(x, c)
+    return d.mean, d.std_dev, d.kurtosis, d.skewness, shannon_entropy(c)
+
+
+def _replicate(tm1: TransitionMatrix1, tm2: TransitionMatrix2, len1: int, len2: int, seed, k: int,
+               observed: np.ndarray) -> tuple[float, ...]:
+    """Replicate ``k``'s row, from one tally of its two simulations over ``tm1.states``: the
+    order-1 simulation's KS and WMW p-value against the order-2 one, then its chi-square, its KS
+    against the input's state counts ``observed``, and its indicators."""
+    x, (_, c1, c2) = _tally(tm1.states, simulate_order1(tm1, len1, child_seed(seed, 1, k)),
+                            simulate_order2(tm2, len2, child_seed(seed, 2, k)))
+    return (_ks_from_counts(c1, c2), _wmw_from_counts(c1, c2)[1], chi_square_gof(c1, tm1.marginal)[0],
+            _ks_from_counts(c1, observed), *_indicators(x, c1))
 
 
 def order_test(seq, replicates: int = 100, len1: int | None = None, len2: int | None = None, seed=0,
@@ -308,25 +303,9 @@ def order_test(seq, replicates: int = 100, len1: int | None = None, len2: int | 
     len2 = len2 if len2 is not None else min(100_000, int(values.size))
     df = tm1.n_states - 1
 
-    ks_pairs: list[float] = []
-    wmw_ps: list[float] = []
-    chi_stats: list[float] = []
-    ks_emp: list[float] = []
-    indicator_lists: dict[str, list[float]] = {name: [] for name in INDICATOR_NAMES}
-    observed_counts, observed = _indicators_of(values, tm1.states)
-
-    for k in range(replicates):
-        sim1 = simulate_order1(tm1, len1, child_seed(seed, 1, k))
-        sim2 = simulate_order2(tm2, len2, child_seed(seed, 2, k))
-
-        ks_pairs.append(ks_two_sample(sim1, sim2))
-        wmw_ps.append(wmw_test(sim1, sim2)[1])
-
-        sim1_counts, indicators = _indicators_of(sim1, tm1.states)
-        chi_stats.append(chi_square_gof(sim1_counts, tm1.marginal)[0])
-        ks_emp.append(_ks_from_counts(sim1_counts, observed_counts))  # both over tm1.states
-        for name, val in indicators.items():
-            indicator_lists[name].append(val)
+    x, (_, observed) = _tally(tm1.states, values)
+    rows = [_replicate(tm1, tm2, len1, len2, seed, k, observed) for k in range(replicates)]
+    ks_pairs, wmw_ps, chi_stats, ks_emp, *indicators = map(list, zip(*rows))
 
     thresholds = {
         "ks_first_vs_second": {lv: ks_threshold(lv, len1, len2, halve_alpha) for lv in levels},
@@ -339,8 +318,8 @@ def order_test(seq, replicates: int = 100, len1: int | None = None, len2: int | 
         wmw_p_values=wmw_ps,
         chi_square_stats=chi_stats,
         ks_stats_vs_empirical=ks_emp,
-        indicators=indicator_lists,
-        indicators_observed=observed,
+        indicators=dict(zip(INDICATOR_NAMES, indicators)),
+        indicators_observed=dict(zip(INDICATOR_NAMES, _indicators(x, observed))),
         thresholds=thresholds,
         pass_fractions={
             "ks_first_vs_second": pass_fractions(ks_pairs, thresholds["ks_first_vs_second"]),

@@ -164,8 +164,9 @@ def fit_zm(points, level: float = 0.95) -> FitResult:
     """Least-squares fit of the rank-size law to (rank, size) points.
 
     Needs at least 4 points with strictly increasing positive integer
-    ranks and positive finite sizes.  Returns a :class:`FitResult` whose
-    confidence intervals are Student-t based at ``level``.  Degenerate
+    ranks and positive sizes whose squares sum to a finite float.
+    Returns a :class:`FitResult` whose confidence intervals are
+    Student-t based at ``level``.  Degenerate
     data that leaves parameters unidentifiable yields a result flagged
     ``ill_conditioned`` with NaN intervals; reaching the beta = -1
     boundary, where the iteration stops at once, raises
@@ -189,6 +190,9 @@ def fit_zm(points, level: float = 0.95) -> FitResult:
         raise ValueError("sizes must be positive")
     if not 0.0 < level < 1.0:
         raise ValueError(f"confidence level must be in (0, 1), got {level}")
+    with np.errstate(over="ignore"):  # the normal equations would overflow
+        if not math.isfinite(float(sizes @ sizes)):
+            raise ValueError(f"sizes too large to fit: their sum of squares overflows, largest size {sizes.max():g}")
 
     theta = _initial_theta(ranks, sizes)
     f, jac = _model_and_jacobian_log(theta, ranks)

@@ -58,8 +58,11 @@ class DescriptiveStats:
 
 def _tally(*samples) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct values of the pooled samples, and one row per sample of
-    its count of each (as floats): the only place this module sorts a sample."""
-    tallies = [np.unique(np.asarray(s, dtype=float).ravel(), return_counts=True) for s in samples]
+    its count of each (as floats): the only place this module sorts a sample.
+    Each is sorted in its own dtype; the counts of its values that round to
+    one float (ints beyond 2**53) are added up."""
+    tallies = [np.unique(np.asarray(s).ravel(), return_counts=True) for s in samples]
+    tallies = [(seen.astype(float), c) for seen, c in tallies]
     values = np.unique(np.concatenate([seen for seen, _ in tallies]))
     counts = [np.bincount(np.searchsorted(values, seen), weights=c, minlength=values.size) for seen, c in tallies]
     return values, np.array(counts)
@@ -82,6 +85,13 @@ def derived_indicators(mean: float, std_dev: float, median: float, n: int) -> tu
 def descriptive_stats(values) -> DescriptiveStats:
     """Compute the full indicator set for a sample of size >= 2."""
     x, (c,) = _tally(values)
+    return _describe(x, c)
+
+
+def _describe(x, c) -> DescriptiveStats:
+    """:func:`descriptive_stats` of a sample given as counts ``c`` of the
+    ascending values ``x``; values it does not hold are dropped first."""
+    x, c = x[c > 0], c[c > 0]
     n = int(c.sum())
     if n < 2:
         raise ValueError(f"descriptive_stats requires at least 2 values, got {n}")
@@ -241,6 +251,13 @@ def wmw_test(a, b) -> tuple[float, float]:
     returned.
     """
     _, (ca, cb) = _tally(a, b)
+    return _wmw_from_counts(ca, cb)
+
+
+def _wmw_from_counts(ca, cb) -> tuple[float, float]:
+    """:func:`wmw_test` of two samples given as counts over the same
+    ascending values; values neither sample holds are dropped first."""
+    ca, cb = ca[ca + cb > 0], cb[ca + cb > 0]
     n1, n2 = int(ca.sum()), int(cb.sum())
     if n1 == 0 or n2 == 0:
         raise ValueError("wmw_test requires two non-empty samples")

@@ -6,6 +6,10 @@ probability tables, cumulative rows rebuilt as Python lists on every
 simulation, and a per-row loop for the first-order probabilities.  The tests compare the package's seeded
 outputs against it with exact equality.  ``from_dense`` builds the
 package's first-order matrix from such a table.
+
+``order_test`` is the replicate loop the package's one-tally rows
+replace: it hands each replicate's samples to ``ks_two_sample``,
+``wmw_test`` and ``descriptive_stats``, which each sort them again.
 """
 
 from __future__ import annotations
@@ -15,7 +19,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hapaxchain.markov import TransitionMatrix1
+from hapaxchain.markov import (
+    INDICATOR_NAMES,
+    OrderTestReport,
+    TransitionMatrix1,
+    estimate_order2,
+    simulate_order1,
+    simulate_order2,
+)
+from hapaxchain.stats import (
+    DEFAULT_LEVELS,
+    _tally,
+    child_seed,
+    chi_square_gof,
+    chi_square_threshold,
+    descriptive_stats,
+    ks_threshold,
+    ks_two_sample,
+    pass_fractions,
+    shannon_entropy,
+    wmw_test,
+)
 
 
 def from_dense(states, probs) -> TransitionMatrix1:
@@ -157,3 +181,54 @@ def simulate_order2(tm: DenseTransitionMatrix2, length: int, seed) -> np.ndarray
             out[t] = nxt
             prev, current = current, nxt
     return tm.states[out[:length]]
+
+
+def _indicators(sample: np.ndarray) -> dict[str, float]:
+    d = descriptive_stats(sample)
+    return {"mean": d.mean, "std_dev": d.std_dev, "kurtosis": d.kurtosis, "skewness": d.skewness,
+            "entropy": shannon_entropy(np.unique(sample, return_counts=True)[1])}
+
+
+def order_test(seq, replicates: int, len1: int, len2: int, seed, levels=DEFAULT_LEVELS,
+               halve_alpha: bool = True) -> OrderTestReport:
+    """The package's battery, one statistic call on the samples at a time."""
+    values = np.asarray(seq, dtype=np.int64)
+    tm2 = estimate_order2(values)
+    tm1 = tm2.fallback
+    df = tm1.n_states - 1
+    ks_pairs, wmw_ps, chi_stats, ks_emp = [], [], [], []
+    indicator_lists: dict[str, list[float]] = {name: [] for name in INDICATOR_NAMES}
+    for k in range(replicates):
+        sim1 = simulate_order1(tm1, len1, child_seed(seed, 1, k))
+        sim2 = simulate_order2(tm2, len2, child_seed(seed, 2, k))
+        ks_pairs.append(ks_two_sample(sim1, sim2))
+        wmw_ps.append(wmw_test(sim1, sim2)[1])
+        chi_stats.append(chi_square_gof(_tally(tm1.states, sim1)[1][1], tm1.marginal)[0])
+        ks_emp.append(ks_two_sample(sim1, values))
+        for name, val in _indicators(sim1).items():
+            indicator_lists[name].append(val)
+
+    thresholds = {
+        "ks_first_vs_second": {lv: ks_threshold(lv, len1, len2, halve_alpha) for lv in levels},
+        "wmw": {lv: lv for lv in levels},
+        "chi_square": {lv: chi_square_threshold(lv, df) for lv in levels},
+        "ks_vs_empirical": {lv: ks_threshold(lv, len1, int(values.size), halve_alpha) for lv in levels},
+    }
+    return OrderTestReport(
+        ks_stats_first_vs_second=ks_pairs,
+        wmw_p_values=wmw_ps,
+        chi_square_stats=chi_stats,
+        ks_stats_vs_empirical=ks_emp,
+        indicators=indicator_lists,
+        indicators_observed=_indicators(values),
+        thresholds=thresholds,
+        pass_fractions={
+            "ks_first_vs_second": pass_fractions(ks_pairs, thresholds["ks_first_vs_second"]),
+            "wmw": pass_fractions(wmw_ps, thresholds["wmw"], p_values=True),
+            "chi_square": pass_fractions(chi_stats, thresholds["chi_square"]),
+            "ks_vs_empirical": pass_fractions(ks_emp, thresholds["ks_vs_empirical"]),
+        },
+        df=df,
+        len1=len1,
+        len2=len2,
+    )

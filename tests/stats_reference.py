@@ -7,7 +7,8 @@ sample's distinct values and counts:
   tie counts from a second sort inside ``np.unique``;
 - ``ks_two_sample``: both ECDFs evaluated by ``searchsorted`` on the
   sorted samples at every pooled observation;
-- ``descriptive_stats``: per-observation powers and ``np.median``.
+- ``descriptive_stats``: per-observation powers and ``np.median``, and
+  the derived mean/sd, Pearson skew and standard error computed here.
 
 The tests compare the package's KS and WMW results against them with
 exact equality, and its indicators within a relative 1e-9.
@@ -19,7 +20,7 @@ import math
 
 import numpy as np
 
-from hapaxchain.stats import DescriptiveStats, derived_indicators
+from hapaxchain.stats import DescriptiveStats
 
 
 def midranks(x: np.ndarray) -> np.ndarray:
@@ -92,7 +93,9 @@ def descriptive_stats(values) -> DescriptiveStats:
     else:
         skewness = kurtosis = math.nan
     median = float(np.median(x))
-    mean_over_sd, pearson, std_error = derived_indicators(mean, std_dev, median, n)
+    mean_over_sd = mean / std_dev if std_dev > 0.0 else math.nan
+    pearson = 3.0 * (mean - median) / std_dev if std_dev > 0.0 else math.nan
+    std_error = std_dev / math.sqrt(n)
     return DescriptiveStats(
         n=n, mean=mean, variance=variance, std_dev=std_dev, skewness=skewness, kurtosis=kurtosis,
         median=median, max=float(x.max()), min=float(x.min()), rms=math.sqrt(float(np.mean(x**2))),

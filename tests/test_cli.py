@@ -304,6 +304,15 @@ def test_fit_rejects_a_non_finite_size(runner, tmp_path, size):
     assert not (tmp_path / "out" / "fit_report.json").exists()
 
 
+def test_fit_rejects_sizes_whose_squares_overflow(runner, tmp_path):
+    csv_path = write_csv(tmp_path / "points.csv", ["rank", "size"], [(r, 1e160 / r) for r in range(1, 51)])
+    result = runner.invoke(main, ["fit", "--input", str(csv_path), "--output-dir", str(tmp_path / "out")])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert re.fullmatch(r"Error: sizes too large to fit: .* largest size 1e\+160\n", result.output)
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "out" / "fit_report.json").exists()
+
+
 def test_fit_names_a_rank_size_file_without_rows(runner, tmp_path):
     csv_path = tmp_path / "points.csv"
     csv_path.write_text("rank,size\n", encoding="utf-8")

@@ -1,6 +1,7 @@
 """Rank-size law evaluation, fitting and target discretization tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -195,6 +196,23 @@ def test_fit_rejects_non_finite_points(at, bad):
     points[-1][at] = bad
     with pytest.raises(ValueError, match=r"^ranks and sizes must be finite, not nan or infinite$"):
         fit_zm(points)
+
+
+@pytest.mark.parametrize("scale", [1e160, 2e154])
+def test_fit_rejects_sizes_whose_squares_overflow(scale):
+    # The normal equations would overflow: the fit used to return its start
+    # with r_squared 1.0, NaN intervals and RuntimeWarnings.
+    r = np.arange(1, 51)
+    largest = re.escape(format(scale, "g"))
+    with pytest.raises(ValueError, match=rf"^sizes too large to fit: .* largest size {largest}$"):
+        fit_zm(np.column_stack((r, scale / r)))
+
+
+def test_fit_of_sizes_just_below_the_overflow_converges():
+    r = np.arange(1, 51)
+    result = fit_zm(np.column_stack((r, 1e154 / r)))  # sizes @ sizes = 1.63e308; a warning would fail the test
+    assert result.r_squared > 0.999 and not result.ill_conditioned
+    assert result.params.gamma == pytest.approx(1.0, rel=1e-9)
 
 
 @pytest.mark.parametrize("level", [0.0, 1.0, -0.5, 95.0])

@@ -357,6 +357,18 @@ def test_ks_equals_sort_based_reference(a, b):
     assert ks_two_sample(a, b) == ref.ks_two_sample(a, b)
 
 
+@pytest.mark.parametrize("a, b", [
+    (np.array([True, False, True, True]), np.array([False, False, True])),
+    ([2**53, 2**53 + 1, 3], [3, 2**53, 5]),  # 2**53 + 1 rounds to the float 2**53
+])
+def test_statistics_of_samples_that_are_not_floats_equal_the_references(a, b):
+    # Each sample is sorted in its own dtype; its values meet as floats.
+    assert ks_two_sample(a, b) == ref.ks_two_sample(a, b)
+    assert wmw_test(a, b) == ref.wmw_test(a, b)
+    got, want = dataclasses.asdict(descriptive_stats(a)), dataclasses.asdict(ref.descriptive_stats(a))
+    assert got == pytest.approx(want, rel=1e-9, abs=1e-12)  # as the sort-based reference does
+
+
 @pytest.mark.parametrize("fn", [ks_two_sample, wmw_test])
 def test_two_sample_statistics_take_samples_a_and_b(fn):
     # Callers and instrumentation pass (and read) the two samples by these names.
