@@ -39,46 +39,48 @@ EXISTING_DIR = click.Path(exists=True, file_okay=False, path_type=Path)
 ANY_PATH = click.Path(path_type=Path)
 
 
-class Opt(NamedTuple):
-    """One option: the type of its flag and config values, its default and help."""
-
-    type: click.ParamType
-    default: Any
-    help: str
-    aliases: tuple[str, ...] = ()
+def _declare(name: str, type: click.ParamType, default: Any, help: str, *aliases: str) -> click.Option:
+    """The option ``name``: ``--name/--no-name`` for a boolean, else ``--name`` and its aliases."""
+    flag = name.replace("_", "-")
+    decls = [f"--{flag}/--no-{flag}"] if type is click.BOOL else [f"--{flag}", *aliases]
+    return click.Option([*decls, name], type=type, default=default, show_default=default is not None, help=help)
 
 
-OPTIONS = {
-    "manifest": Opt(EXISTING_FILE, None, "File listing document names, one per line, in order."),
-    "table": Opt(ANY_PATH, None, "Hapax table to rank against [default: <output-dir>/hapax_table.csv]."),
-    "input": Opt(ANY_PATH, None, "fit: rank,size CSV or hapax table [default: <output-dir>/hapax_table.csv]; "
-                                 "ordertest: rank sequence [default: <output-dir>/rank_sequence.txt]."),
-    "input_dir": Opt(EXISTING_DIR, None, "Directory holding the stage reports [default: --output-dir]."),
-    "level": Opt(click.FLOAT, 0.95, "Confidence level for the parameter intervals."),
-    "alpha": Opt(click.FLOAT, None, "Law parameter alpha (with --beta and --gamma, instead of --fit-json)."),
-    "beta": Opt(click.FLOAT, None, "Law parameter beta."),
-    "gamma": Opt(click.FLOAT, None, "Law parameter gamma."),
-    "fit_json": Opt(EXISTING_FILE, None, "Take the law parameters from a fit report."),
-    "rbar": Opt(click.INT, 300, "Number of ranks the distribution covers."),
-    "replicates": Opt(click.INT, 100, "Replicates per test battery."),
-    "len1": Opt(click.INT, None, "Length of first-order replicates [default: input length]."),
-    "len2": Opt(click.INT, None, "Length of second-order replicates [default: min(100000, input length)]."),
-    "seed": Opt(click.IntRange(min=0), 0, "Master seed of every random draw."),
-    "levels": Opt(_Levels(), "0.05,0.01,0.001", "Comma-separated significance levels.", ("--alpha-levels",)),
-    "halve_alpha": Opt(click.BOOL, True, "KS threshold parameterization: halve the level."),
-    "steps": Opt(click.INT, 100_000, "Chain length per run."),
-    "runs": Opt(click.INT, 100, "Number of chains."),
-    "reference": Opt(EXISTING_FILE, None, "Empirical rank sample; defaults to i.i.d. draws from the target."),
-    "reference_size": Opt(click.INT, 31074, "Size of the synthetic reference when --reference is absent."),
-    "save_samples": Opt(click.BOOL, False, "Also write mh_samples_<run>.txt per run."),
-}
+OPTIONS = {o.name: o for o in (
+    _declare("manifest", EXISTING_FILE, None, "File listing document names, one per line, in order."),
+    _declare("table", ANY_PATH, None, "Hapax table to rank against [default: <output-dir>/hapax_table.csv]."),
+    _declare("input", ANY_PATH, None, "fit: rank,size CSV or hapax table [default: <output-dir>/hapax_table.csv]; "
+                                      "ordertest: rank sequence [default: <output-dir>/rank_sequence.txt]."),
+    _declare("input_dir", EXISTING_DIR, None, "Directory holding the stage reports [default: --output-dir]."),
+    _declare("level", click.FLOAT, 0.95, "Confidence level for the parameter intervals."),
+    _declare("alpha", click.FLOAT, None, "Law parameter alpha (with --beta and --gamma, instead of --fit-json)."),
+    _declare("beta", click.FLOAT, None, "Law parameter beta."),
+    _declare("gamma", click.FLOAT, None, "Law parameter gamma."),
+    _declare("fit_json", EXISTING_FILE, None, "Take the law parameters from a fit report."),
+    _declare("rbar", click.INT, 300, "Number of ranks the distribution covers."),
+    _declare("replicates", click.INT, 100, "Replicates per test battery."),
+    _declare("len1", click.INT, None, "Length of first-order replicates [default: input length]."),
+    _declare("len2", click.INT, None, "Length of second-order replicates [default: min(100000, input length)]."),
+    _declare("seed", click.IntRange(min=0), 0, "Master seed of every random draw."),
+    _declare("levels", _Levels(), "0.05,0.01,0.001", "Comma-separated significance levels.", "--alpha-levels"),
+    _declare("halve_alpha", click.BOOL, True, "KS threshold parameterization: halve the level."),
+    _declare("steps", click.INT, 100_000, "Chain length per run."),
+    _declare("runs", click.INT, 100, "Number of chains."),
+    _declare("reference", EXISTING_FILE, None, "Empirical rank sample; defaults to i.i.d. draws from the target."),
+    _declare("reference_size", click.INT, 31074, "Size of the synthetic reference when --reference is absent."),
+    _declare("save_samples", click.BOOL, False, "Also write mh_samples_<run>.txt per run."),
+)}
 
 # JSON types a config value may have, by option type name; any other option takes a string.
 _JSON_TYPES = {"integer": int, "integer range": int, "float": (int, float), "boolean": bool}
 
 
-def _load_config(path: str) -> dict:
-    """The config file's object, each key an option name and each value of that option's JSON type."""
+def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
+    """Make the config file's object the command's default map, so that click takes each
+    value when its flag is not given.  Each key must be an option name, each value of that
+    option's JSON type, and a value of the command's own option must convert as its flag would."""
+    if path is None:
+        return
     try:
         cfg = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
@@ -95,24 +97,12 @@ def _load_config(path: str) -> dict:
         if not (value is None and opt.default is None) and (
                 not isinstance(value, want) or (isinstance(value, bool) and want is not bool)):
             raise click.ClickException(f"config key {name!r}: expected {opt.type.name}, got {json.dumps(value)}")
-    return cfg
-
-
-def _convert(name: str, value):
-    """A config or default value, converted as its flag would be."""
-    try:
-        return None if value is None else OPTIONS[name].type.convert(value, None, None)
-    except click.BadParameter as exc:
-        raise click.ClickException(f"config key {name!r}: {exc.message}")
-
-
-def _option(name: str) -> click.Option:
-    opt, flag = OPTIONS[name], name.replace("_", "-")
-    is_bool = opt.type is click.BOOL
-    decls = [f"--{flag}/--no-{flag}"] if is_bool else [f"--{flag}", *opt.aliases]
-    shown = (f"--{flag}" if opt.default else f"--no-{flag}") if is_bool else opt.default
-    return click.Option([*decls, name], type=None if is_bool else opt.type, default=None,
-                        help=opt.help if opt.default is None else f"{opt.help}  [default: {shown}]")
+        if opt in ctx.command.params:  # a key of another command is only type-checked
+            try:
+                opt.type(value)  # passes None, which only an option without a default accepts
+            except click.BadParameter as exc:
+                raise click.ClickException(f"config key {name!r}: {exc.message}")
+    ctx.default_map = cfg
 
 
 def _require(path: Path, producer: str) -> Path:
@@ -337,7 +327,7 @@ def _run_report(o: dict) -> dict[str, Path]:
 
 class Stage(NamedTuple):
     """A subcommand.  ``run``, whose docstring is the help, takes the resolved options ``o``
-    (with ``corpus`` and ``output_dir``) and returns the files it wrote."""
+    (with ``output_dir``, and ``corpus`` if it takes one) and returns the files it wrote."""
 
     name: str
     run: Callable[[dict], dict[str, Path]]
@@ -393,23 +383,15 @@ PIPELINE = Stage("pipeline", _run_pipeline, ("manifest", "seed", "level", "rbar"
 
 
 def _command(stage: Stage) -> click.Command:
-    def callback(config_path, output_dir, corpus=None, **flags):
-        cfg = _load_config(config_path) if config_path else {}
-        # Flags win over the config file, which wins over the default.
-        o = {name: flags[name] if flags.get(name) is not None else _convert(name, cfg.get(name, OPTIONS[name].default))
-             for name in stage.options}
-        o.update(corpus=corpus, output_dir=output_dir)
-        _run(stage, o)
-
     params = [click.Argument(["corpus"], type=EXISTING_DIR)] if stage.corpus else []
-    params += [_option(name) for name in stage.options] + [
-        click.Option(["--config", "config_path"], type=click.Path(exists=True, dir_okay=False),
-                     help="JSON file of option values keyed by option name; explicit flags win."),
+    params += [OPTIONS[name] for name in stage.options] + [
+        click.Option(["--config"], type=click.Path(exists=True, dir_okay=False), is_eager=True, expose_value=False,
+                     callback=_load_config, help="JSON file of option values keyed by option name; explicit flags win."),
         click.Option(["--output-dir"], type=click.Path(file_okay=False, path_type=Path), default=".",
                      envvar=OUTPUT_DIR_ENVVAR, show_default=True,
                      help=f"Directory for output artifacts (env: {OUTPUT_DIR_ENVVAR})."),
     ]
-    return click.Command(stage.name, callback=callback, params=params, help=stage.run.__doc__)
+    return click.Command(stage.name, callback=lambda **o: _run(stage, o), params=params, help=stage.run.__doc__)
 
 
 @click.group()

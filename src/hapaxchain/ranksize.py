@@ -75,7 +75,7 @@ class ZMParams:
 def zm_eval(params: ZMParams, r) -> float:
     """Evaluate the law at rank ``r`` (scalar or array, every entry >= 1)."""
     r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr < 1):
+    if not np.all(r_arr >= 1):  # NaN fails this too
         raise ParameterDomainError(f"rank must be >= 1, got {r}")
     with np.errstate(over="ignore"):  # a power beyond the float range reads as inf
         out = params.alpha / (params.beta + r_arr) ** params.gamma

@@ -20,7 +20,7 @@ from corpus_reference import corpus_id
 from markov_reference import from_dense
 
 from hapaxchain import corpus, persist
-from hapaxchain.cli import OPTIONS, _convert, _write_order_tables, main
+from hapaxchain.cli import _write_order_tables, main
 from hapaxchain.markov import order_test, simulate_order1
 from hapaxchain.mh_sampler import convergence_study
 from hapaxchain.persist import read_hapax_table, write_csv, write_rank_sequence
@@ -693,10 +693,11 @@ def test_rank_files_name_the_line_that_is_not_a_rank(runner, tmp_path, command, 
 
 def test_option_defaults_equal_the_library_defaults():
     shared = {}
-    for fn in (order_test, convergence_study):
+    for command, fn in (("ordertest", order_test), ("mcmc", convergence_study)):
+        resolved = main.commands[command].make_context(command, []).params  # each default as click converts it
         for name, param in inspect.signature(fn).parameters.items():
-            if name in OPTIONS and param.default is not inspect.Parameter.empty:
-                shared[name] = (_convert(name, OPTIONS[name].default), param.default)
+            if name in resolved and param.default is not inspect.Parameter.empty:
+                shared[name] = (resolved[name], param.default)
     assert set(shared) == {"replicates", "len1", "len2", "seed", "levels", "halve_alpha"}
     for name, (option, library) in shared.items():
         assert option == library, name
@@ -855,8 +856,9 @@ def test_config_file_must_be_a_json_object(runner, tmp_path, text, problem):
 def test_config_accepts_keys_of_other_commands(runner, tmp_path):
     write_sequence_file(tmp_path)
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"steps": 10, "rbar": 20, "replicates": 1, "len1": 300, "len2": 300, "seed": 3}),
-                        encoding="utf-8")
+    # fit_json and reference are mcmc's: their missing files are not looked for here.
+    cfg_path.write_text(json.dumps({"steps": 10, "rbar": 20, "replicates": 1, "len1": 300, "len2": 300, "seed": 3,
+                                    "fit_json": "no-such.json", "reference": "no-such.txt"}), encoding="utf-8")
     result = runner.invoke(
         main, ["ordertest", "--input", str(tmp_path / "rank_sequence.txt"), "--config", str(cfg_path),
                "--output-dir", str(tmp_path / "out")],
@@ -864,6 +866,17 @@ def test_config_accepts_keys_of_other_commands(runner, tmp_path):
     assert result.exit_code == 0, result.output
     assert json.loads(read(tmp_path / "out" / "order_test_report.json"))["len1"] == 300
     assert json.loads(read(tmp_path / "out" / "order_test_report.json"))["seed"] == 3
+
+
+@pytest.mark.parametrize("command, flag, shown", [
+    ("fit", "--level", "0.95"), ("ordertest", "--replicates", "100"), ("ordertest", "--seed", "0; x>=0"),
+    ("ordertest", "--levels", "0.05,0.01,0.001"), ("mcmc", "--rbar", "300"), ("mcmc", "--steps", "100000"),
+    ("mcmc", "--runs", "100"), ("mcmc", "--reference-size", "31074"), ("mcmc", "--levels", "0.05,0.01,0.001")])
+def test_help_shows_each_default(runner, command, flag, shown):
+    result = runner.invoke(main, [command, "--help"])
+    assert result.exit_code == 0, result.output
+    text = " ".join(result.output.split())  # click wraps long help lines
+    assert re.search(rf"{flag}[ ,][^\[]*\[default: {re.escape(shown)}\]", text), text
 
 
 @pytest.mark.parametrize("source", ["config", "alias"])

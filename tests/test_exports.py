@@ -23,3 +23,11 @@ def test_public_names_resolve():
             for alias in node.names:
                 assert alias.name in module.__all__, f"{alias.name} is not public in hapaxchain.{node.module}"
                 assert getattr(hapaxchain, alias.asname or alias.name) is getattr(module, alias.name)
+
+
+def test_readme_library_example_runs(rich_corpus_dir):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert '"corpus/"' in code
+    exec(code.replace('"corpus/"', repr(str(rich_corpus_dir))), {})

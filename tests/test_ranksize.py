@@ -47,6 +47,12 @@ def test_zm_eval_rejects_bad_rank():
         zm_eval(REFERENCE_PARAMS, 0)
 
 
+@pytest.mark.parametrize("r", [float("nan"), [1, float("nan")]])
+def test_zm_eval_rejects_a_nan_rank(r):
+    with pytest.raises(ParameterDomainError, match="rank must be >= 1"):
+        zm_eval(ZMParams(1.0, 0.0, 1.0), r)
+
+
 def test_zm_params_domain():
     with pytest.raises(ParameterDomainError):
         ZMParams(alpha=-1.0, beta=0.0, gamma=1.0)
