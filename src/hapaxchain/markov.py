@@ -16,8 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .stats import (DEFAULT_LEVELS, _describe, _ks_from_counts, _tally, _wmw_from_counts, check_levels, child_seed,
-                    chi_square_gof, chi_square_threshold, ks_threshold, pass_fractions, shannon_entropy)
+from .stats import (DEFAULT_LEVELS, _describe, _ks_from_counts, _map_on_cpus, _tally, _wmw_from_counts, check_levels,
+                    child_seed, chi_square_gof, chi_square_threshold, ks_threshold, pass_fractions, shannon_entropy)
 
 __all__ = [
     "TransitionMatrix1",
@@ -265,14 +265,13 @@ def _indicators(x: np.ndarray, c: np.ndarray) -> tuple[float, ...]:
     return d.mean, d.std_dev, d.kurtosis, d.skewness, shannon_entropy(c)
 
 
-def _replicate(tm1: TransitionMatrix1, tm2: TransitionMatrix2, len1: int, len2: int, seed, k: int,
-               observed: np.ndarray) -> tuple[float, ...]:
-    """Replicate ``k``'s row, from one tally of its two simulations over ``tm1.states``: the
-    order-1 simulation's KS and WMW p-value against the order-2 one, then its chi-square, its KS
-    against the input's state counts ``observed``, and its indicators."""
-    x, (_, c1, c2) = _tally(tm1.states, simulate_order1(tm1, len1, child_seed(seed, 1, k)),
-                            simulate_order2(tm2, len2, child_seed(seed, 2, k)))
-    return (_ks_from_counts(c1, c2), _wmw_from_counts(c1, c2)[1], chi_square_gof(c1, tm1.marginal)[0],
+def _replicate(c1: np.ndarray, c2: np.ndarray, x: np.ndarray, observed: np.ndarray,
+               marginal: np.ndarray) -> tuple[float, ...]:
+    """A replicate's row from the counts ``c1`` and ``c2`` of its order-1 and order-2
+    simulations over the states ``x``: the order-1 simulation's KS and WMW p-value against
+    the order-2 one, then its chi-square against ``marginal``, its KS against the input's
+    state counts ``observed``, and its indicators."""
+    return (_ks_from_counts(c1, c2), _wmw_from_counts(c1, c2)[1], chi_square_gof(c1, marginal)[0],
             _ks_from_counts(c1, observed), *_indicators(x, c1))
 
 
@@ -287,8 +286,10 @@ def order_test(seq, replicates: int = 100, len1: int | None = None, len2: int | 
     first-order replicate against the empirical sequence (chi-square over
     the observed states, KS, descriptive indicators).  Replicate k draws
     from children (1, k) and (2, k) of the master seed ``seed`` (an
-    integer, a sequence of them, or a ``SeedSequence``).  ``halve_alpha``
-    selects the KS threshold parameterization.
+    integer, a sequence of them, or a ``SeedSequence``), so the
+    simulations run on every usable CPU (``stats._map_on_cpus``) with
+    the same results as one by one.  ``halve_alpha`` selects the KS
+    threshold parameterization.
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
@@ -304,7 +305,16 @@ def order_test(seq, replicates: int = 100, len1: int | None = None, len2: int | 
     df = tm1.n_states - 1
 
     x, (_, observed) = _tally(tm1.states, values)
-    rows = [_replicate(tm1, tm2, len1, len2, seed, k, observed) for k in range(replicates)]
+    simulations = {1: (simulate_order1, tm1, len1), 2: (simulate_order2, tm2, len2)}
+    tm1._walk, tm2._walk  # built once here, before the workers fork, not once in each
+
+    def counts(task: tuple[int, int]) -> np.ndarray:
+        order, k = task
+        simulate, tm, length = simulations[order]
+        return _tally(tm1.states, simulate(tm, length, child_seed(seed, order, k)))[1][1]
+
+    c = _map_on_cpus(counts, [(order, k) for k in range(replicates) for order in (1, 2)])
+    rows = [_replicate(c1, c2, x, observed, tm1.marginal) for c1, c2 in zip(c[0::2], c[1::2])]
     ks_pairs, wmw_ps, chi_stats, ks_emp, *indicators = map(list, zip(*rows))
 
     thresholds = {

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .ranksize import TargetDistribution
-from .stats import DEFAULT_LEVELS, _ks_from_counts, check_levels, child_seed, ks_threshold, pass_fractions
+from .stats import DEFAULT_LEVELS, _ks_from_counts, _map_on_cpus, check_levels, child_seed, ks_threshold, pass_fractions
 
 __all__ = [
     "MHRunResult",
@@ -107,9 +107,11 @@ def convergence_study(f: TargetDistribution, runs: int, n_steps: int, reference,
 
     Run k uses child k of the master seed ``seed`` (an integer, a
     sequence of them, or a ``SeedSequence``), spawn key (..., k), so the
-    study is reproducible as a whole and each chain individually.  ``on_run``,
-    when given, is called with k and each chain's result as it
-    finishes; no chain is kept otherwise.  ``reference`` must hold ranks,
+    study is reproducible as a whole and each chain individually, and the
+    chains run on every usable CPU (``stats._map_on_cpus``) with the same
+    results as one by one.  ``on_run``, when given, is called in this
+    process with k and each chain's result, in k order, once all chains
+    have run; no chain is kept otherwise.  ``reference`` must hold ranks,
     integers in 1..r_bar: KS is taken from per-rank counts.
     """
     if runs < 1:
@@ -124,12 +126,16 @@ def convergence_study(f: TargetDistribution, runs: int, n_steps: int, reference,
         raise ValueError(f"reference ranks must be integers in 1..{f.r_bar}, got {bad!r}")
     ref_counts = np.bincount(reference.astype(np.int64), minlength=f.r_bar + 1)
 
-    ks_stats = []
-    for k in range(runs):
+    def run(k: int) -> tuple[float, MHRunResult | None]:
         result = run_chain(f, n_steps, child_seed(seed, k))
-        ks_stats.append(_ks_from_counts(np.bincount(result.samples, minlength=f.r_bar + 1), ref_counts))
-        if on_run is not None:
+        ks = _ks_from_counts(np.bincount(result.samples, minlength=f.r_bar + 1), ref_counts)
+        return ks, result if on_run is not None else None
+
+    outcomes = _map_on_cpus(run, range(runs))
+    if on_run is not None:
+        for k, (_, result) in enumerate(outcomes):
             on_run(k, result)
+    ks_stats = [ks for ks, _ in outcomes]
 
     thresholds = {lv: ks_threshold(lv, n_steps, reference.size, halve_alpha) for lv in levels}
     return ConvergenceReport(ks_statistics=ks_stats, thresholds=thresholds,

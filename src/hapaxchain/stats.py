@@ -5,12 +5,14 @@ indicators, the two-sample Kolmogorov-Smirnov statistic with its
 closed-form threshold family, a chi-square goodness-of-fit statistic,
 the Wilcoxon-Mann-Whitney rank-sum test (normal approximation with tie
 correction), Shannon entropy, the check on significance levels, per-level
-pass fractions, and the child seeds that replicates and runs draw from.
+pass fractions, the child seeds that replicates and runs draw from, and
+the map that spreads those independent draws over the usable CPUs.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,6 +201,40 @@ def child_seed(seed, *key: int) -> np.random.SeedSequence:
     a ``SeedSequence``): its spawn key extended by ``key``."""
     m = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     return np.random.SeedSequence(m.entropy, spawn_key=(*m.spawn_key, *key), pool_size=m.pool_size)
+
+
+_task = None  # set only in a forked worker, which serves one _map_on_cpus call
+
+
+def _set_task(fn) -> None:
+    global _task
+    _task = fn
+
+
+def _run_task(item):
+    return _task(item)
+
+
+def _map_on_cpus(fn, items) -> list:
+    """``[fn(x) for x in items]``, in item order, over one forked worker per
+    usable CPU and at most one per item.  Each worker inherits ``fn`` at the
+    fork, so it may close over arrays; only items and results are pickled.
+    Runs in this process when fewer than two workers would start or ``fork``
+    is missing.  An exception ``fn`` raises reaches the caller, and a worker
+    that dies raises ``BrokenProcessPool``; every worker has exited when
+    this returns."""
+    # Imported here: only the Monte Carlo stages pay the 4 ms and 0.6 MB they cost.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    items = list(items)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(cpus, len(items))
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return [fn(x) for x in items]
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_set_task, initargs=(fn,)) as pool:
+        return list(pool.map(_run_task, items))
 
 
 def chi_square_gof(observed_counts, expected_probs) -> tuple[float, int]:
