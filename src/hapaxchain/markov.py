@@ -306,7 +306,6 @@ def order_test(seq, replicates: int = 100, len1: int | None = None, len2: int | 
 
     x, (_, observed) = _tally(tm1.states, values)
     simulations = {1: (simulate_order1, tm1, len1), 2: (simulate_order2, tm2, len2)}
-    tm1._walk, tm2._walk  # built once here, before the workers fork, not once in each
 
     def counts(task: tuple[int, int]) -> np.ndarray:
         order, k = task

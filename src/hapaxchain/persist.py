@@ -191,10 +191,26 @@ def _ranks(text: str) -> np.ndarray | None:
     return values if values.size == 0 or values.min() >= 1 else None
 
 
+def _plain_ranks(data: bytes) -> np.ndarray | None:
+    """``data`` parsed by one ``np.fromstring`` if it holds only ASCII digits and line feeds, at most 18 digits a
+    line (so each fits int64); else None.  On other bytes that call clips overflow and stops at junk with a warning."""
+    ends = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
+    plain = not data.translate(None, b"0123456789\n") and np.diff(ends, prepend=-1, append=len(data)).max() <= 19
+    return np.fromstring(data, dtype=np.int64, sep="\n") if plain else None  # [0] for a text of line feeds only
+
+
 def read_rank_sequence(path: str | Path) -> np.ndarray:
     """The ranks a rank sequence file holds; a ``ValueError`` names the first
-    line holding anything but integers >= 1."""
-    text = Path(path).read_text(encoding="utf-8")
+    line holding anything but integers >= 1, or invalid UTF-8."""
+    data = Path(path).read_bytes()
+    values = _plain_ranks(data)
+    if values is not None and values.size and values.min() >= 1:  # else the split below names the bad line
+        return values
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        number = len((data[:exc.start].decode("utf-8") + "x").splitlines())  # the line the bad byte is on
+        raise ValueError(f"{path}, line {number}: invalid UTF-8: {exc}") from None
     values = _ranks(text)
     if values is None:
         lines = text.splitlines()

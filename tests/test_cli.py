@@ -691,6 +691,21 @@ def test_rank_files_name_the_line_that_is_not_a_rank(runner, tmp_path, command, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["ordertest", "mcmc"])
+def test_rank_files_name_the_line_that_is_not_utf8(runner, tmp_path, command):
+    path = tmp_path / "ranks.txt"
+    path.write_bytes(b"1\n\n2\n3\xff\n4\n")
+    args = (["ordertest", "--input", str(path)] if command == "ordertest" else
+            ["mcmc", "--alpha", "1.0", "--beta", "0", "--gamma", "1.0", "--rbar", "5", "--steps", "100",
+             "--runs", "1", "--reference", str(path)])
+    result = runner.invoke(main, [*args, "--output-dir", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == (f"Error: {path}, line 4: invalid UTF-8: 'utf-8' codec can't decode byte 0xff "
+                             "in position 6: invalid start byte\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_option_defaults_equal_the_library_defaults():
     shared = {}
     for command, fn in (("ordertest", order_test), ("mcmc", convergence_study)):

@@ -363,6 +363,45 @@ def test_rank_sequence_reader_agrees_with_the_line_loop(tmp_path_factory, values
     assert outcome(read_rank_sequence, path) == outcome(ref.read_rank_sequence, path)
 
 
+# Lines of digits only: blank, a lone 0, leading zeros, 18 digits (the most that always fit int64),
+# 19 digits (among them int64's largest value and the one past it) and 20 digits.
+PLAIN_LINES = ["", "0", "7", "0042", "9" * 18, "0" * 17 + "1", "9" * 19, str(2**63 - 1), str(2**63), "1" + "0" * 19]
+
+
+@pytest.mark.parametrize("text", ["0042\n7\n", "\n7\n\n42", "7", "0", "0\n", "\n", "\n\n", "", "7\n0\n", "9" * 18,
+                                  "\n".join(PLAIN_LINES[2:6]), *(f"1\n{line}\n3" for line in PLAIN_LINES[6:])])
+def test_a_digit_only_rank_file_is_read_as_the_line_loop_reads_it(tmp_path, text):
+    path = write(tmp_path, "s.txt", text)
+    assert outcome(read_rank_sequence, path) == outcome(ref.read_rank_sequence, path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(PLAIN_LINES), st.integers(1, 10**18).map(str), st.text("0123456789", max_size=21)),
+                max_size=8), st.booleans())
+def test_digit_only_rank_files_agree_with_the_line_loop(tmp_path_factory, lines, final_newline):
+    path = tmp_path_factory.mktemp("s") / "s.txt"
+    path.write_bytes(("\n".join(lines) + ("\n" if final_newline else "")).encode("ascii"))
+    assert outcome(read_rank_sequence, path) == outcome(ref.read_rank_sequence, path)
+
+
+@pytest.mark.parametrize("text, splits", [("3\n17\n" * 1000 + "9" * 18 + "\n", 0), ("3\n\n17", 0), ("3\r\n17\r\n", 1),
+                                          ("3 17\n", 1), ("3\n" + str(2**63 - 1) + "\n", 1)])
+def test_only_a_file_of_digit_lines_skips_the_token_split(tmp_path, monkeypatch, text, splits):
+    path = write(tmp_path, "s.txt", text)
+    calls = count_calls(monkeypatch, "_ranks")
+    assert read_rank_sequence(path).tolist() == list(map(int, text.split()))
+    assert len(calls) == splits
+
+
+@pytest.mark.parametrize("data, line", [(b"\xff", 1), (b"1\n2\n\n3\xff\n4\n", 4), (b"1\r\n2\r\n\xe9\r\n", 3),
+                                        (b"1\r2\r\xc2\x85 3\xe9", 4), (b"1\n\xe2\x82", 2)])
+def test_rank_sequence_reader_names_the_line_that_is_not_utf8(tmp_path, data, line):
+    path = tmp_path / "s.txt"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=rf"s\.txt, line {line}: invalid UTF-8: 'utf-8' codec can't decode"):
+        read_rank_sequence(path)
+
+
 def test_a_bad_last_rank_is_found_by_halving(tmp_path, monkeypatch):
     lines = 200_000
     path = write(tmp_path, "s.txt", "3\n" * lines + "x\n")
