@@ -302,9 +302,9 @@ def order_test(seq, replicates: int = 100, len1: int | None = None, len2: int | 
     tm1 = tm2.fallback
     len1 = len1 if len1 is not None else int(values.size)
     len2 = len2 if len2 is not None else min(100_000, int(values.size))
-    df = tm1.n_states - 1
-
+    # The chi-square's states are the tally's: ranks that round to one float (ints beyond 2**53) are one.
     x, (_, observed) = _tally(tm1.states, values)
+    df = x.size - 1
     simulations = {1: (simulate_order1, tm1, len1), 2: (simulate_order2, tm2, len2)}
 
     def counts(task: tuple[int, int]) -> np.ndarray:
@@ -313,7 +313,7 @@ def order_test(seq, replicates: int = 100, len1: int | None = None, len2: int | 
         return _tally(tm1.states, simulate(tm, length, child_seed(seed, order, k)))[1][1]
 
     c = _map_on_cpus(counts, [(order, k) for k in range(replicates) for order in (1, 2)])
-    rows = [_replicate(c1, c2, x, observed, tm1.marginal) for c1, c2 in zip(c[0::2], c[1::2])]
+    rows = [_replicate(c1, c2, x, observed, observed / values.size) for c1, c2 in zip(c[0::2], c[1::2])]
     ks_pairs, wmw_ps, chi_stats, ks_emp, *indicators = map(list, zip(*rows))
 
     thresholds = {

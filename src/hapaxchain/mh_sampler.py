@@ -109,9 +109,10 @@ def convergence_study(f: TargetDistribution, runs: int, n_steps: int, reference,
     sequence of them, or a ``SeedSequence``), spawn key (..., k), so the
     study is reproducible as a whole and each chain individually, and the
     chains run on every usable CPU (``stats._map_on_cpus``) with the same
-    results as one by one.  ``on_run``, when given, is called in this
-    process with k and each chain's result, in k order, once all chains
-    have run; no chain is kept otherwise.  ``reference`` must hold ranks,
+    results as one by one.  ``on_run``, when given, is called with k and
+    each chain's result in the process that ran it: a forked worker, which
+    keeps what it stores, or this one, in k order, when the chains run
+    here.  No chain is kept otherwise.  ``reference`` must hold ranks,
     integers in 1..r_bar: KS is taken from per-rank counts.
     """
     if runs < 1:
@@ -126,16 +127,13 @@ def convergence_study(f: TargetDistribution, runs: int, n_steps: int, reference,
         raise ValueError(f"reference ranks must be integers in 1..{f.r_bar}, got {bad!r}")
     ref_counts = np.bincount(reference.astype(np.int64), minlength=f.r_bar + 1)
 
-    def run(k: int) -> tuple[float, MHRunResult | None]:
+    def run(k: int) -> float:
         result = run_chain(f, n_steps, child_seed(seed, k))
-        ks = _ks_from_counts(np.bincount(result.samples, minlength=f.r_bar + 1), ref_counts)
-        return ks, result if on_run is not None else None
-
-    outcomes = _map_on_cpus(run, range(runs))
-    if on_run is not None:
-        for k, (_, result) in enumerate(outcomes):
+        if on_run is not None:
             on_run(k, result)
-    ks_stats = [ks for ks, _ in outcomes]
+        return _ks_from_counts(np.bincount(result.samples, minlength=f.r_bar + 1), ref_counts)
+
+    ks_stats = _map_on_cpus(run, range(runs))
 
     thresholds = {lv: ks_threshold(lv, n_steps, reference.size, halve_alpha) for lv in levels}
     return ConvergenceReport(ks_statistics=ks_stats, thresholds=thresholds,

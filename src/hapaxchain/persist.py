@@ -104,6 +104,15 @@ def write_hapax_table(path: str | Path, table: HapaxTable) -> Path:
     return atomic_write_text(path, HAPAX_HEADER + "\n" + "".join(f"{w},{f},{d},{o}\n" for o, (w, f, d) in rows))
 
 
+def _decode(path, data: bytes) -> str:
+    """The bytes ``data`` of file ``path`` as UTF-8 text; a ``ValueError`` names the line of the first bad byte."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        number = len((data[:exc.start].decode("utf-8") + "x").splitlines())  # the line the bad byte is on
+        raise ValueError(f"{path}, line {number}: invalid UTF-8: {exc}") from None
+
+
 def _line_error(path, number: int, lines: list[str], problem: str) -> ValueError:
     return ValueError(f"{path}, line {number}: {problem}: {lines[number - 1]!r}")
 
@@ -171,8 +180,8 @@ def _hapax_table(path, lines: list[str]) -> HapaxTable:
 def read_hapax_table(path: str | Path) -> HapaxTable:
     """The table a hapax table file holds.  Its words must be distinct, its rows in ordinal order and
     its rank columns equal to the ranks its frequencies give; a ``ValueError`` names the first line
-    that breaks this, or that is not a row: four fields whose integers fit int64."""
-    return _hapax_table(path, Path(path).read_text(encoding="utf-8").splitlines() or [""])
+    that breaks this, or that is not a row: four fields whose integers fit int64, or is not UTF-8."""
+    return _hapax_table(path, _decode(path, Path(path).read_bytes()).splitlines() or [""])
 
 
 def write_rank_sequence(path: str | Path, values) -> Path:
@@ -206,11 +215,7 @@ def read_rank_sequence(path: str | Path) -> np.ndarray:
     values = _plain_ranks(data)
     if values is not None and values.size and values.min() >= 1:  # else the split below names the bad line
         return values
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        number = len((data[:exc.start].decode("utf-8") + "x").splitlines())  # the line the bad byte is on
-        raise ValueError(f"{path}, line {number}: invalid UTF-8: {exc}") from None
+    text = _decode(path, data)
     values = _ranks(text)
     if values is None:
         lines = text.splitlines()
@@ -228,8 +233,9 @@ def write_target_distribution(path: str | Path, target: TargetDistribution) -> P
 
 def read_rank_size_csv(path: str | Path) -> np.ndarray:
     """Fit input as an (n, 2) float array of (rank, size) points: the rows of a rank,size CSV (an int64
-    rank and a float size each), or the ordinal ranks and frequencies of a hapax table."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines() or [""]
+    rank and a float size each), or the ordinal ranks and frequencies of a hapax table; a ``ValueError``
+    names the first line that is not a row, or not UTF-8."""
+    lines = _decode(path, Path(path).read_bytes()).splitlines() or [""]
     if lines[0] == HAPAX_HEADER:
         sizes = np.array(_hapax_table(path, lines).frequencies, dtype=float)
         return np.column_stack((np.arange(1.0, sizes.size + 1), sizes))

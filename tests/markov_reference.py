@@ -186,7 +186,7 @@ def simulate_order2(tm: DenseTransitionMatrix2, length: int, seed) -> np.ndarray
 def _indicators(sample: np.ndarray) -> dict[str, float]:
     d = descriptive_stats(sample)
     return {"mean": d.mean, "std_dev": d.std_dev, "kurtosis": d.kurtosis, "skewness": d.skewness,
-            "entropy": shannon_entropy(np.unique(sample, return_counts=True)[1])}
+            "entropy": shannon_entropy(np.unique(sample.astype(float), return_counts=True)[1])}
 
 
 def order_test(seq, replicates: int, len1: int, len2: int, seed, levels=DEFAULT_LEVELS,
@@ -195,7 +195,9 @@ def order_test(seq, replicates: int, len1: int, len2: int, seed, levels=DEFAULT_
     values = np.asarray(seq, dtype=np.int64)
     tm2 = estimate_order2(values)
     tm1 = tm2.fallback
-    df = tm1.n_states - 1
+    # The statistics compare samples as floats, so ranks that round to one float are one state.
+    states, state_counts = np.unique(values.astype(float), return_counts=True)
+    df = states.size - 1
     ks_pairs, wmw_ps, chi_stats, ks_emp = [], [], [], []
     indicator_lists: dict[str, list[float]] = {name: [] for name in INDICATOR_NAMES}
     for k in range(replicates):
@@ -203,7 +205,7 @@ def order_test(seq, replicates: int, len1: int, len2: int, seed, levels=DEFAULT_
         sim2 = simulate_order2(tm2, len2, child_seed(seed, 2, k))
         ks_pairs.append(ks_two_sample(sim1, sim2))
         wmw_ps.append(wmw_test(sim1, sim2)[1])
-        chi_stats.append(chi_square_gof(_tally(tm1.states, sim1)[1][1], tm1.marginal)[0])
+        chi_stats.append(chi_square_gof(_tally(states, sim1)[1][1], state_counts / values.size)[0])
         ks_emp.append(ks_two_sample(sim1, values))
         for name, val in _indicators(sim1).items():
             indicator_lists[name].append(val)

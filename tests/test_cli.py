@@ -294,6 +294,21 @@ def test_fit_names_malformed_rank_size_line(runner, tmp_path, row):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("data, line", [(b"rank,size\n1,5\r\n2,4\n\n3,2\xff\n4,1\n", 5),
+                                        (b"word,frequency,dense_rank,ordinal_rank\nab,2,1,1\nc\xff,1,2,2\n", 3)],
+                         ids=["rank-size", "hapax-table"])
+def test_fit_names_the_line_of_a_table_that_is_not_utf8(runner, tmp_path, data, line):
+    # A rank,size CSV and a hapax table: both readers decode as rank files do.
+    path = tmp_path / "points.csv"
+    path.write_bytes(data)
+    result = runner.invoke(main, ["fit", "--input", str(path), "--output-dir", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == (f"Error: {path}, line {line}: invalid UTF-8: 'utf-8' codec can't decode byte 0xff "
+                             f"in position {data.index(0xff)}: invalid start byte\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("size", ["nan", "inf"])
 def test_fit_rejects_a_non_finite_size(runner, tmp_path, size):
     csv_path = tmp_path / "points.csv"
@@ -852,12 +867,13 @@ def test_config_rejects_unknown_keys_and_wrong_types(runner, tmp_path, cfg, key)
     assert not (tmp_path / "out" / "order_test_report.json").exists()
 
 
-@pytest.mark.parametrize("text, problem", [("{replicates: 1}", "cannot read config file"),
-                                           ('[{"replicates": 1}]', "must hold a JSON object")])
-def test_config_file_must_be_a_json_object(runner, tmp_path, text, problem):
+@pytest.mark.parametrize("data, problem", [(b"{replicates: 1}", "cannot read config file"),
+                                           (b'{"seed": "\xff"}', "cannot read config file"),  # not UTF-8
+                                           (b'[{"replicates": 1}]', "must hold a JSON object")])
+def test_config_file_must_be_a_json_object(runner, tmp_path, data, problem):
     write_sequence_file(tmp_path)
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(text, encoding="utf-8")
+    cfg_path.write_bytes(data)
     result = runner.invoke(
         main, ["ordertest", "--input", str(tmp_path / "rank_sequence.txt"), "--config", str(cfg_path),
                "--output-dir", str(tmp_path / "out")],

@@ -5,12 +5,14 @@ a call, whether it ends in a result, an exception or a dead worker."""
 import dataclasses
 import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
 import markov_reference
+import mh_reference
 import numpy as np
 import pytest
 
@@ -171,13 +173,48 @@ def test_order_test_equals_the_replicate_loop(replicates, each_path):
                             dataclasses.asdict(markov_reference.order_test(values, replicates, 2000, 1500, 17)))
 
 
-def test_convergence_study_equals_the_chain_loop(each_path):
-    calls = []
+def test_convergence_study_equals_the_chain_loop(each_path, tmp_path):
     reference = iid_sample(LAW, 800, 1)
-    report = convergence_study(LAW, 5, 3000, reference, seed=23, on_run=lambda k, result: calls.append((k, result)))
+    report = convergence_study(LAW, 5, 3000, reference, seed=23, on_run=mh_reference.save_chains(tmp_path))
     assert multiprocessing.active_children() == []
     chains = [run_chain(LAW, 3000, child_seed(23, k)) for k in range(5)]
     assert report.ks_statistics == [ks_two_sample(c.samples, reference) for c in chains]
-    assert [k for k, _ in calls] == list(range(5))
-    for (_, result), chain in zip(calls, chains):
-        assert np.array_equal(result.samples, chain.samples) and result.accepted == chain.accepted
+    saved = mh_reference.saved_chains(tmp_path)
+    assert sorted(saved) == list(range(5))  # each k once: a second call for one k raises
+    for k, chain in enumerate(chains):
+        assert np.array_equal(saved[k].samples, chain.samples) and saved[k].accepted == chain.accepted
+
+
+def test_one_cpu_hands_the_chains_over_here_in_k_order(one_cpu):
+    calls = []
+    convergence_study(LAW, 5, 300, [1, 2, 3], seed=23, on_run=lambda k, result: calls.append((k, os.getpid())))
+    assert calls == [(k, os.getpid()) for k in range(5)]
+
+
+@needs_two_cpus
+def test_two_cpus_hand_each_chain_over_in_the_worker_that_ran_it(tmp_path):
+    def note_pid(k, result):
+        (tmp_path / f"{k}.pid").write_text(str(os.getpid()))
+
+    convergence_study(LAW, 5, 300, [1, 2, 3], seed=23, on_run=note_pid)
+    pids = [int(path.read_text()) for path in tmp_path.glob("*.pid")]
+    assert len(pids) == 5 and os.getpid() not in pids
+
+
+def test_saving_samples_keeps_a_flat_memory_peak(tmp_path):
+    # The peak of the CLI and its workers (RUSAGE_CHILDREN of a process that
+    # runs only the CLI) must not grow with the number of chains it saves.
+    peaks = {}
+    for runs in (100, 400):
+        out = tmp_path / str(runs)
+        proc = run_python("""
+            import resource, subprocess, sys
+            subprocess.run([sys.executable, "-m", "hapaxchain.cli", *sys.argv[1:]], check=True, stdout=subprocess.DEVNULL)
+            print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+        """, "mcmc", "--alpha", "6.029e8", "--beta", "2540", "--gamma", "1.896", "--rbar", "300", "--steps", "50000",
+            "--runs", str(runs), "--save-samples", "--output-dir", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert len(list(out.glob("mh_samples_*.txt"))) == runs
+        shutil.rmtree(out)  # 0.2 MB a chain
+        peaks[runs] = int(proc.stdout) / 1024  # ru_maxrss is in KiB on Linux
+    assert peaks[400] - peaks[100] < 15, peaks

@@ -431,11 +431,14 @@ def test_order_test_takes_a_seed_sequence_as_master_seed():
 @given(st.lists(st.integers(1, 300), min_size=3, max_size=60), st.integers(2, 12), st.integers(1, 12),
        st.integers(0, 2**32 - 1))
 @example([7] * 57 + [1, 2, 300], 6, 4, 5)  # mostly one state
+@example([1, 2**53, 2, 2**53 + 1, 2**53, 1, 2**53 + 1, 2] * 8, 30, 20, 1)  # 2**53 + 1 rounds to the float 2**53
 def test_order_test_ks_vs_empirical_is_ks_two_sample(values, len1, len2, seed):
     # Each replicate's row comes from one tally of its simulations over the
     # input's states; short replicates over many states leave most of them
     # unseen, which must leave every statistic equal to the loop that hands
-    # each one its samples.  assert_equal is == with NaN equal to NaN.
+    # each one its samples.  assert_equal is == with NaN equal to NaN.  The
+    # statistics compare samples as floats, so ranks that round to one float
+    # are one state, for the chi-square and its df too.
     report = order_test(seq(values), replicates=3, len1=len1, len2=len2, seed=seed)
     np.testing.assert_equal(dataclasses.asdict(report),
                             dataclasses.asdict(ref.order_test(seq(values), 3, len1, len2, seed)))

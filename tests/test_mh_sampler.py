@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import tempfile
 from types import SimpleNamespace
 
 import mh_reference as ref
@@ -404,38 +405,40 @@ def test_study_flags_wrong_reference():
     assert np.mean(report_flat.ks_statistics) < np.mean(report.ks_statistics) / 5
 
 
-def test_study_hands_each_run_to_callback():
+def test_study_hands_each_run_to_callback(tmp_path):
     f = target(0.5, 0.3, 0.2)
-    seen = []
-    report = convergence_study(f, 3, 400, [1, 2, 3], seed=4, on_run=lambda k, r: seen.append((k, r)))
-    assert [k for k, _ in seen] == [0, 1, 2]
-    for k, result in seen:
+    report = convergence_study(f, 3, 400, [1, 2, 3], seed=4, on_run=ref.save_chains(tmp_path))
+    seen = ref.saved_chains(tmp_path)
+    assert sorted(seen) == [0, 1, 2]  # each k once: a second call for one k raises
+    for k, result in seen.items():
         alone = run_chain(f, n_steps=400, seed=np.random.SeedSequence(entropy=4, spawn_key=(k,)))
         assert np.array_equal(result.samples, alone.samples)
     assert report == convergence_study(f, 3, 400, [1, 2, 3], seed=4)
 
 
-def test_study_records_integral_seeds():
+def test_study_records_integral_seeds(tmp_path):
     f = target(0.5, 0.3, 0.2)
     report = convergence_study(f, 2, 500, [1, 2, 3], seed=np.int64(7))
     assert report == convergence_study(f, 2, 500, [1, 2, 3], seed=7)
     # A sequence of integers is a master seed too: run k draws from its child k.
-    seen = []
-    convergence_study(f, 2, 500, [1, 2, 3], seed=[7, 8], on_run=lambda k, r: seen.append(r))
-    for k, result in enumerate(seen):
+    convergence_study(f, 2, 500, [1, 2, 3], seed=[7, 8], on_run=ref.save_chains(tmp_path))
+    seen = ref.saved_chains(tmp_path)
+    assert sorted(seen) == [0, 1]
+    for k, result in seen.items():
         alone = run_chain(f, n_steps=500, seed=np.random.SeedSequence([7, 8], spawn_key=(k,)))
         assert np.array_equal(result.samples, alone.samples)
 
 
-def test_study_takes_a_seed_sequence_as_master_seed():
+def test_study_takes_a_seed_sequence_as_master_seed(tmp_path):
     f = target(0.5, 0.3, 0.2)
     report = convergence_study(f, 2, 500, [1, 2, 3], seed=np.random.SeedSequence(7))
     assert report.ks_statistics == convergence_study(f, 2, 500, [1, 2, 3], seed=7).ks_statistics
     # A spawned sequence hands run k the stream of its child k.
     master = np.random.SeedSequence(7).spawn(3)[2]
-    seen = []
-    convergence_study(f, 2, 500, [1, 2, 3], seed=master, on_run=lambda k, r: seen.append(r))
-    for k, result in enumerate(seen):
+    convergence_study(f, 2, 500, [1, 2, 3], seed=master, on_run=ref.save_chains(tmp_path))
+    seen = ref.saved_chains(tmp_path)
+    assert sorted(seen) == [0, 1]
+    for k, result in seen.items():
         alone = run_chain(f, n_steps=500, seed=np.random.SeedSequence(7, spawn_key=(2, k)))
         assert np.array_equal(result.samples, alone.samples)
     assert master.n_children_spawned == 0
@@ -448,18 +451,21 @@ def test_study_ks_equals_the_sort_based_statistic(r_bar, gamma, runs, n_steps, d
     # The reference may miss ranks, and chains may miss ranks the reference holds.
     f = target_distribution(ZMParams(1.0, 0.0, gamma), r_bar)
     reference = data.draw(st.lists(st.integers(min_value=1, max_value=r_bar), min_size=1, max_size=300))
-    chains = []
-    report = convergence_study(f, runs, n_steps, reference, seed=data.draw(st.integers(0, 2**32)),
-                               on_run=lambda k, r: chains.append(r.samples))
-    assert report.ks_statistics == [stats_reference.ks_two_sample(s, reference) for s in chains]
+    with tempfile.TemporaryDirectory() as chains:  # one per example: tmp_path is one per test
+        report = convergence_study(f, runs, n_steps, reference, seed=data.draw(st.integers(0, 2**32)),
+                                   on_run=ref.save_chains(chains))
+        seen = ref.saved_chains(chains)
+    assert sorted(seen) == list(range(runs))
+    assert report.ks_statistics == [stats_reference.ks_two_sample(seen[k].samples, reference) for k in range(runs)]
 
 
-def test_study_ks_equals_the_sort_based_statistic_at_paper_law():
+def test_study_ks_equals_the_sort_based_statistic_at_paper_law(tmp_path):
     f = target_distribution(REFERENCE_PARAMS, 300)
     reference = iid_sample(f, 3000, seed=5)
-    chains = []
-    report = convergence_study(f, 4, 20_000, reference, seed=3, on_run=lambda k, r: chains.append(r.samples))
-    assert report.ks_statistics == [stats_reference.ks_two_sample(s, reference) for s in chains]
+    report = convergence_study(f, 4, 20_000, reference, seed=3, on_run=ref.save_chains(tmp_path))
+    seen = ref.saved_chains(tmp_path)
+    assert sorted(seen) == [0, 1, 2, 3]
+    assert report.ks_statistics == [stats_reference.ks_two_sample(seen[k].samples, reference) for k in range(4)]
 
 
 @pytest.mark.parametrize("reference, bad", [
@@ -486,11 +492,10 @@ def test_study_validates_inputs():
 
 
 @pytest.mark.parametrize("levels", [(), (0.05, 0.05)])
-def test_study_rejects_empty_or_repeated_levels(levels):
-    ran = []
+def test_study_rejects_empty_or_repeated_levels(levels, tmp_path):
     with pytest.raises(ValueError, match="non-empty, distinct"):
-        convergence_study(target(0.6, 0.4), 2, 100, [1, 2, 3], levels=levels, on_run=lambda k, r: ran.append(k))
-    assert ran == []  # rejected before any chain runs
+        convergence_study(target(0.6, 0.4), 2, 100, [1, 2, 3], levels=levels, on_run=ref.save_chains(tmp_path))
+    assert ref.saved_chains(tmp_path) == {}  # rejected before any chain runs
 
 
 # -------------------------------------------------------------- iid sample
