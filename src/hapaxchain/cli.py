@@ -82,11 +82,9 @@ def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -
     if path is None:
         return
     try:
-        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # ValueError: a JSONDecodeError, or a UnicodeDecodeError
-        raise click.ClickException(f"cannot read config file {path}: {exc}")
-    if not isinstance(cfg, dict):
-        raise click.ClickException(f"config file {path} must hold a JSON object")
+        cfg = persist.read_json(path)
+    except (OSError, ValueError) as exc:  # a ValueError names the file
+        raise click.ClickException(f"cannot read config file: {exc}")
     unknown = sorted(set(cfg) - set(OPTIONS))
     if unknown:
         raise click.ClickException(
@@ -174,13 +172,13 @@ def _params(o: dict) -> ZMParams:
     """The law: from a fit report (``fit_json``), or the three flags."""
     if o.get("fit_json") is not None:
         path = o["fit_json"]
+        p = persist.read_json(path).get("params")  # a ValueError names the file
         try:
-            p = persist.read_json(path)["params"]
             values = [p[name] for name in ("alpha", "beta", "gamma")]
             if not all(type(v) in (int, float) for v in values):
                 raise TypeError
             return ZMParams(*values)
-        except (ValueError, OverflowError) as exc:  # not JSON, a law outside its domain, or beyond floats
+        except (ValueError, OverflowError) as exc:  # a law outside its domain, or beyond floats
             raise click.ClickException(f"{path}: {exc}")
         except (KeyError, TypeError):
             raise click.ClickException(f"{path}: 'params' must be an object holding the numbers alpha, beta and gamma")

@@ -10,9 +10,11 @@ indicators), yielding pass fractions against the configured thresholds.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, chain, pairwise
 
 import numpy as np
 
@@ -33,23 +35,11 @@ __all__ = [
 INDICATOR_NAMES = ("mean", "std_dev", "kurtosis", "skewness", "entropy")
 
 
-def _row_cumsum(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Running sums of each CSR row, added left to right within the row.
-
-    The additions happen in the order a dense ``row.cumsum()`` makes them
-    (its zero cells add exactly ``+0.0``), so every value equals the dense
-    cumulative value at its column.  Rows advance together one position
-    at a time: the loop runs once per position of the longest row.
-    """
-    cum = np.array(values, dtype=float)
-    lengths = np.diff(indptr)
-    by_length = np.argsort(lengths, kind="stable")
-    starts = indptr[:-1][by_length]
-    sorted_lengths = lengths[by_length]
-    for k in range(1, int(sorted_lengths[-1]) if sorted_lengths.size else 0):
-        at = starts[np.searchsorted(sorted_lengths, k, side="right"):] + k
-        cum[at] += cum[at - 1]
-    return cum
+def _running_sums(probs: np.ndarray, indptr: list[int]) -> array:
+    """Each CSR row's running sum, added left to right as a dense ``row.cumsum()`` adds (its zero cells add
+    exactly ``+0.0``), so every value equals the dense cumulative value at its column."""
+    values = memoryview(probs)
+    return array("d", chain.from_iterable(accumulate(values[lo:hi]) for lo, hi in pairwise(indptr)))
 
 
 @dataclass(frozen=True)
@@ -70,11 +60,6 @@ class _TransitionRows:
     def n_states(self) -> int:
         return int(self.states.size)
 
-    @cached_property
-    def cum(self) -> np.ndarray:
-        """Running sum of each row's probabilities, built on first use."""
-        return _row_cumsum(self.probs, self.indptr)
-
 
 @dataclass(frozen=True)
 class TransitionMatrix1(_TransitionRows):
@@ -85,12 +70,12 @@ class TransitionMatrix1(_TransitionRows):
 
     @cached_property
     def _walk(self) -> tuple[list[list[float]], list[list[int]]]:
-        """Each row's cumulative probabilities and columns as Python lists;
-        the column list ends in the last state, taken by a draw at or
-        above the row's sum."""
-        bounds = list(zip(self.indptr[:-1].tolist(), self.indptr[1:].tolist()))
-        cum, indices, last = self.cum.tolist(), self.indices.tolist(), [self.n_states - 1]
-        return [cum[lo:hi] for lo, hi in bounds], [indices[lo:hi] + last for lo, hi in bounds]
+        """Each row's running sums (:func:`_running_sums`) and columns as
+        Python lists; the column list ends in the last state, taken by a
+        draw at or above the row's sum."""
+        indptr = self.indptr.tolist()
+        cum, indices, last = _running_sums(self.probs, indptr).tolist(), self.indices.tolist(), [self.n_states - 1]
+        return [cum[lo:hi] for lo, hi in pairwise(indptr)], [indices[lo:hi] + last for lo, hi in pairwise(indptr)]
 
 
 @dataclass(frozen=True)
@@ -108,21 +93,22 @@ class TransitionMatrix2(_TransitionRows):
     fallback: TransitionMatrix1
 
     @cached_property
-    def _walk(self) -> tuple[dict[int, int], list[int], list[int], memoryview]:
+    def _walk(self) -> tuple[dict[int, int], list[int], list[int], array]:
         """Row lookup, and ``(indptr, indices, cum)`` of the order-2 rows
         followed by the fallback rows: lists for what each step indexes
-        once, a zero-copy view of the sums it bisects.
+        once, an ``array('d')`` of the sums it bisects.
 
         The lookup maps the code of each pair with an observed
         continuation to its row; the fallback row of state ``j`` is
         ``pair_codes.size + j``.
         """
         rows = np.flatnonzero(np.diff(self.indptr))
+        indptr = np.concatenate((self.indptr, self.fallback.indptr[1:] + self.indptr[-1])).tolist()
         return (
             dict(zip(self.pair_codes[rows].tolist(), rows.tolist())),
-            np.concatenate((self.indptr, self.fallback.indptr[1:] + self.indptr[-1])).tolist(),
+            indptr,
             np.concatenate((self.indices, self.fallback.indices)).tolist(),
-            memoryview(np.concatenate((self.cum, self.fallback.cum))),
+            _running_sums(np.concatenate((self.probs, self.fallback.probs)), indptr),
         )
 
 

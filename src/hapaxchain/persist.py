@@ -84,7 +84,14 @@ def write_json(path: str | Path, payload: dict) -> Path:
 
 
 def read_json(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """The JSON object file ``path`` holds; a ``ValueError`` names the file once, and the line of bad UTF-8."""
+    try:
+        payload = json.loads(_decode(path, Path(path).read_bytes()))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: must hold a JSON object")
+    return payload
 
 
 def _fmt(value) -> str:

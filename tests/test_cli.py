@@ -491,6 +491,44 @@ def test_malformed_fit_json_names_the_file(runner, tmp_path, command, report):
     assert not (tmp_path / "out").exists()
 
 
+def write_report_inputs(src: Path) -> None:
+    """The stage outputs ``report`` reads, with empty order-test and convergence reports."""
+    src.mkdir()
+    (src / "hapax_table.csv").write_text(EXPECTED_TABLE, encoding="utf-8")
+    persist.write_json(src / "fit_report.json", {"params": {"alpha": 1.0, "beta": 0.0, "gamma": 1.0}})
+    persist.write_json(src / "order_test_report.json", {})
+    persist.write_json(src / "convergence_report.json", {})
+
+
+@pytest.mark.parametrize("command", ["target", "mcmc", "report"])
+def test_json_input_that_is_not_utf8_names_the_file_and_line(runner, tmp_path, command):
+    src, data = tmp_path / "in", b'{\n  "params": "\xff"\n}\n'
+    write_report_inputs(src)
+    path = src / ("order_test_report.json" if command == "report" else "fit_report.json")
+    path.write_bytes(data)
+    args = {"target": ["--fit-json", str(path), "--rbar", "5"],
+            "mcmc": ["--fit-json", str(path), "--rbar", "5", "--steps", "100", "--runs", "1"],
+            "report": ["--input-dir", str(src)]}[command]
+    result = runner.invoke(main, [command, *args, "--output-dir", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # a ClickException, not a traceback
+    assert result.output == (f"Error: {path}, line 2: invalid UTF-8: 'utf-8' codec can't decode byte 0xff "
+                             f"in position {data.index(0xff)}: invalid start byte\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["order_test_report.json", "convergence_report.json"])
+def test_report_names_a_stage_report_that_is_not_a_json_object(runner, tmp_path, name):
+    src = tmp_path / "in"
+    write_report_inputs(src)
+    (src / name).write_text("[1, 2]\n", encoding="utf-8")
+    result = runner.invoke(main, ["report", "--input-dir", str(src), "--output-dir", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == f"Error: {src / name}: must hold a JSON object\n"
+    assert not (tmp_path / "out").exists()
+
+
 # --------------------------------------------------------------- ordertest
 
 

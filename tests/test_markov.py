@@ -315,6 +315,44 @@ def test_simulations_equal_dense_reference_when_rows_sum_below_one():
         assert_order2_matches(tm, dense, 3_000, 24, start)
 
 
+def assert_walk_sums_equal_reference(tm, dense):
+    """The running sums that both walk tables bisect equal the dense reference's cumulative rows at
+    each row's columns, bit for bit: order 1 on ``tm.fallback``, order 2 on ``tm`` then the fallback."""
+    cum1, columns = tm.fallback._walk
+    want1 = ref._cumulative_rows(dense.fallback.probs)
+    assert [[x.hex() for x in row] for row in cum1] == [
+        [want1[i][j].hex() for j in cols[:-1]] for i, cols in enumerate(columns)]  # cols ends in the last state
+    _, indptr, indices, cum2 = tm._walk
+    want2 = ref._cumulative_rows(np.vstack((dense.probs, dense.fallback.probs)))
+    rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)).tolist()
+    assert [x.hex() for x in cum2] == [want2[r][j].hex() for r, j in zip(rows, indices)]
+
+
+@settings(max_examples=60)
+@given(st.lists(st.integers(min_value=1, max_value=12), min_size=3, max_size=300))
+@example([1, 2, 1, 3])  # 3 ends the sequence: a self-loop row, and an empty order-2 row for (1, 3)
+def test_walk_sums_equal_dense_cumulative_rows(values):
+    assert_walk_sums_equal_reference(estimate_order2(values), ref.estimate_order2(values))
+
+
+def test_walk_sums_equal_dense_cumulative_rows_that_end_below_one():
+    values = [v for k in range(2, 12) for v in (1, k)]  # 1 moves to ten states once each; 11 ends the sequence
+    tm, dense = estimate_order2(values), ref.estimate_order2(values)
+    cum1, columns = tm.fallback._walk
+    assert cum1[0][-1] < 1.0  # ten additions of 0.1 fall short of 1
+    assert cum1[-1] == [1.0] and columns[-1] == [tm.n_states - 1] * 2  # the terminal self-loop
+    assert_walk_sums_equal_reference(tm, dense)
+
+    # Rows scaled to end well below 1, over a fallback given by a dense table.
+    probs = np.array([[0.2, 0.3, 0.0], [0.0, 0.25, 0.0], [0.1, 0.0, 0.3]])
+    values = np.random.default_rng(3).integers(1, 4, size=30)
+    tm, dense = estimate_order2(values), ref.estimate_order2(values)
+    tm = dataclasses.replace(tm, probs=tm.probs / 2, fallback=ref.from_dense(np.array([1, 2, 3]), probs))
+    dense = dataclasses.replace(dense, probs=dense.probs / 2,
+                                fallback=ref.DenseTransitionMatrix1(np.array([1, 2, 3]), None, probs))
+    assert_walk_sums_equal_reference(tm, dense)
+
+
 def test_order2_on_thousands_of_states_stays_small():
     # A dense (observed pairs x states) table would need about 5 GB here.
     values = np.random.default_rng(4).integers(1, 2_101, size=150_000)

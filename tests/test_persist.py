@@ -402,6 +402,17 @@ def test_rank_sequence_reader_names_the_line_that_is_not_utf8(tmp_path, data, li
         read_rank_sequence(path)
 
 
+@pytest.mark.parametrize("data, problem", [(b'{"a": 1,\n "b": "\xff"}', ", line 2: invalid UTF-8: 'utf-8' codec"),
+                                           (b'{"a": 1,\n "b"}', ": Expecting ':' delimiter: line 2 column 5"),
+                                           (b"[1, 2]", ": must hold a JSON object"), (b'"text"', ": must hold a JSON")])
+def test_json_reader_names_the_file_once(tmp_path, data, problem):
+    path = tmp_path / "r.json"
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as info:
+        persist.read_json(path)
+    assert str(info.value).startswith(f"{path}{problem}") and str(info.value).count(str(path)) == 1
+
+
 def test_a_bad_last_rank_is_found_by_halving(tmp_path, monkeypatch):
     lines = 200_000
     path = write(tmp_path, "s.txt", "3\n" * lines + "x\n")
