@@ -39,16 +39,15 @@ EXISTING_DIR = click.Path(exists=True, file_okay=False, path_type=Path)
 ANY_PATH = click.Path(path_type=Path)
 
 
-def _declare(name: str, type: click.ParamType, default: Any, help: str, *aliases: str) -> click.Option:
-    """The option ``name``: ``--name/--no-name`` for a boolean, else ``--name`` and its aliases."""
+def _declare(name: str, type: click.ParamType, default: Any, help: str) -> click.Option:
+    """The option ``name``: ``--name/--no-name`` for a boolean, else ``--name``."""
     flag = name.replace("_", "-")
-    decls = [f"--{flag}/--no-{flag}"] if type is click.BOOL else [f"--{flag}", *aliases]
-    return click.Option([*decls, name], type=type, default=default, show_default=default is not None, help=help)
+    decl = f"--{flag}/--no-{flag}" if type is click.BOOL else f"--{flag}"
+    return click.Option([decl, name], type=type, default=default, show_default=default is not None, help=help)
 
 
 OPTIONS = {o.name: o for o in (
     _declare("manifest", EXISTING_FILE, None, "File listing document names, one per line, in order."),
-    _declare("table", ANY_PATH, None, "Hapax table to rank against [default: <output-dir>/hapax_table.csv]."),
     _declare("input", ANY_PATH, None, "fit: rank,size CSV or hapax table [default: <output-dir>/hapax_table.csv]; "
                                       "ordertest: rank sequence [default: <output-dir>/rank_sequence.txt]."),
     _declare("input_dir", EXISTING_DIR, None, "Directory holding the stage reports [default: --output-dir]."),
@@ -62,7 +61,7 @@ OPTIONS = {o.name: o for o in (
     _declare("len1", click.INT, None, "Length of first-order replicates [default: input length]."),
     _declare("len2", click.INT, None, "Length of second-order replicates [default: min(100000, input length)]."),
     _declare("seed", click.IntRange(min=0), 0, "Master seed of every random draw."),
-    _declare("levels", _Levels(), "0.05,0.01,0.001", "Comma-separated significance levels.", "--alpha-levels"),
+    _declare("levels", _Levels(), "0.05,0.01,0.001", "Comma-separated significance levels."),
     _declare("halve_alpha", click.BOOL, True, "KS threshold parameterization: halve the level."),
     _declare("steps", click.INT, 100_000, "Chain length per run."),
     _declare("runs", click.INT, 100, "Number of chains."),
@@ -151,6 +150,10 @@ def _note_vacuous(stage: str, battery: str, thresholds: dict[float, float]) -> N
 # payload series, statistic column and battery of each order-test battery table
 BATTERIES = (("ks_stats_first_vs_second", "ks_stat", "ks_first_vs_second"), ("wmw_p_values", "p_value", "wmw"),
              ("chi_square_stats", "chi_square", "chi_square"), ("ks_stats_vs_empirical", "ks_stat", "ks_vs_empirical"))
+# the fields of each stage report that report's figures read; "a.b" is field b of object a
+ORDER_FIELDS = (*(series for series, _, _ in BATTERIES), "levels", *(f"thresholds.{b}" for _, _, b in BATTERIES),
+                "indicators", "indicators_observed")
+CONVERGENCE_FIELDS = ("ks_statistics", "levels", "thresholds")
 
 
 def _write_order_tables(payload: dict, out: Path, names: tuple[str, ...]) -> dict[str, Path]:
@@ -166,6 +169,18 @@ def _write_order_tables(payload: dict, out: Path, names: tuple[str, ...]) -> dic
         ((k, *(indicators[c][k] for c in columns), *(observed[c] for c in columns))
          for k in range(len(indicators[columns[0]]))))
     return written
+
+
+def _read_stage_report(path: Path, fields: tuple[str, ...]) -> dict:
+    """The stage report at ``path``; an error names the file and the first of ``fields`` it lacks."""
+    report = persist.read_json(path)
+    for field in fields:
+        node = report
+        for key in field.split("."):
+            if not isinstance(node, dict) or key not in node:
+                raise click.ClickException(f"{path}: missing field {field!r}")
+            node = node[key]
+    return report
 
 
 def _params(o: dict) -> ZMParams:
@@ -201,20 +216,6 @@ def _run_extract(o: dict) -> dict[str, Path]:
     outputs["extract_meta.json"] = _write_meta(out, "extract", o["corpus_id"], counts, outputs.values())
     click.echo("extract: " + " ".join(f"{k}={v}" for k, v in counts.items()))
     return outputs
-
-
-def _run_sequence(o: dict) -> dict[str, Path]:
-    """Rebuild rank_sequence.txt from a corpus and an existing table."""
-    out = o["output_dir"]
-    table_path = _require(o["table"] or out / "hapax_table.csv", "extract")
-    docs = corpus_mod.load_documents(o["corpus"], o["manifest"])
-    table = persist.read_hapax_table(table_path)
-    seq = corpus_mod.build_rank_sequence(docs, table)
-    seq_path = persist.write_rank_sequence(out / "rank_sequence.txt", seq)
-    meta_path = _write_meta(out, "sequence", {**_corpus_id(docs, o["manifest"]), **_file_id(table_path, "table")},
-                            {"length": len(seq)}, (seq_path,))
-    click.echo(f"sequence: length={len(seq)} alphabet_size={table.alphabet_size}")
-    return {"rank_sequence.txt": seq_path, "sequence_meta.json": meta_path}
 
 
 def _run_fit(o: dict) -> dict[str, Path]:
@@ -306,8 +307,8 @@ def _run_report(o: dict) -> dict[str, Path]:
     out, src = o["output_dir"], o.get("input_dir") or o["output_dir"]
     table = persist.read_hapax_table(_require(src / "hapax_table.csv", "extract"))
     params = _params({"fit_json": _require(src / "fit_report.json", "fit")})
-    order = persist.read_json(_require(src / "order_test_report.json", "ordertest"))
-    conv = persist.read_json(_require(src / "convergence_report.json", "mcmc"))
+    order = _read_stage_report(_require(src / "order_test_report.json", "ordertest"), ORDER_FIELDS)
+    conv = _read_stage_report(_require(src / "convergence_report.json", "mcmc"), CONVERGENCE_FIELDS)
     ranks = np.arange(1, len(table.words) + 1)
     outputs = {"fig1_ranksize.csv": persist.write_csv(
         out / "fig1_ranksize.csv", ["rank", "size_observed", "size_fitted"],
@@ -333,7 +334,6 @@ class Stage(NamedTuple):
 
 STAGES = {s.name: s for s in (
     Stage("extract", _run_extract, ("manifest",), corpus=True),
-    Stage("sequence", _run_sequence, ("manifest", "table"), corpus=True),
     Stage("fit", _run_fit, ("input", "level")),
     Stage("target", _run_target, ("alpha", "beta", "gamma", "fit_json", "rbar")),
     Stage("ordertest", _run_ordertest, ("input", "replicates", "len1", "len2", "seed", "levels", "halve_alpha")),

@@ -87,7 +87,7 @@ def read_json(path: str | Path) -> dict:
     """The JSON object file ``path`` holds; a ``ValueError`` names the file once, and the line of bad UTF-8."""
     try:
         payload = json.loads(_decode(path, Path(path).read_bytes()))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{path}: {exc}") from None
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: must hold a JSON object")

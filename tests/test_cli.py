@@ -20,7 +20,7 @@ from corpus_reference import corpus_id
 from markov_reference import from_dense
 
 from hapaxchain import corpus, persist
-from hapaxchain.cli import _write_order_tables, main
+from hapaxchain.cli import OPTIONS, PIPELINE, STAGES, _write_order_tables, main
 from hapaxchain.markov import order_test, simulate_order1
 from hapaxchain.mh_sampler import convergence_study
 from hapaxchain.persist import read_hapax_table, write_csv, write_rank_sequence
@@ -186,23 +186,18 @@ def opened(monkeypatch):
 
 
 @pytest.mark.parametrize("with_manifest", [False, True])
-def test_extract_and_sequence_read_each_document_once(runner, rich_corpus_dir, tmp_path, opened, with_manifest):
+def test_extract_reads_each_document_once(runner, rich_corpus_dir, tmp_path, opened, with_manifest):
     manifest = tmp_path / "order.txt"
     manifest.write_text("\n".join(sorted((p.name for p in rich_corpus_dir.iterdir()), reverse=True)), encoding="utf-8")
     flags = ["--manifest", str(manifest)] if with_manifest else []
-    expected = corpus_id(rich_corpus_dir, manifest if with_manifest else None)
     documents = sorted(p.resolve() for p in rich_corpus_dir.glob("*.txt"))
     out = tmp_path / "out"
-    for stage in ("extract", "sequence"):
-        opened.clear()
-        result = runner.invoke(main, [stage, str(rich_corpus_dir), *flags, "--output-dir", str(out)])
-        assert result.exit_code == 0, result.output
-        assert {p: n for p, n in opened.items() if p.parent == rich_corpus_dir.resolve()} == dict.fromkeys(documents, 1)
-    table = {"table": "hapax_table.csv", "table_sha256": persist.sha256_file(out / "hapax_table.csv")}
+    result = runner.invoke(main, ["extract", str(rich_corpus_dir), *flags, "--output-dir", str(out)])
+    assert result.exit_code == 0, result.output
+    assert {p: n for p, n in opened.items() if p.parent == rich_corpus_dir.resolve()} == dict.fromkeys(documents, 1)
+    expected = corpus_id(rich_corpus_dir, manifest if with_manifest else None)
     assert json.loads(read(out / "extract_meta.json"))["config_hash"] == persist.config_hash(
         {"stage": "extract", **expected})
-    assert json.loads(read(out / "sequence_meta.json"))["config_hash"] == persist.config_hash(
-        {"stage": "sequence", **expected, **table})
 
 
 def test_extract_respects_output_dir_envvar(runner, toy_corpus_dir, tmp_path, monkeypatch):
@@ -211,37 +206,6 @@ def test_extract_respects_output_dir_envvar(runner, toy_corpus_dir, tmp_path, mo
     result = runner.invoke(main, ["extract", str(toy_corpus_dir)])
     assert result.exit_code == 0, result.output
     assert (out / "hapax_table.csv").is_file()
-
-
-# ---------------------------------------------------------------- sequence
-
-
-def test_sequence_rebuilds_from_table(runner, toy_corpus_dir, tmp_path):
-    out = tmp_path / "out"
-    assert runner.invoke(main, ["extract", str(toy_corpus_dir), "--output-dir", str(out)]).exit_code == 0
-    (out / "rank_sequence.txt").unlink()
-    result = runner.invoke(main, ["sequence", str(toy_corpus_dir), "--output-dir", str(out)])
-    assert result.exit_code == 0, result.output
-    assert read(out / "rank_sequence.txt") == EXPECTED_SEQUENCE
-
-
-@pytest.mark.parametrize("text", [EXPECTED_TABLE.replace("\n", "\r\n"), EXPECTED_TABLE.replace("\n", "\n\n", 2),
-                                  EXPECTED_TABLE.rstrip("\n")])
-def test_sequence_reads_crlf_and_blank_line_tables_alike(runner, toy_corpus_dir, tmp_path, text):
-    table = tmp_path / "table.csv"
-    table.write_bytes(text.encode("utf-8"))
-    out = tmp_path / "out"
-    result = runner.invoke(main, ["sequence", str(toy_corpus_dir), "--table", str(table), "--output-dir", str(out)])
-    assert result.exit_code == 0, result.output
-    assert read(out / "rank_sequence.txt") == EXPECTED_SEQUENCE
-
-
-def test_sequence_without_table_fails(runner, toy_corpus_dir, tmp_path):
-    result = runner.invoke(
-        main, ["sequence", str(toy_corpus_dir), "--output-dir", str(tmp_path / "nowhere")]
-    )
-    assert result.exit_code != 0
-    assert "run 'extract' first" in result.output
 
 
 # --------------------------------------------------------------------- fit
@@ -282,6 +246,22 @@ def test_fit_rank_size_csv_matches_hapax_table(runner, rich_corpus_dir, tmp_path
         reports.append(json.loads(read(out / "fit_report.json")))
     for key in ("params", "ci", "rss", "r_squared", "n_points", "n_iter"):
         assert reports[0][key] == reports[1][key], key
+
+
+@pytest.mark.parametrize("edit", [lambda text: text.replace("\n", "\r\n"), lambda text: text.replace("\n", "\n\n", 2),
+                                  lambda text: text.rstrip("\n")], ids=["crlf", "blank-lines", "no-final-newline"])
+def test_fit_reads_crlf_and_blank_line_tables_alike(runner, rich_corpus_dir, tmp_path, edit):
+    plain, edited = tmp_path / "plain", tmp_path / "edited"
+    assert runner.invoke(main, ["extract", str(rich_corpus_dir), "--output-dir", str(plain)]).exit_code == 0
+    edited.mkdir()
+    (edited / "hapax_table.csv").write_bytes(edit(read(plain / "hapax_table.csv")).encode("utf-8"))
+    reports = []
+    for out in (plain, edited):
+        result = runner.invoke(main, ["fit", "--input", str(out / "hapax_table.csv"), "--output-dir", str(out)])
+        assert result.exit_code == 0, result.output
+        report = json.loads(read(out / "fit_report.json"))
+        reports.append({k: v for k, v in report.items() if k not in ("input_sha256", "config_hash")})
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("row", ["2,4,1", "2,x"])
@@ -456,7 +436,9 @@ def test_target_overflow_ends_in_a_clean_error_under_warnings_as_errors(tmp_path
                                            ('{"params": {"alpha": 1.0, "beta": -2.0, "gamma": 1.0}}',
                                             "beta must exceed -1, got -2.0"),
                                            pytest.param('{"params": {"alpha": 1%s, "beta": 0, "gamma": 1}}' % ("0" * 400),
-                                                        "int too large to convert to float", id="beyond-float")])
+                                                        "int too large to convert to float", id="beyond-float"),
+                                           pytest.param("[" * 100_000 + "]" * 100_000,
+                                                        "maximum recursion depth exceeded", id="nested-too-deep")])
 @pytest.mark.parametrize("command", ["target", "mcmc"])
 def test_fit_json_not_json_or_outside_the_domain_names_the_file(runner, tmp_path, command, text, problem):
     fit_json = tmp_path / "fit_report.json"
@@ -491,13 +473,20 @@ def test_malformed_fit_json_names_the_file(runner, tmp_path, command, report):
     assert not (tmp_path / "out").exists()
 
 
+ORDER_REPORT = {  # the fields of an order-test report that report's figures read: one replicate, one level
+    "levels": [0.05], "ks_stats_first_vs_second": [0.1], "wmw_p_values": [0.5], "chi_square_stats": [1.0],
+    "ks_stats_vs_empirical": [0.1], "indicators": {"mean": [1.5]}, "indicators_observed": {"mean": 1.5},
+    "thresholds": dict.fromkeys(["ks_first_vs_second", "wmw", "chi_square", "ks_vs_empirical"], {"0.05": 0.2})}
+
+
 def write_report_inputs(src: Path) -> None:
-    """The stage outputs ``report`` reads, with empty order-test and convergence reports."""
+    """The stage outputs ``report`` reads, each stage report with one replicate and one level."""
     src.mkdir()
     (src / "hapax_table.csv").write_text(EXPECTED_TABLE, encoding="utf-8")
     persist.write_json(src / "fit_report.json", {"params": {"alpha": 1.0, "beta": 0.0, "gamma": 1.0}})
-    persist.write_json(src / "order_test_report.json", {})
-    persist.write_json(src / "convergence_report.json", {})
+    persist.write_json(src / "order_test_report.json", ORDER_REPORT)
+    persist.write_json(src / "convergence_report.json", {"levels": [0.05], "ks_statistics": [0.1],
+                                                         "thresholds": {"0.05": 0.2}})
 
 
 @pytest.mark.parametrize("command", ["target", "mcmc", "report"])
@@ -517,15 +506,22 @@ def test_json_input_that_is_not_utf8_names_the_file_and_line(runner, tmp_path, c
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("name", ["order_test_report.json", "convergence_report.json"])
-def test_report_names_a_stage_report_that_is_not_a_json_object(runner, tmp_path, name):
+@pytest.mark.parametrize("name, payload, problem", [
+    ("order_test_report.json", [1, 2], "must hold a JSON object"),
+    ("convergence_report.json", [1, 2], "must hold a JSON object"),
+    ("order_test_report.json", {}, "missing field 'ks_stats_first_vs_second'"),
+    ("convergence_report.json", {}, "missing field 'ks_statistics'"),
+    ("order_test_report.json", {**ORDER_REPORT, "thresholds": {"wmw": {"0.05": 0.2}}},
+     "missing field 'thresholds.ks_first_vs_second'")])
+def test_report_names_a_stage_report_that_is_not_a_json_object(runner, tmp_path, name, payload, problem):
+    # Every field the figures read is checked before the first figure is written.
     src = tmp_path / "in"
     write_report_inputs(src)
-    (src / name).write_text("[1, 2]\n", encoding="utf-8")
+    (src / name).write_text(json.dumps(payload), encoding="utf-8")
     result = runner.invoke(main, ["report", "--input-dir", str(src), "--output-dir", str(tmp_path / "out")])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
-    assert result.output == f"Error: {src / name}: must hold a JSON object\n"
+    assert result.output == f"Error: {src / name}: {problem}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -884,9 +880,26 @@ def test_pipeline_names_failing_stage(runner, tmp_path):
 # ------------------------------------------------------- options and config
 
 
+def test_one_schema_spells_each_option_as_its_config_key():
+    for name, opt in OPTIONS.items():
+        flag = name.replace("_", "-")
+        assert (opt.opts, opt.secondary_opts) == ([f"--{flag}"], [f"--no-{flag}"] if opt.is_bool_flag else []), name
+    assert {name for stage in (*STAGES.values(), PIPELINE) for name in stage.options} == set(OPTIONS)
+    assert list(main.commands) == ["extract", "fit", "target", "ordertest", "mcmc", "report", "pipeline"]
+
+
+@pytest.mark.parametrize("argv", [["sequence", "."], ["extract", ".", "--table", "t.csv"],
+                                  ["ordertest", "--alpha-levels", "0.2"]], ids=["sequence", "table", "alpha-levels"])
+def test_retired_command_and_flags_are_usage_errors(runner, tmp_path, argv):
+    result = runner.invoke(main, [*argv, "--output-dir", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "cfg, key",
-    [({"bogus": 1}, "bogus"), ({"alpha_levels": "0.2"}, "alpha_levels"), ({"len1": "abc"}, "len1"),
+    [({"bogus": 1}, "bogus"), ({"alpha_levels": "0.2"}, "alpha_levels"), ({"table": "t.csv"}, "table"),
+     ({"len1": "abc"}, "len1"),
      ({"replicates": 2.7}, "replicates"), ({"replicates": True}, "replicates"),
      ({"halve_alpha": "yes"}, "halve_alpha"), ({"levels": "0.2,x"}, "levels"), ({"seed": -1}, "seed"),
      ({"levels": ""}, "levels"), ({"levels": "0.05,0.05"}, "levels")],
@@ -907,7 +920,8 @@ def test_config_rejects_unknown_keys_and_wrong_types(runner, tmp_path, cfg, key)
 
 @pytest.mark.parametrize("data, problem", [(b"{replicates: 1}", "cannot read config file"),
                                            (b'{"seed": "\xff"}', "cannot read config file"),  # not UTF-8
-                                           (b'[{"replicates": 1}]', "must hold a JSON object")])
+                                           (b'[{"replicates": 1}]', "must hold a JSON object"),
+                                           (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded")])
 def test_config_file_must_be_a_json_object(runner, tmp_path, data, problem):
     write_sequence_file(tmp_path)
     cfg_path = tmp_path / "cfg.json"
@@ -948,17 +962,12 @@ def test_help_shows_each_default(runner, command, flag, shown):
     assert re.search(rf"{flag}[ ,][^\[]*\[default: {re.escape(shown)}\]", text), text
 
 
-@pytest.mark.parametrize("source", ["config", "alias"])
-def test_ordertest_takes_levels_from_config_or_alias(runner, tmp_path, source):
+def test_ordertest_takes_levels_from_config(runner, tmp_path):
     write_sequence_file(tmp_path)
-    args = ["ordertest", "--input", str(tmp_path / "rank_sequence.txt"), "--replicates", "2",
-            "--len1", "500", "--len2", "500", "--output-dir", str(tmp_path / "out")]
-    if source == "config":
-        (tmp_path / "cfg.json").write_text(json.dumps({"levels": "0.2"}), encoding="utf-8")
-        args += ["--config", str(tmp_path / "cfg.json")]
-    else:
-        args += ["--alpha-levels", "0.2"]
-    result = runner.invoke(main, args)
+    (tmp_path / "cfg.json").write_text(json.dumps({"levels": "0.2"}), encoding="utf-8")
+    result = runner.invoke(main, ["ordertest", "--input", str(tmp_path / "rank_sequence.txt"), "--replicates", "2",
+                                  "--len1", "500", "--len2", "500", "--config", str(tmp_path / "cfg.json"),
+                                  "--output-dir", str(tmp_path / "out")])
     assert result.exit_code == 0, result.output
     assert json.loads(read(tmp_path / "out" / "order_test_report.json"))["levels"] == [0.2]
     assert read(tmp_path / "out" / "wmw_pvalues.csv").splitlines()[0] == "replicate,p_value,threshold_0.2"

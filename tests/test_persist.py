@@ -404,7 +404,8 @@ def test_rank_sequence_reader_names_the_line_that_is_not_utf8(tmp_path, data, li
 
 @pytest.mark.parametrize("data, problem", [(b'{"a": 1,\n "b": "\xff"}', ", line 2: invalid UTF-8: 'utf-8' codec"),
                                            (b'{"a": 1,\n "b"}', ": Expecting ':' delimiter: line 2 column 5"),
-                                           (b"[1, 2]", ": must hold a JSON object"), (b'"text"', ": must hold a JSON")])
+                                           (b"[1, 2]", ": must hold a JSON object"), (b'"text"', ": must hold a JSON"),
+                                           (b"[" * 100_000 + b"]" * 100_000, ": maximum recursion depth exceeded")])
 def test_json_reader_names_the_file_once(tmp_path, data, problem):
     path = tmp_path / "r.json"
     path.write_bytes(data)
