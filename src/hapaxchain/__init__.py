@@ -8,6 +8,7 @@ stationary distribution is the discretized rank-size law.
 """
 
 from .corpus import (
+    Corpus,
     Document,
     HapaxTable,
     build_hapax_table,

@@ -117,10 +117,10 @@ def _file_id(path: Path, key: str = "input") -> dict:
     return {key: path.name, f"{key}_sha256": persist.sha256_file(path)}
 
 
-def _corpus_id(docs: list[corpus_mod.Document], manifest: Path | None) -> dict:
+def _corpus_id(docs: corpus_mod.Corpus, manifest: Path | None) -> dict:
     """The loaded corpus by content, as ``_file_id`` gives a file: one SHA-256 over the
     file name and SHA-256 of each document, in reading order, and the manifest file, if any."""
-    record = persist.config_hash({"documents": [[d.file, d.sha256] for d in docs]})
+    record = persist.config_hash({"documents": [list(doc) for doc in zip(docs.files, docs.digests)]})
     return {"corpus_sha256": record, **(_file_id(manifest, "manifest") if manifest else {"manifest": None})}
 
 
@@ -150,10 +150,11 @@ def _note_vacuous(stage: str, battery: str, thresholds: dict[float, float]) -> N
 # payload series, statistic column and battery of each order-test battery table
 BATTERIES = (("ks_stats_first_vs_second", "ks_stat", "ks_first_vs_second"), ("wmw_p_values", "p_value", "wmw"),
              ("chi_square_stats", "chi_square", "chi_square"), ("ks_stats_vs_empirical", "ks_stat", "ks_vs_empirical"))
-# the fields of each stage report that report's figures read; "a.b" is field b of object a
-ORDER_FIELDS = (*(series for series, _, _ in BATTERIES), "levels", *(f"thresholds.{b}" for _, _, b in BATTERIES),
-                "indicators", "indicators_observed")
-CONVERGENCE_FIELDS = ("ks_statistics", "levels", "thresholds")
+# the fields of each stage report that report's figures read, as _read_stage_report takes them
+ORDER_FIELDS = {"series": tuple(series for series, _, _ in BATTERIES),
+                "thresholds": tuple(f"thresholds.{battery}" for _, _, battery in BATTERIES),
+                "others": ("indicators", "indicators_observed")}
+CONVERGENCE_FIELDS = {"series": ("ks_statistics",), "thresholds": ("thresholds",)}
 
 
 def _write_order_tables(payload: dict, out: Path, names: tuple[str, ...]) -> dict[str, Path]:
@@ -171,15 +172,33 @@ def _write_order_tables(payload: dict, out: Path, names: tuple[str, ...]) -> dic
     return written
 
 
-def _read_stage_report(path: Path, fields: tuple[str, ...]) -> dict:
-    """The stage report at ``path``; an error names the file and the first of ``fields`` it lacks."""
+def _read_stage_report(path: Path, series: tuple[str, ...], thresholds: tuple[str, ...],
+                       others: tuple[str, ...] = ()) -> dict:
+    """The stage report at ``path``, checked before any figure is written: every field named
+    is present (``"a.b"`` is field b of object a), ``levels`` is a non-empty list of numbers,
+    each of ``series`` is a list and each of ``thresholds`` holds a threshold for every level,
+    keyed as ``_keyed`` keys it.  An error names the file and the first field at fault."""
     report = persist.read_json(path)
-    for field in fields:
+
+    def field(name: str):
         node = report
-        for key in field.split("."):
+        for key in name.split("."):
             if not isinstance(node, dict) or key not in node:
-                raise click.ClickException(f"{path}: missing field {field!r}")
+                raise click.ClickException(f"{path}: missing field {name!r}")
             node = node[key]
+        return node
+
+    values = {name: field(name) for name in (*series, "levels", *thresholds, *others)}
+    levels = values["levels"]
+    if not (isinstance(levels, list) and levels and all(type(lv) in (int, float) for lv in levels)):
+        raise click.ClickException(f"{path}: field 'levels' must be a non-empty list of numbers")
+    for name in series:
+        if not isinstance(values[name], list):
+            raise click.ClickException(f"{path}: field {name!r} must be a list")
+    for name in thresholds:
+        for lv in levels:
+            if not isinstance(values[name], dict) or format(lv, "g") not in values[name]:
+                raise click.ClickException(f"{path}: field {name!r} holds no threshold for level {lv:g}")
     return report
 
 
@@ -307,8 +326,8 @@ def _run_report(o: dict) -> dict[str, Path]:
     out, src = o["output_dir"], o.get("input_dir") or o["output_dir"]
     table = persist.read_hapax_table(_require(src / "hapax_table.csv", "extract"))
     params = _params({"fit_json": _require(src / "fit_report.json", "fit")})
-    order = _read_stage_report(_require(src / "order_test_report.json", "ordertest"), ORDER_FIELDS)
-    conv = _read_stage_report(_require(src / "convergence_report.json", "mcmc"), CONVERGENCE_FIELDS)
+    order = _read_stage_report(_require(src / "order_test_report.json", "ordertest"), **ORDER_FIELDS)
+    conv = _read_stage_report(_require(src / "convergence_report.json", "mcmc"), **CONVERGENCE_FIELDS)
     ranks = np.arange(1, len(table.words) + 1)
     outputs = {"fig1_ranksize.csv": persist.write_csv(
         out / "fig1_ranksize.csv", ["rank", "size_observed", "size_fitted"],

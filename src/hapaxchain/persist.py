@@ -193,9 +193,9 @@ def read_hapax_table(path: str | Path) -> HapaxTable:
 
 def write_rank_sequence(path: str | Path, values) -> Path:
     values = np.asarray(values, dtype=np.int64)
-    distinct = np.unique(values)
+    distinct, inverse = np.unique(values, return_inverse=True)
     lines = np.array([f"{r}\n" for r in distinct.tolist()], dtype=object)  # one string per distinct value
-    return atomic_write_text(path, "".join(lines[np.searchsorted(distinct, values)].tolist()))
+    return atomic_write_text(path, "".join(lines[inverse].tolist()))
 
 
 def _ranks(text: str) -> np.ndarray | None:

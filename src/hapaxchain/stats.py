@@ -6,7 +6,8 @@ closed-form threshold family, a chi-square goodness-of-fit statistic,
 the Wilcoxon-Mann-Whitney rank-sum test (normal approximation with tie
 correction), Shannon entropy, the check on significance levels, per-level
 pass fractions, the child seeds that replicates and runs draw from, and
-the map that spreads those independent draws over the usable CPUs.
+the map that spreads those independent draws, and the corpus's documents,
+over the usable CPUs.
 """
 
 from __future__ import annotations
@@ -215,6 +216,10 @@ def _run_task(item):
     return _task(item)
 
 
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _map_on_cpus(fn, items) -> list:
     """``[fn(x) for x in items]``, in item order, over one forked worker per
     usable CPU and at most one per item.  Each worker inherits ``fn`` at the
@@ -223,13 +228,12 @@ def _map_on_cpus(fn, items) -> list:
     is missing.  An exception ``fn`` raises reaches the caller, and a worker
     that dies raises ``BrokenProcessPool``; every worker has exited when
     this returns."""
-    # Imported here: only the Monte Carlo stages pay the 4 ms and 0.6 MB they cost.
+    # Imported here: only the stages that map over CPUs pay the 4 ms and 0.6 MB they cost.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     items = list(items)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(cpus, len(items))
+    workers = min(_usable_cpus(), len(items))
     if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
         return [fn(x) for x in items]
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),

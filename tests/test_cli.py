@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import unicodedata
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -76,17 +77,19 @@ def test_extract_rerun_byte_identical(runner, toy_corpus_dir, tmp_path):
 
 
 def test_extract_finds_each_documents_hapaxes_once(runner, rich_corpus_dir, tmp_path, monkeypatch):
-    calls = []
+    # Documents load on every usable CPU, so each call is noted in a file the workers share.
+    calls = tmp_path / "calls"
     extract = corpus.extract_document_hapaxes
 
     def counted(tokens):
-        calls.append(tokens)
+        with open(calls, "a", encoding="utf-8") as fh:
+            fh.write(f"{len(tokens)}\n")
         return extract(tokens)
 
     monkeypatch.setattr(corpus, "extract_document_hapaxes", counted)
     result = runner.invoke(main, ["extract", str(rich_corpus_dir), "--output-dir", str(tmp_path / "out")])
     assert result.exit_code == 0, result.output
-    assert len(calls) == len(list(rich_corpus_dir.glob("*.txt"))) == 12
+    assert len(calls.read_text(encoding="utf-8").splitlines()) == len(list(rich_corpus_dir.glob("*.txt"))) == 12
 
 
 # Curly quotes and apostrophes, em dashes, accented and Cyrillic words ("й" and the
@@ -169,20 +172,25 @@ def test_extract_manifest_invalid_utf8_names_the_manifest(runner, toy_corpus_dir
 
 
 @pytest.fixture
-def opened(monkeypatch):
-    """How often each file was opened, by resolved path, through ``open`` or pathlib."""
-    counts: dict[Path, int] = {}
+def opened(monkeypatch, tmp_path):
+    """How often each file was opened, by resolved path, through ``open`` or pathlib, here
+    or in a forked worker: each open appends its path to a log in one write, and calling
+    the fixture's value counts them."""
+    log = tmp_path / "opened.log"
     real_open = io.open
 
     def counting_open(file, *args, **kwargs):
         if isinstance(file, (str, os.PathLike)):
-            key = Path(file).resolve()
-            counts[key] = counts.get(key, 0) + 1
+            fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            try:
+                os.write(fd, f"{Path(file).resolve()}\n".encode())
+            finally:
+                os.close(fd)
         return real_open(file, *args, **kwargs)
 
     monkeypatch.setattr(io, "open", counting_open)
     monkeypatch.setattr(builtins, "open", counting_open)
-    return counts
+    return lambda: Counter(map(Path, log.read_text(encoding="utf-8").splitlines()))
 
 
 @pytest.mark.parametrize("with_manifest", [False, True])
@@ -194,7 +202,7 @@ def test_extract_reads_each_document_once(runner, rich_corpus_dir, tmp_path, ope
     out = tmp_path / "out"
     result = runner.invoke(main, ["extract", str(rich_corpus_dir), *flags, "--output-dir", str(out)])
     assert result.exit_code == 0, result.output
-    assert {p: n for p, n in opened.items() if p.parent == rich_corpus_dir.resolve()} == dict.fromkeys(documents, 1)
+    assert {p: n for p, n in opened().items() if p.parent == rich_corpus_dir.resolve()} == dict.fromkeys(documents, 1)
     expected = corpus_id(rich_corpus_dir, manifest if with_manifest else None)
     assert json.loads(read(out / "extract_meta.json"))["config_hash"] == persist.config_hash(
         {"stage": "extract", **expected})
@@ -512,9 +520,23 @@ def test_json_input_that_is_not_utf8_names_the_file_and_line(runner, tmp_path, c
     ("order_test_report.json", {}, "missing field 'ks_stats_first_vs_second'"),
     ("convergence_report.json", {}, "missing field 'ks_statistics'"),
     ("order_test_report.json", {**ORDER_REPORT, "thresholds": {"wmw": {"0.05": 0.2}}},
-     "missing field 'thresholds.ks_first_vs_second'")])
+     "missing field 'thresholds.ks_first_vs_second'"),
+    ("order_test_report.json", {**ORDER_REPORT, "levels": 5}, "field 'levels' must be a non-empty list of numbers"),
+    ("order_test_report.json", {**ORDER_REPORT, "levels": []}, "field 'levels' must be a non-empty list of numbers"),
+    ("order_test_report.json", {**ORDER_REPORT, "levels": ["0.05"]},
+     "field 'levels' must be a non-empty list of numbers"),
+    ("order_test_report.json", {**ORDER_REPORT, "wmw_p_values": 0.5}, "field 'wmw_p_values' must be a list"),
+    ("order_test_report.json", {**ORDER_REPORT, "levels": [0.2]},
+     "field 'thresholds.ks_first_vs_second' holds no threshold for level 0.2"),
+    ("order_test_report.json", {**ORDER_REPORT, "thresholds": {**ORDER_REPORT["thresholds"], "chi_square": 0.2}},
+     "field 'thresholds.chi_square' holds no threshold for level 0.05"),
+    ("convergence_report.json", {"levels": [0.2], "ks_statistics": [0.1], "thresholds": {"0.05": 0.2}},
+     "field 'thresholds' holds no threshold for level 0.2"),
+    ("convergence_report.json", {"levels": [0.05], "ks_statistics": {"0": 0.1}, "thresholds": {"0.05": 0.2}},
+     "field 'ks_statistics' must be a list")])
 def test_report_names_a_stage_report_that_is_not_a_json_object(runner, tmp_path, name, payload, problem):
-    # Every field the figures read is checked before the first figure is written.
+    # Every field the figures read is checked before the first figure is written: the
+    # output directory is not even made.
     src = tmp_path / "in"
     write_report_inputs(src)
     (src / name).write_text(json.dumps(payload), encoding="utf-8")
@@ -1113,7 +1135,7 @@ def test_pipeline_records_the_corpus_read_by_extract(runner, rich_corpus_dir, tm
     result = runner.invoke(main, ["pipeline", str(rich_corpus_dir), *flags, "--output-dir", str(out), *PIPELINE_ARGS])
     assert result.exit_code == 0, result.output
     documents = sorted(p.resolve() for p in rich_corpus_dir.glob("*.txt"))
-    assert {p: n for p, n in opened.items() if p.parent == rich_corpus_dir.resolve()} == dict.fromkeys(documents, 1)
+    assert {p: n for p, n in opened().items() if p.parent == rich_corpus_dir.resolve()} == dict.fromkeys(documents, 1)
     recorded = json.loads(read(out / "manifest.json"))
     expected = corpus_id(rich_corpus_dir, manifest if with_manifest else None)
     assert recorded["config_hash"] == persist.config_hash({**recorded["config"], **expected})

@@ -1,11 +1,16 @@
 """Corpus ingestion, hapax tabulation and rank sequence tests."""
 
 import hashlib
+import os
 import re
 import sys
+import tempfile
 import unicodedata
 from collections import Counter
+from pathlib import Path
+from unittest import mock
 
+import corpus_reference as reference
 import numpy as np
 import pytest
 from corpus_reference import TOKEN_RE
@@ -16,6 +21,7 @@ from hypothesis import strategies as st
 from hapaxchain import corpus as corpus_mod
 from hapaxchain.corpus import (
     ConsistencyError,
+    Corpus,
     Document,
     EmptyTableError,
     IngestionError,
@@ -298,6 +304,76 @@ def test_table_invariant_under_token_permutation(tokens, rnd):
     base = [doc(tokens), doc(["x"])]
     permuted = [doc(shuffled), doc(["x"])]
     assert build_hapax_table(base) == build_hapax_table(permuted)
+
+
+def write_documents(root: Path, token_corpus) -> None:
+    for i, tokens in enumerate(token_corpus):
+        (root / f"d{i:02d}.txt").write_text(" ".join(tokens), encoding="utf-8")
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` gives: ``("ok", value)``, or the type and message of its corpus error."""
+    try:
+        value = fn(*args)
+    except (ConsistencyError, EmptyTableError) as exc:
+        return type(exc), str(exc)
+    return "ok", (value.dtype, value.tolist()) if isinstance(value, np.ndarray) else value
+
+
+# Few words, so ties and hapaxes shared across documents are common; a word
+# twice in a document is no hapax there, so some documents have none.
+few_words = st.lists(st.sampled_from(["a", "b", "c", "d", "e", "f", "g"]), max_size=10)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(few_words, min_size=1, max_size=8), st.integers(1, 3), st.integers(0, 7))
+def test_builders_equal_the_reference_walks(token_corpus, cpus, foreign_docs):
+    # The same documents by hand and loaded from files on 1-3 CPUs; a foreign table, built
+    # from the first ``foreign_docs`` documents only, may lack words of later ones.
+    hand = [doc(tokens, f"d{i:02d}") for i, tokens in enumerate(token_corpus)]
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True):
+        write_documents(Path(tmp), token_corpus)
+        loaded = load_documents(tmp)
+        assert list(loaded) == reference.load_documents(Path(tmp))
+    want_table = outcome(reference.build_hapax_table, hand)
+    foreign = hand[:foreign_docs] + [Document("extra", ("zz",))]
+    for docs in (hand, loaded):
+        assert outcome(build_hapax_table, docs) == want_table
+        if want_table[0] == "ok":
+            table = want_table[1]
+            assert outcome(build_rank_sequence, docs, table) == outcome(reference.build_rank_sequence, hand, table)
+        table = reference.build_hapax_table(foreign)
+        assert outcome(build_rank_sequence, docs, table) == outcome(reference.build_rank_sequence, hand, table)
+
+
+def test_a_hapax_listed_twice_counts_twice_as_in_the_reference():
+    corpus = [Document("d0", ("a", "b", "a")), Document("d1", ("b",))]
+    table = build_hapax_table(corpus)
+    assert table == reference.build_hapax_table(corpus)
+    assert build_rank_sequence(corpus, table).tolist() == reference.build_rank_sequence(corpus, table).tolist()
+
+
+def test_a_loaded_corpus_missing_from_the_table_names_the_first_document(tmp_path):
+    # Two words are missing, "late" first seen in d01 and "later" in d02.
+    write_documents(tmp_path, [["early"], ["late", "early"], ["later", "late"]])
+    table = build_hapax_table([doc(["early"])])
+    with pytest.raises(ConsistencyError, match=r"^hapax 'late' from document 'd01' missing from table$"):
+        build_rank_sequence(load_documents(tmp_path), table)
+
+
+def test_a_corpus_holds_each_hapax_once_and_every_occurrence_as_an_id(tmp_path):
+    write_documents(tmp_path, [["b", "a", "b", "c"], ["a", "a"], ["c", "d"]])
+    corpus = load_documents(tmp_path)
+    assert isinstance(corpus, Corpus) and len(corpus) == 3
+    assert corpus.words == ("a", "c", "d")
+    assert corpus.codes.dtype == np.int32 and corpus.codes.tolist() == [0, 1, 1, 2]
+    assert corpus.ends.tolist() == [2, 2, 4]
+    assert [d.hapaxes for d in corpus] == [("a", "c"), (), ("c", "d")]
+    assert corpus[-1] == corpus[2] and corpus[1:] == [corpus[1], corpus[2]]
+    with pytest.raises(IndexError):
+        corpus[3]
+    assert Corpus.of(corpus) is corpus
 
 
 # ----------------------------------------------------------------- loading

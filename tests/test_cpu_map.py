@@ -1,6 +1,7 @@
-"""The forked map that runs the order-test simulations and the MH chains on
-every usable CPU: its results equal the serial loop's, and no worker outlives
-a call, whether it ends in a result, an exception or a dead worker."""
+"""The forked map that loads the corpus and runs the order-test simulations
+and the MH chains on every usable CPU: its results equal the serial loop's,
+and no worker outlives a call, whether it ends in a result, an exception or
+a dead worker."""
 
 import dataclasses
 import multiprocessing
@@ -11,11 +12,13 @@ import sys
 import textwrap
 from pathlib import Path
 
+import corpus_reference
 import markov_reference
 import mh_reference
 import numpy as np
 import pytest
 
+from hapaxchain.corpus import IngestionError, load_documents
 from hapaxchain.markov import order_test
 from hapaxchain.mh_sampler import convergence_study, iid_sample, run_chain
 from hapaxchain.ranksize import ZMParams, target_distribution
@@ -162,6 +165,36 @@ def test_forking_raises_no_threads_warning():
 
 
 # ------------------------------------------------- forked equals serial
+
+
+def write_documents(root: Path, count: int) -> None:
+    """``count`` documents of 30 words drawn from 40, so most words are hapaxes of several."""
+    rng = np.random.default_rng(5)
+    for k in range(count):
+        (root / f"doc{k:02d}.txt").write_text(" ".join(f"w{chr(97 + w // 26)}{chr(97 + w % 26)}"
+                                                       for w in rng.integers(0, 40, 30)), encoding="utf-8")
+
+
+def test_load_documents_gives_the_same_corpus_on_one_cpu_as_on_all(tmp_path, monkeypatch):
+    write_documents(tmp_path, 9)
+    every = load_documents(tmp_path)
+    allow_one_cpu(monkeypatch)
+    one = load_documents(tmp_path)
+    assert multiprocessing.active_children() == []
+    assert list(every) == list(one) == corpus_reference.load_documents(tmp_path)
+    assert every.words == one.words
+    assert np.array_equal(every.codes, one.codes) and np.array_equal(every.ends, one.ends)
+
+
+def test_bad_utf8_in_an_early_and_a_late_document_names_the_early_one(tmp_path, each_path):
+    write_documents(tmp_path, 6)
+    (tmp_path / "doc01.txt").write_bytes(b"fine \xff")
+    (tmp_path / "doc05.txt").write_bytes(b"\x80 fine")
+    with pytest.raises(IngestionError) as info:
+        load_documents(tmp_path)
+    assert str(info.value) == (f"invalid UTF-8 in {tmp_path / 'doc01.txt'}: 'utf-8' codec can't decode byte 0xff "
+                               "in position 5: invalid start byte")
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("replicates", [1, 3])
