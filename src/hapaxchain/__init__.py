@@ -9,7 +9,6 @@ stationary distribution is the discretized rank-size law.
 
 from .corpus import (
     Corpus,
-    Document,
     HapaxTable,
     build_hapax_table,
     build_rank_sequence,

@@ -153,7 +153,7 @@ BATTERIES = (("ks_stats_first_vs_second", "ks_stat", "ks_first_vs_second"), ("wm
 # the fields of each stage report that report's figures read, as _read_stage_report takes them
 ORDER_FIELDS = {"series": tuple(series for series, _, _ in BATTERIES),
                 "thresholds": tuple(f"thresholds.{battery}" for _, _, battery in BATTERIES),
-                "others": ("indicators", "indicators_observed")}
+                "indicators": True}
 CONVERGENCE_FIELDS = {"series": ("ks_statistics",), "thresholds": ("thresholds",)}
 
 
@@ -173,11 +173,14 @@ def _write_order_tables(payload: dict, out: Path, names: tuple[str, ...]) -> dic
 
 
 def _read_stage_report(path: Path, series: tuple[str, ...], thresholds: tuple[str, ...],
-                       others: tuple[str, ...] = ()) -> dict:
+                       indicators: bool = False) -> dict:
     """The stage report at ``path``, checked before any figure is written: every field named
     is present (``"a.b"`` is field b of object a), ``levels`` is a non-empty list of numbers,
-    each of ``series`` is a list and each of ``thresholds`` holds a threshold for every level,
-    keyed as ``_keyed`` keys it.  An error names the file and the first field at fault."""
+    each of ``series`` is a list of numbers and each of ``thresholds`` holds a number for every
+    level, keyed as ``_keyed`` keys it.  With ``indicators``, field ``indicators`` is a non-empty
+    object of equal-length lists of numbers, and ``indicators_observed`` holds a number for each
+    of its keys.  A number may be null, as ``persist.write_json`` stores NaN.  An error names
+    the file and the first field at fault."""
     report = persist.read_json(path)
 
     def field(name: str):
@@ -188,6 +191,12 @@ def _read_stage_report(path: Path, series: tuple[str, ...], thresholds: tuple[st
             node = node[key]
         return node
 
+    def numbers(name: str, items) -> None:
+        for v in items:
+            if v is not None and type(v) not in (int, float):
+                raise click.ClickException(f"{path}: field {name!r} holds {v!r}, not a number or null")
+
+    others = ("indicators", "indicators_observed") if indicators else ()
     values = {name: field(name) for name in (*series, "levels", *thresholds, *others)}
     levels = values["levels"]
     if not (isinstance(levels, list) and levels and all(type(lv) in (int, float) for lv in levels)):
@@ -195,10 +204,22 @@ def _read_stage_report(path: Path, series: tuple[str, ...], thresholds: tuple[st
     for name in series:
         if not isinstance(values[name], list):
             raise click.ClickException(f"{path}: field {name!r} must be a list")
+        numbers(name, values[name])
     for name in thresholds:
         for lv in levels:
             if not isinstance(values[name], dict) or format(lv, "g") not in values[name]:
                 raise click.ClickException(f"{path}: field {name!r} holds no threshold for level {lv:g}")
+        numbers(name, (values[name][format(lv, "g")] for lv in levels))
+    if indicators:
+        table, observed = values["indicators"], values["indicators_observed"]
+        if not (isinstance(table, dict) and all(isinstance(c, list) for c in table.values())
+                and len(set(map(len, table.values()))) == 1):
+            raise click.ClickException(f"{path}: field 'indicators' must be a non-empty object of equal-length lists")
+        for name, column in table.items():
+            numbers(f"indicators.{name}", column)
+        if not (isinstance(observed, dict) and table.keys() <= observed.keys()):
+            raise click.ClickException(f"{path}: field 'indicators_observed' must hold a value for each indicator")
+        numbers("indicators_observed", (observed[c] for c in table))
     return report
 
 
@@ -228,7 +249,7 @@ def _run_extract(o: dict) -> dict[str, Path]:
     o["corpus_id"] = _corpus_id(docs, o["manifest"])  # the pipeline's manifest records it too
     table = corpus_mod.build_hapax_table(docs)
     seq = corpus_mod.build_rank_sequence(docs, table)
-    counts = {"documents": len(docs), "hapaxes": len(table.words), "occurrences": table.total_occurrences,
+    counts = {"documents": len(docs.ids), "hapaxes": len(table.words), "occurrences": table.total_occurrences,
               "alphabet_size": table.alphabet_size}
     outputs = {"hapax_table.csv": persist.write_hapax_table(out / "hapax_table.csv", table),
                "rank_sequence.txt": persist.write_rank_sequence(out / "rank_sequence.txt", seq)}

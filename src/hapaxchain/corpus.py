@@ -2,12 +2,13 @@
 
 A hapax legomenon is a token occurring exactly once within one document;
 its corpus frequency is the number of documents in which it is a hapax.
-A corpus is a sequence of documents in chronological order.  This module
-tokenizes documents through one character table and, as it loads them,
-lists each one's hapaxes in order of appearance as ids: each distinct
-hapax gets the next id when first seen.  The frequency table is one
-count of those ids under dense and ordinal ranks, and the rank sequence
-maps the ids, in corpus order, through the dense ranks.
+A corpus is its documents in chronological order, held as one
+:class:`Corpus`.  This module tokenizes documents through one character
+table and, as it loads them, lists each one's hapaxes in order of
+appearance as ids: each distinct hapax gets the next id when first
+seen.  The frequency table is one count of those ids under dense and
+ordinal ranks, and the rank sequence maps the ids, in corpus order,
+through the dense ranks.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .stats import _map_on_cpus, _usable_cpus
 
 __all__ = [
     "Corpus",
-    "Document",
     "HapaxTable",
     "IngestionError",
     "EmptyTableError",
@@ -76,22 +76,6 @@ def tokenize(raw_text: str) -> list[str]:
 
 
 @dataclass(frozen=True)
-class Document:
-    """One document's hapaxes, in order of appearance; its place in the
-    corpus list is its chronological position.  A loaded document also
-    keeps its file name and the SHA-256 of the bytes it was read from."""
-
-    id: str
-    hapaxes: tuple[str, ...]
-    file: str = ""
-    sha256: str = ""
-
-    def __post_init__(self):
-        if "" in self.hapaxes:
-            raise ValueError("hapaxes must not contain empty strings")
-
-
-@dataclass(frozen=True)
 class HapaxTable:
     """Corpus-level hapax frequencies, from which every rank derives.
 
@@ -132,13 +116,12 @@ def _number(word_lists: Iterable[Sequence[str]], ids: dict[str, int]) -> tuple[n
 
 
 @dataclass(frozen=True, eq=False)
-class Corpus(Sequence[Document]):
+class Corpus:
     """A corpus held as hapax ids: each distinct hapax once in ``words``, in
     first-seen order, and every hapax occurrence as its index into ``words``
     in ``codes``, in corpus order; document ``k`` owns
     ``codes[ends[k - 1]:ends[k]]`` (from 0 for the first).  ``ids``,
-    ``files`` and ``digests`` hold each document's id, file name and SHA-256.
-    As a sequence it gives each :class:`Document`, built on access."""
+    ``files`` and ``digests`` hold each document's id, file name and SHA-256."""
 
     ids: tuple[str, ...]
     files: tuple[str, ...]
@@ -148,25 +131,14 @@ class Corpus(Sequence[Document]):
     ends: np.ndarray
 
     @classmethod
-    def of(cls, documents: Sequence[Document]) -> Corpus:
-        """``documents`` as a corpus; a corpus is returned as it is."""
-        if isinstance(documents, Corpus):
-            return documents
+    def of(cls, documents: Iterable[tuple[str, Sequence[str]]]) -> Corpus:
+        """A corpus of ``(id, hapaxes)`` pairs, in chronological order, with no file names or digests."""
+        names, hapax_lists = tuple(zip(*documents)) or ((), ())
+        if any("" in hapaxes for hapaxes in hapax_lists):
+            raise ValueError("hapaxes must not contain empty strings")
         ids: dict[str, int] = {}
-        codes, ends = _number((d.hapaxes for d in documents), ids)
-        return cls(tuple(d.id for d in documents), tuple(d.file for d in documents),
-                   tuple(d.sha256 for d in documents), tuple(ids), codes, ends)
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[k] for k in range(len(self))[index]]
-        k = range(len(self))[index]  # an IndexError past either end
-        start = int(self.ends[k - 1]) if k else 0
-        hapaxes = tuple(map(self.words.__getitem__, self.codes[start:self.ends[k]].tolist()))
-        return Document(self.ids[k], hapaxes, self.files[k], self.digests[k])
+        codes, ends = _number(hapax_lists, ids)
+        return cls(names, ("",) * len(names), ("",) * len(names), tuple(ids), codes, ends)
 
 
 def extract_document_hapaxes(tokens) -> list[str]:
@@ -175,32 +147,31 @@ def extract_document_hapaxes(tokens) -> list[str]:
     return [tok for tok, c in Counter(tokens).items() if c == 1]
 
 
-def build_hapax_table(corpus: Sequence[Document]) -> HapaxTable:
+def build_hapax_table(corpus: Corpus) -> HapaxTable:
     """Aggregate per-document hapaxes into the corpus frequency table: one count of the
     hapax ids, ordered by word, then stably by descending frequency."""
-    if not corpus:
+    if not corpus.ids:
         raise ValueError("corpus must contain at least one document")
-    c = Corpus.of(corpus)
-    if not c.codes.size:
+    if not corpus.codes.size:
         raise EmptyTableError("corpus yields an empty table: no hapaxes found")
-    freq = np.bincount(c.codes)
-    by_word = np.array(sorted(range(len(c.words)), key=c.words.__getitem__))
+    words, freq = corpus.words, np.bincount(corpus.codes)
+    by_word = np.array(sorted(range(len(words)), key=words.__getitem__))
     order = by_word[np.argsort(-freq[by_word], kind="stable")]
-    return HapaxTable(words=tuple(map(c.words.__getitem__, order.tolist())), frequencies=tuple(freq[order].tolist()))
+    return HapaxTable(words=tuple(map(words.__getitem__, order.tolist())), frequencies=tuple(freq[order].tolist()))
 
 
-def build_rank_sequence(corpus: Sequence[Document], table: HapaxTable) -> np.ndarray:
+def build_rank_sequence(corpus: Corpus, table: HapaxTable) -> np.ndarray:
     """The dense ranks (int64) of each document's hapaxes, in corpus order and,
     within a document, in order of appearance: each distinct word is looked up once."""
-    c = Corpus.of(corpus)
     rank_of = table.dense_rank_of()
-    ranks = np.fromiter(map(rank_of.get, c.words, repeat(0)), np.int64, len(c.words))  # 0: not in the table
-    seq = ranks[c.codes]
+    ranks = np.fromiter(map(rank_of.get, corpus.words, repeat(0)), np.int64, len(corpus.words))  # 0: not in the table
+    seq = ranks[corpus.codes]
     missing = np.flatnonzero(seq == 0)
     if missing.size:
         at = int(missing[0])
-        doc = int(np.searchsorted(c.ends, at, side="right"))
-        raise ConsistencyError(f"hapax {c.words[c.codes[at]]!r} from document {c.ids[doc]!r} missing from table")
+        doc = int(np.searchsorted(corpus.ends, at, side="right"))
+        raise ConsistencyError(f"hapax {corpus.words[corpus.codes[at]]!r} from document {corpus.ids[doc]!r} "
+                               "missing from table")
     return seq
 
 

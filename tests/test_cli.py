@@ -533,7 +533,24 @@ def test_json_input_that_is_not_utf8_names_the_file_and_line(runner, tmp_path, c
     ("convergence_report.json", {"levels": [0.2], "ks_statistics": [0.1], "thresholds": {"0.05": 0.2}},
      "field 'thresholds' holds no threshold for level 0.2"),
     ("convergence_report.json", {"levels": [0.05], "ks_statistics": {"0": 0.1}, "thresholds": {"0.05": 0.2}},
-     "field 'ks_statistics' must be a list")])
+     "field 'ks_statistics' must be a list"),
+    ("convergence_report.json", {"levels": [0.05], "ks_statistics": [None], "thresholds": {"0.05": "x"}},
+     "field 'thresholds' holds 'x', not a number or null"),
+    ("order_test_report.json", {**ORDER_REPORT, "ks_stats_vs_empirical": [0.1, "abc"]},
+     "field 'ks_stats_vs_empirical' holds 'abc', not a number or null"),
+    ("order_test_report.json", {**ORDER_REPORT, "wmw_p_values": [True]},
+     "field 'wmw_p_values' holds True, not a number or null"),
+    ("order_test_report.json", {**ORDER_REPORT, "thresholds": {**ORDER_REPORT["thresholds"], "wmw": {"0.05": [0.2]}}},
+     "field 'thresholds.wmw' holds [0.2], not a number or null"),
+    *(("order_test_report.json", {**ORDER_REPORT, "indicators": table},
+       "field 'indicators' must be a non-empty object of equal-length lists")
+      for table in ([1.5], {}, {"mean": 1.5}, {"mean": [1.5], "variance": [1.0, 2.0]})),
+    ("order_test_report.json", {**ORDER_REPORT, "indicators": {"mean": ["1.5"]}},
+     "field 'indicators.mean' holds '1.5', not a number or null"),
+    *(("order_test_report.json", {**ORDER_REPORT, "indicators_observed": observed},
+       "field 'indicators_observed' must hold a value for each indicator") for observed in ([1.5], {"max": 1.5})),
+    ("order_test_report.json", {**ORDER_REPORT, "indicators_observed": {"mean": "nan"}},
+     "field 'indicators_observed' holds 'nan', not a number or null")])
 def test_report_names_a_stage_report_that_is_not_a_json_object(runner, tmp_path, name, payload, problem):
     # Every field the figures read is checked before the first figure is written: the
     # output directory is not even made.
@@ -545,6 +562,21 @@ def test_report_names_a_stage_report_that_is_not_a_json_object(runner, tmp_path,
     assert isinstance(result.exception, SystemExit)
     assert result.output == f"Error: {src / name}: {problem}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_report_writes_a_null_as_an_empty_cell(runner, tmp_path):
+    # write_json stores NaN as null, so a null is a number that has no value.
+    src, out = tmp_path / "in", tmp_path / "out"
+    write_report_inputs(src)
+    persist.write_json(src / "order_test_report.json", {**ORDER_REPORT, "ks_stats_vs_empirical": [None],
+                                                        "indicators": {"mean": [None]}})
+    persist.write_json(src / "convergence_report.json", {"levels": [0.05], "ks_statistics": [None],
+                                                         "thresholds": {"0.05": None}})
+    result = runner.invoke(main, ["report", "--input-dir", str(src), "--output-dir", str(out)])
+    assert result.exit_code == 0, result.output
+    assert read(out / "fig5_ks_vs_empirical.csv").splitlines()[1].startswith("0,,")
+    assert read(out / "fig6_ks_hist.csv").splitlines()[1] == ","
+    assert read(out / "fig7_indicators.csv").splitlines()[1].startswith("0,,")
 
 
 # --------------------------------------------------------------- ordertest

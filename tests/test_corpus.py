@@ -22,7 +22,6 @@ from hapaxchain import corpus as corpus_mod
 from hapaxchain.corpus import (
     ConsistencyError,
     Corpus,
-    Document,
     EmptyTableError,
     IngestionError,
     build_hapax_table,
@@ -35,7 +34,8 @@ from hapaxchain.corpus import (
 
 
 def doc(tokens, name="doc"):
-    return Document(id=name, hapaxes=tuple(extract_document_hapaxes(tokens)))
+    """A document as ``Corpus.of`` takes it: its id and hapaxes."""
+    return name, tuple(extract_document_hapaxes(tokens))
 
 
 def reference_rank_sequence(token_corpus, table):
@@ -150,14 +150,14 @@ def test_hapaxes_in_order_of_appearance():
 
 def test_document_rejects_an_empty_hapax():
     with pytest.raises(ValueError, match=r"^hapaxes must not contain empty strings$"):
-        Document(id="d", hapaxes=("a", ""))
+        Corpus.of([("d", ("a", ""))])
 
 
 # ------------------------------------------------------------ hapax table
 
 
 def toy_corpus():
-    return [doc(["a", "b", "b", "c"], "d0"), doc(["a", "c", "c", "d"], "d1")]
+    return Corpus.of([doc(["a", "b", "b", "c"], "d0"), doc(["a", "c", "c", "d"], "d1")])
 
 
 def test_build_table_toy_corpus():
@@ -171,7 +171,7 @@ def test_build_table_toy_corpus():
 
 
 def test_build_table_single_doc():
-    table = build_hapax_table([doc(["a"])])
+    table = build_hapax_table(Corpus.of([doc(["a"])]))
     assert (table.words, table.frequencies, table.dense_ranks) == (("a",), (1,), (1,))
     assert table.total_occurrences == 1
     assert table.alphabet_size == 1
@@ -179,12 +179,12 @@ def test_build_table_single_doc():
 
 def test_build_table_no_hapaxes():
     with pytest.raises(EmptyTableError):
-        build_hapax_table([doc(["a", "a", "b", "b"])])
+        build_hapax_table(Corpus.of([doc(["a", "a", "b", "b"])]))
 
 
 def test_build_table_empty_corpus():
-    with pytest.raises(ValueError):
-        build_hapax_table([])
+    with pytest.raises(ValueError, match=r"^corpus must contain at least one document$"):
+        build_hapax_table(Corpus.of([]))
 
 
 # ---------------------------------------------------------- rank sequence
@@ -207,13 +207,13 @@ def test_rank_sequence_is_one_int64_rank_per_occurrence():
 
 
 def test_rank_sequence_single_doc():
-    corpus = [doc(["a"])]
+    corpus = Corpus.of([doc(["a"])])
     seq = build_rank_sequence(corpus, build_hapax_table(corpus))
     assert seq.tolist() == [1]
 
 
 def test_rank_sequence_repeated_doc():
-    corpus = [doc(["a"]), doc(["a"]), doc(["a"])]
+    corpus = Corpus.of([doc(["a"]), doc(["a"]), doc(["a"])])
     table = build_hapax_table(corpus)
     seq = build_rank_sequence(corpus, table)
     assert seq.tolist() == [1, 1, 1]
@@ -221,23 +221,23 @@ def test_rank_sequence_repeated_doc():
 
 
 def test_rank_sequence_follows_list_order():
-    corpus = [doc(["b", "c"], "first"), doc(["c", "a"], "second")]
-    table = build_hapax_table(corpus)  # c: 2 documents => dense rank 1; a, b => dense rank 2
-    assert build_rank_sequence(corpus, table).tolist() == [2, 1, 1, 2]
-    assert build_rank_sequence(corpus[::-1], table).tolist() == [1, 2, 2, 1]
+    docs = [doc(["b", "c"], "first"), doc(["c", "a"], "second")]
+    table = build_hapax_table(Corpus.of(docs))  # c: 2 documents => dense rank 1; a, b => dense rank 2
+    assert build_rank_sequence(Corpus.of(docs), table).tolist() == [2, 1, 1, 2]
+    assert build_rank_sequence(Corpus.of(docs[::-1]), table).tolist() == [1, 2, 2, 1]
 
 
 def test_rank_sequence_missing_word_fails():
     corpus = toy_corpus()
-    table = build_hapax_table(corpus[:1])
+    table = build_hapax_table(Corpus.of([doc(["a", "b", "b", "c"], "d0")]))
     with pytest.raises(ConsistencyError):
         build_rank_sequence(corpus, table)
 
 
 def test_rank_sequence_missing_word_names_word_and_document():
-    table = build_hapax_table([doc(["a"])])
+    table = build_hapax_table(Corpus.of([doc(["a"])]))
     with pytest.raises(ConsistencyError, match=r"^hapax 'b' from document 'late' missing from table$"):
-        build_rank_sequence([doc(["a"], "early"), doc(["a", "b"], "late")], table)
+        build_rank_sequence(Corpus.of([doc(["a"], "early"), doc(["a", "b"], "late")]), table)
 
 
 # -------------------------------------------------------------- invariants
@@ -251,8 +251,9 @@ token_lists = st.lists(
 @settings(max_examples=80)
 @given(st.lists(token_lists, min_size=1, max_size=6))
 def test_corpus_invariants(token_corpus):
-    corpus = [doc(toks, f"d{i}") for i, toks in enumerate(token_corpus)]
-    total_hapaxes = sum(len(d.hapaxes) for d in corpus)
+    docs = [doc(toks, f"d{i}") for i, toks in enumerate(token_corpus)]
+    corpus = Corpus.of(docs)
+    total_hapaxes = sum(len(hapaxes) for _, hapaxes in docs)
     if total_hapaxes == 0:
         with pytest.raises(EmptyTableError):
             build_hapax_table(corpus)
@@ -266,7 +267,7 @@ def test_corpus_invariants(token_corpus):
     assert table.dense_rank_of() == dict(zip(words, dense_ranks))
 
     # reference derivations: one key sort, and dense ranks from the distinct frequencies
-    counts = Counter(w for d in corpus for w in d.hapaxes)
+    counts = Counter(w for _, hapaxes in docs for w in hapaxes)
     assert list(zip(words, frequencies)) == sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     dense_of = {f: i + 1 for i, f in enumerate(sorted(set(frequencies), reverse=True))}
     assert dense_ranks == tuple(dense_of[f] for f in frequencies)
@@ -287,9 +288,10 @@ def test_corpus_invariants(token_corpus):
 @settings(max_examples=200)
 @given(st.lists(st.lists(st.sampled_from(["a", "b", "c", "d", "e", "f"]), max_size=15), min_size=1, max_size=8))
 def test_rank_sequence_equals_per_token_walk(token_corpus):
-    corpus = [doc(toks, f"d{i}") for i, toks in enumerate(token_corpus)]
-    if not any(d.hapaxes for d in corpus):
+    docs = [doc(toks, f"d{i}") for i, toks in enumerate(token_corpus)]
+    if not any(hapaxes for _, hapaxes in docs):
         return
+    corpus = Corpus.of(docs)
     table = build_hapax_table(corpus)
     seq = build_rank_sequence(corpus, table)
     want = reference_rank_sequence(token_corpus, table)
@@ -301,8 +303,8 @@ def test_rank_sequence_equals_per_token_walk(token_corpus):
 def test_table_invariant_under_token_permutation(tokens, rnd):
     shuffled = tokens[:]
     rnd.shuffle(shuffled)
-    base = [doc(tokens), doc(["x"])]
-    permuted = [doc(shuffled), doc(["x"])]
+    base = Corpus.of([doc(tokens), doc(["x"])])
+    permuted = Corpus.of([doc(shuffled), doc(["x"])])
     assert build_hapax_table(base) == build_hapax_table(permuted)
 
 
@@ -335,10 +337,10 @@ def test_builders_equal_the_reference_walks(token_corpus, cpus, foreign_docs):
             mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True):
         write_documents(Path(tmp), token_corpus)
         loaded = load_documents(tmp)
-        assert list(loaded) == reference.load_documents(Path(tmp))
+        assert reference.documents(loaded) == reference.load_documents(Path(tmp))
     want_table = outcome(reference.build_hapax_table, hand)
-    foreign = hand[:foreign_docs] + [Document("extra", ("zz",))]
-    for docs in (hand, loaded):
+    foreign = hand[:foreign_docs] + [("extra", ("zz",))]
+    for docs in (Corpus.of(hand), loaded):
         assert outcome(build_hapax_table, docs) == want_table
         if want_table[0] == "ok":
             table = want_table[1]
@@ -348,16 +350,16 @@ def test_builders_equal_the_reference_walks(token_corpus, cpus, foreign_docs):
 
 
 def test_a_hapax_listed_twice_counts_twice_as_in_the_reference():
-    corpus = [Document("d0", ("a", "b", "a")), Document("d1", ("b",))]
-    table = build_hapax_table(corpus)
-    assert table == reference.build_hapax_table(corpus)
-    assert build_rank_sequence(corpus, table).tolist() == reference.build_rank_sequence(corpus, table).tolist()
+    docs = [("d0", ("a", "b", "a")), ("d1", ("b",))]
+    table = build_hapax_table(Corpus.of(docs))
+    assert table == reference.build_hapax_table(docs)
+    assert build_rank_sequence(Corpus.of(docs), table).tolist() == reference.build_rank_sequence(docs, table).tolist()
 
 
 def test_a_loaded_corpus_missing_from_the_table_names_the_first_document(tmp_path):
     # Two words are missing, "late" first seen in d01 and "later" in d02.
     write_documents(tmp_path, [["early"], ["late", "early"], ["later", "late"]])
-    table = build_hapax_table([doc(["early"])])
+    table = build_hapax_table(Corpus.of([doc(["early"])]))
     with pytest.raises(ConsistencyError, match=r"^hapax 'late' from document 'd01' missing from table$"):
         build_rank_sequence(load_documents(tmp_path), table)
 
@@ -365,15 +367,11 @@ def test_a_loaded_corpus_missing_from_the_table_names_the_first_document(tmp_pat
 def test_a_corpus_holds_each_hapax_once_and_every_occurrence_as_an_id(tmp_path):
     write_documents(tmp_path, [["b", "a", "b", "c"], ["a", "a"], ["c", "d"]])
     corpus = load_documents(tmp_path)
-    assert isinstance(corpus, Corpus) and len(corpus) == 3
+    assert isinstance(corpus, Corpus) and corpus.ids == ("d00", "d01", "d02")
     assert corpus.words == ("a", "c", "d")
     assert corpus.codes.dtype == np.int32 and corpus.codes.tolist() == [0, 1, 1, 2]
     assert corpus.ends.tolist() == [2, 2, 4]
-    assert [d.hapaxes for d in corpus] == [("a", "c"), (), ("c", "d")]
-    assert corpus[-1] == corpus[2] and corpus[1:] == [corpus[1], corpus[2]]
-    with pytest.raises(IndexError):
-        corpus[3]
-    assert Corpus.of(corpus) is corpus
+    assert [hapaxes for _, hapaxes, *_ in reference.documents(corpus)] == [("a", "c"), (), ("c", "d")]
 
 
 # ----------------------------------------------------------------- loading
@@ -382,8 +380,7 @@ def test_a_corpus_holds_each_hapax_once_and_every_occurrence_as_an_id(tmp_path):
 def test_load_documents_lexicographic_order(tmp_path):
     (tmp_path / "b.txt").write_text("beta words", encoding="utf-8")
     (tmp_path / "a.txt").write_text("alpha words", encoding="utf-8")
-    docs = load_documents(tmp_path)
-    assert [d.id for d in docs] == ["a", "b"]
+    assert load_documents(tmp_path).ids == ("a", "b")
 
 
 def test_load_documents_manifest_order(tmp_path):
@@ -391,8 +388,7 @@ def test_load_documents_manifest_order(tmp_path):
     (tmp_path / "a.txt").write_text("alpha", encoding="utf-8")
     manifest = tmp_path / "manifest.txt"
     manifest.write_text("b.txt\na.txt\n", encoding="utf-8")
-    docs = load_documents(tmp_path, manifest)
-    assert [d.id for d in docs] == ["b", "a"]
+    assert load_documents(tmp_path, manifest).ids == ("b", "a")
 
 
 def test_load_documents_manifest_missing_file(tmp_path):
@@ -438,9 +434,9 @@ def test_load_documents_keeps_each_files_name_and_digest(tmp_path):
     manifest = tmp_path / "manifest.txt"
     manifest.write_text("sub/b.txt\na.txt\n", encoding="utf-8")
     docs = load_documents(tmp_path, manifest)
-    assert [(d.id, d.file) for d in docs] == [("b", "b.txt"), ("a", "a.txt")]
-    assert [d.sha256 for d in docs] == [hashlib.sha256(p.read_bytes()).hexdigest()
-                                        for p in (sub / "b.txt", tmp_path / "a.txt")]
+    assert (docs.ids, docs.files) == (("b", "a"), ("b.txt", "a.txt"))
+    assert docs.digests == tuple(hashlib.sha256(p.read_bytes()).hexdigest()
+                                 for p in (sub / "b.txt", tmp_path / "a.txt"))
 
 
 def test_load_documents_reads_crlf_cr_and_bom_documents_as_lf(tmp_path):
@@ -451,7 +447,7 @@ def test_load_documents_reads_crlf_cr_and_bom_documents_as_lf(tmp_path):
                 "ascii_crlf": text.replace("ï", "i").replace("\n", "\r\n")}
     for name, variant in variants.items():
         (tmp_path / f"{name}.txt").write_bytes(variant.encode("utf-8"))
-    hapaxes = {d.id: d.hapaxes for d in load_documents(tmp_path)}
+    hapaxes = {doc_id: hapaxes for doc_id, hapaxes, *_ in reference.documents(load_documents(tmp_path))}
     assert hapaxes["lf"] == ("don't", "stop", "music", "now", "end", "naïve", "o'clock")
     for name in ("crlf", "cr", "bom", "bom_crlf"):
         assert hapaxes[name] == hapaxes["lf"], name

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hapaxchain import persist
-from hapaxchain.corpus import Document, HapaxTable, build_hapax_table
+from hapaxchain.corpus import Corpus, HapaxTable, build_hapax_table
 from hapaxchain.persist import (
     atomic_write_text,
     read_hapax_table,
@@ -33,7 +33,7 @@ def write(tmp_path, name, text):
 
 
 def toy_table():
-    docs = [Document("d0", ("a", "c")), Document("d1", ("a", "d"))]  # tokens a b b c and a c c d
+    docs = Corpus.of([("d0", ("a", "c")), ("d1", ("a", "d"))])  # tokens a b b c and a c c d
     return build_hapax_table(docs)
 
 
