@@ -5,6 +5,7 @@ record their configuration hash next to their outputs."""
 
 from __future__ import annotations
 
+import ctypes
 import json
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
@@ -312,8 +313,22 @@ def _run_ordertest(o: dict) -> dict[str, Path]:
     return outputs
 
 
+def _keep_freed_pages() -> None:
+    """Have glibc serve blocks up to 1 MiB from the heap and keep up to 64 MiB of freed heap
+    resident (mallopt(3)), so each MH chain reuses the last one's pages instead of faulting
+    them in again; forked workers inherit it.  Only ``mcmc`` sets it (README).  A no-op without ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt (macOS), or no C library by that name (Windows)
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 1 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def _run_mcmc(o: dict) -> dict[str, Path]:
     """Run the seeded convergence study; write convergence_report.json."""
+    _keep_freed_pages()
     out, seed, levels = o["output_dir"], o["seed"], o["levels"]
     params = _params(o)
     f = target_distribution(params, o["rbar"])

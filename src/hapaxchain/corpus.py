@@ -134,8 +134,13 @@ class Corpus:
     def of(cls, documents: Iterable[tuple[str, Sequence[str]]]) -> Corpus:
         """A corpus of ``(id, hapaxes)`` pairs, in chronological order, with no file names or digests."""
         names, hapax_lists = tuple(zip(*documents)) or ((), ())
-        if any("" in hapaxes for hapaxes in hapax_lists):
-            raise ValueError("hapaxes must not contain empty strings")
+        for hapaxes in hapax_lists:
+            if isinstance(hapaxes, str):
+                raise ValueError(f"hapaxes must be a sequence of strings, not the string {hapaxes!r}")
+            for h in hapaxes:
+                if not isinstance(h, str) or not h:
+                    raise ValueError("hapaxes must not contain empty strings" if isinstance(h, str)
+                                     else f"hapaxes must be strings, got {h!r}")
         ids: dict[str, int] = {}
         codes, ends = _number(hapax_lists, ids)
         return cls(names, ("",) * len(names), ("",) * len(names), tuple(ids), codes, ends)

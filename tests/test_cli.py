@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface."""
 
 import builtins
+import ctypes
 import hashlib
 import inspect
 import io
@@ -13,6 +14,7 @@ import sys
 import unicodedata
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from click.testing import CliRunner
 from corpus_reference import corpus_id
 from markov_reference import from_dense
 
-from hapaxchain import corpus, persist
+from hapaxchain import cli, corpus, persist
 from hapaxchain.cli import OPTIONS, PIPELINE, STAGES, _write_order_tables, main
 from hapaxchain.markov import order_test, simulate_order1
 from hapaxchain.mh_sampler import convergence_study
@@ -1186,3 +1188,52 @@ def test_pipeline_output_is_independent_of_output_dir(runner, rich_corpus_dir, t
     manifest = json.loads(read(tmp_path / "a" / "manifest.json"))
     assert "output_dir" not in manifest["config"]
     assert str(tmp_path) not in read(tmp_path / "a" / "manifest.json") + read(tmp_path / "a" / "extract_meta.json")
+
+
+# --------------------------------------------------------------- allocator
+
+
+def raising(exc):
+    def cdll(name):
+        raise exc
+    return cdll
+
+
+@pytest.mark.parametrize("cdll", [lambda name: SimpleNamespace(),
+                                  raising(OSError("cannot open shared object file")),
+                                  raising(TypeError("LoadLibrary() argument 1 must be str, not None"))],
+                         ids=["no-mallopt", "no-libc", "windows"])
+def test_freed_pages_setup_is_a_no_op_without_mallopt(monkeypatch, cdll):
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert cli._keep_freed_pages() is None
+
+
+def test_freed_pages_setup_sets_both_thresholds_on_each_call(monkeypatch):
+    calls = []
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=lambda *args: calls.append(args) or 1))
+    cli._keep_freed_pages()
+    cli._keep_freed_pages()
+    assert calls == [(-3, 1 << 20), (-1, 64 << 20)] * 2  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+
+@pytest.mark.parametrize("command, args", [
+    ("mcmc", ["--alpha", "6.029e8", "--beta", "2540", "--gamma", "1.896", "--rbar", "300", "--steps", "100000",
+              "--runs", "3", "--reference-size", "2000", "--save-samples"]),
+    ("pipeline", PIPELINE_ARGS),
+    ("ordertest", ["--replicates", "2", "--len1", "3000", "--len2", "3000"]),
+])
+def test_only_mcmc_sets_up_the_allocator_and_no_output_depends_on_it(runner, rich_corpus_dir, tmp_path, monkeypatch,
+                                                                     command, args):
+    out = tmp_path / "out"
+    outputs, calls = [], []
+    for setup in (cli._keep_freed_pages, lambda: calls.append(command)):
+        monkeypatch.setattr(cli, "_keep_freed_pages", setup)
+        shutil.rmtree(out, ignore_errors=True)
+        write_sequence_file(out)
+        source = [str(rich_corpus_dir)] if command == "pipeline" else []
+        result = runner.invoke(main, [command, *source, *args, "--output-dir", str(out)])
+        assert result.exit_code == 0, result.output
+        outputs.append(snapshot(out))
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0]) > 2  # the rank file and what the command wrote
+    assert calls == ([] if command == "ordertest" else [command])  # ordertest faults more with it (README)

@@ -153,6 +153,19 @@ def test_document_rejects_an_empty_hapax():
         Corpus.of([("d", ("a", ""))])
 
 
+@pytest.mark.parametrize("hapaxes, problem", [
+    (("a", 5), "hapaxes must be strings, got 5"),
+    ((b"a",), "hapaxes must be strings, got b'a'"),
+    ("abc", "hapaxes must be a sequence of strings, not the string 'abc'"),
+    ("", "hapaxes must be a sequence of strings, not the string ''"),
+])
+def test_corpus_of_takes_only_sequences_of_strings(hapaxes, problem):
+    # A bare string would pass as its letters, and a non-string hapax
+    # would end in a TypeError when the table sorts the words.
+    with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+        Corpus.of([("d0", ("a",)), ("d1", hapaxes)])
+
+
 # ------------------------------------------------------------ hapax table
 
 

@@ -1,11 +1,13 @@
 """The forked map that loads the corpus and runs the order-test simulations
 and the MH chains on every usable CPU: its results equal the serial loop's,
 and no worker outlives a call, whether it ends in a result, an exception or
-a dead worker."""
+a dead worker.  The processes' memory: the peak of saved chains, and the
+freed pages that ``mcmc`` keeps for its chains."""
 
 import dataclasses
 import multiprocessing
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -252,3 +254,46 @@ def test_saving_samples_keeps_a_flat_memory_peak(tmp_path):
         shutil.rmtree(out)  # 0.2 MB a chain
         peaks[runs] = int(proc.stdout) / 1024  # ru_maxrss is in KiB on Linux
     assert peaks[400] - peaks[100] < 15, peaks
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="ctypes.CDLL(None) opens no C library there")
+def test_importing_the_package_leaves_the_allocator_alone():
+    proc = run_python("""
+        import ctypes
+        looked_up = []
+        class Spy(ctypes.CDLL):
+            def __getattr__(self, name):
+                looked_up.append(name)
+                return super().__getattr__(name)
+        ctypes.CDLL = Spy
+        import hapaxchain, hapaxchain.mh_sampler
+        print("mallopt" in looked_up)
+        import hapaxchain.cli
+        hapaxchain.cli._keep_freed_pages()
+        print("mallopt" in looked_up)
+    """)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]  # the spy sees the setup, and the import does not run it
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the thresholds are glibc's")
+def test_mh_chains_reuse_freed_pages_after_the_setup():
+    # Without the setup, glibc trims the ~800 KB temporaries of a 100 000-step
+    # chain when they are freed, and each chain faults about 800 pages back in.
+    proc = run_python("""
+        import resource
+        from hapaxchain.cli import _keep_freed_pages
+        from hapaxchain.mh_sampler import run_chain
+        from hapaxchain.ranksize import ZMParams, target_distribution
+        _keep_freed_pages()
+        _keep_freed_pages()  # a second call is harmless
+        f = target_distribution(ZMParams(6.029e8, 2540.0, 1.896), 300)
+        run_chain(f, 100_000, 0)
+        for seed in range(1, 21):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            run_chain(f, 100_000, seed)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """)
+    assert proc.returncode == 0, proc.stderr
+    faults = [int(n) for n in proc.stdout.split()]
+    assert len(faults) == 20 and max(faults) < 50, faults
