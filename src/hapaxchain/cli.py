@@ -338,11 +338,9 @@ def _run_mcmc(o: dict) -> dict[str, Path]:
     reference = persist.read_rank_sequence(ref) if ref else iid_sample(f, size, child_seed(seed, 2**31))
     if ref and reference.max() > o["rbar"]:
         raise click.ClickException(f"--reference {ref}: ranks must lie in 1..{o['rbar']} (--rbar)")
-    samples = [out / f"mh_samples_{k}.txt" for k in range(o["runs"])] if o.get("save_samples") else []
-    # on_run runs in the process that ran chain k, so each chain is written where it was made.
-    report = convergence_study(f, o["runs"], o["steps"], reference, seed, levels, o["halve_alpha"], on_run=(
-        lambda k, result: persist.write_rank_sequence(samples[k], result.samples)) if samples else None)
-    outputs = {path.name: path for path in samples}
+    samples = [out / f"mh_samples_{k}.txt" for k in range(o["runs"])] if o.get("save_samples") else None
+    report = convergence_study(f, o["runs"], o["steps"], reference, seed, levels, o["halve_alpha"], samples)
+    outputs = {path.name: path for path in samples or ()}
     settings = {"runs": o["runs"], "seed": seed, "levels": levels, "halve_alpha": o["halve_alpha"]}
     config = {"stage": "mcmc", **vars(params), "r_bar": o["rbar"], "steps": o["steps"], **settings, **source}
     thresholds = _keyed(report.thresholds)

@@ -10,10 +10,10 @@ each to a reference sample with the KS statistic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
+from . import persist
 from .ranksize import TargetDistribution
 from .stats import DEFAULT_LEVELS, _ks_from_counts, _map_on_cpus, check_levels, child_seed, ks_threshold, pass_fractions
 
@@ -101,22 +101,23 @@ class ConvergenceReport:
 
 
 def convergence_study(f: TargetDistribution, runs: int, n_steps: int, reference, seed=0, levels=DEFAULT_LEVELS,
-                      halve_alpha: bool = True, on_run: Callable[[int, MHRunResult], None] | None = None
-                      ) -> ConvergenceReport:
+                      halve_alpha: bool = True, sample_paths=None) -> ConvergenceReport:
     """Run independent seeded chains and KS-compare each to ``reference``.
 
     Run k uses child k of the master seed ``seed`` (an integer, a
     sequence of them, or a ``SeedSequence``), spawn key (..., k), so the
     study is reproducible as a whole and each chain individually, and the
     chains run on every usable CPU (``stats._map_on_cpus``) with the same
-    results as one by one.  ``on_run``, when given, is called with k and
-    each chain's result in the process that ran it: a forked worker, which
-    keeps what it stores, or this one, in k order, when the chains run
-    here.  No chain is kept otherwise.  ``reference`` must hold ranks,
-    integers in 1..r_bar: KS is taken from per-rank counts.
+    results as one by one.  With ``sample_paths``, one path per run, the
+    task that ran chain k writes it to ``sample_paths[k]``
+    (``persist.write_rank_sequence``); no chain is kept otherwise, and none
+    travels back to this process.  ``reference`` must hold ranks, integers
+    in 1..r_bar: KS is taken from per-rank counts.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
+    if sample_paths is not None and len(sample_paths) != runs:
+        raise ValueError(f"sample_paths must hold one path per run ({runs}), got {len(sample_paths)}")
     levels = check_levels(levels)
     reference = np.asarray(reference).ravel()
     if reference.size == 0:
@@ -128,10 +129,10 @@ def convergence_study(f: TargetDistribution, runs: int, n_steps: int, reference,
     ref_counts = np.bincount(reference.astype(np.int64), minlength=f.r_bar + 1)
 
     def run(k: int) -> float:
-        result = run_chain(f, n_steps, child_seed(seed, k))
-        if on_run is not None:
-            on_run(k, result)
-        return _ks_from_counts(np.bincount(result.samples, minlength=f.r_bar + 1), ref_counts)
+        samples = run_chain(f, n_steps, child_seed(seed, k)).samples
+        if sample_paths is not None:
+            persist.write_rank_sequence(sample_paths[k], samples)
+        return _ks_from_counts(np.bincount(samples, minlength=f.r_bar + 1), ref_counts)
 
     ks_stats = _map_on_cpus(run, range(runs))
 

@@ -10,14 +10,12 @@ The exact kernel of the chain is available in closed form, which gives
 two independent checks of the sampler's target: detailed balance holds
 entrywise, and power iteration on the kernel recovers F.
 
-``convergence_study`` hands each chain to its ``on_run`` in the process
-that ran it, a forked worker on two CPUs or more, so a test reads the
-chains back from files: ``save_chains`` and ``saved_chains``.
+``convergence_study`` keeps no chain in memory, so a test that compares
+its chains with this loop passes ``sample_paths`` and reads the files
+back with ``persist.read_rank_sequence``.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 import numpy as np
 
@@ -89,22 +87,4 @@ def mean_acceptance_exact(f) -> float:
     p = np.asarray(f.probs, dtype=float)
     accept = np.minimum(1.0, p[None, :] / p[:, None])
     return float(p @ accept.mean(axis=1))
-
-
-def save_chains(directory):
-    """An ``on_run`` that writes chain k to ``directory/k.npz``, in whichever
-    process calls it; a second call for one k raises ``FileExistsError``."""
-    def save(k: int, result: MHRunResult) -> None:
-        with open(Path(directory) / f"{k}.npz", "xb") as fh:  # "x": the file must not exist yet
-            np.savez(fh, samples=result.samples, accepted=result.accepted)
-    return save
-
-
-def saved_chains(directory) -> dict[int, MHRunResult]:
-    """The chains :func:`save_chains` wrote to ``directory``, by k."""
-    chains = {}
-    for path in Path(directory).glob("*.npz"):
-        with np.load(path) as data:
-            chains[int(path.stem)] = MHRunResult(samples=data["samples"], accepted=int(data["accepted"]))
-    return chains
 

@@ -16,10 +16,10 @@ from pathlib import Path
 
 import corpus_reference
 import markov_reference
-import mh_reference
 import numpy as np
 import pytest
 
+from hapaxchain import persist
 from hapaxchain.corpus import IngestionError, load_documents
 from hapaxchain.markov import order_test
 from hapaxchain.mh_sampler import convergence_study, iid_sample, run_chain
@@ -211,30 +211,40 @@ def test_order_test_equals_the_replicate_loop(replicates, each_path):
 
 def test_convergence_study_equals_the_chain_loop(each_path, tmp_path):
     reference = iid_sample(LAW, 800, 1)
-    report = convergence_study(LAW, 5, 3000, reference, seed=23, on_run=mh_reference.save_chains(tmp_path))
+    paths = [tmp_path / f"{k}.txt" for k in range(5)]
+    report = convergence_study(LAW, 5, 3000, reference, seed=23, sample_paths=paths)
     assert multiprocessing.active_children() == []
-    chains = [run_chain(LAW, 3000, child_seed(23, k)) for k in range(5)]
-    assert report.ks_statistics == [ks_two_sample(c.samples, reference) for c in chains]
-    saved = mh_reference.saved_chains(tmp_path)
-    assert sorted(saved) == list(range(5))  # each k once: a second call for one k raises
-    for k, chain in enumerate(chains):
-        assert np.array_equal(saved[k].samples, chain.samples) and saved[k].accepted == chain.accepted
-
-
-def test_one_cpu_hands_the_chains_over_here_in_k_order(one_cpu):
-    calls = []
-    convergence_study(LAW, 5, 300, [1, 2, 3], seed=23, on_run=lambda k, result: calls.append((k, os.getpid())))
-    assert calls == [(k, os.getpid()) for k in range(5)]
+    chains = [run_chain(LAW, 3000, child_seed(23, k)).samples for k in range(5)]
+    assert report.ks_statistics == [ks_two_sample(c, reference) for c in chains]
+    for path, chain in zip(paths, chains):
+        assert np.array_equal(persist.read_rank_sequence(path), chain)
 
 
 @needs_two_cpus
-def test_two_cpus_hand_each_chain_over_in_the_worker_that_ran_it(tmp_path):
-    def note_pid(k, result):
-        (tmp_path / f"{k}.pid").write_text(str(os.getpid()))
+def test_saved_chains_are_the_same_bytes_on_one_cpu_and_on_all(tmp_path, monkeypatch):
+    def study(name: str) -> list[bytes]:
+        paths = [tmp_path / name / f"mh_samples_{k}.txt" for k in range(5)]
+        convergence_study(LAW, 5, 3000, [1, 2, 3], seed=23, sample_paths=paths)
+        assert multiprocessing.active_children() == []
+        return [path.read_bytes() for path in paths]
 
-    convergence_study(LAW, 5, 300, [1, 2, 3], seed=23, on_run=note_pid)
-    pids = [int(path.read_text()) for path in tmp_path.glob("*.pid")]
-    assert len(pids) == 5 and os.getpid() not in pids
+    forked = study("all")
+    allow_one_cpu(monkeypatch)
+    serial = study("one")
+    alone = [persist.write_rank_sequence(tmp_path / "alone" / f"{k}.txt",
+                                         run_chain(LAW, 3000, child_seed(23, k)).samples).read_bytes() for k in range(5)]
+    assert forked == serial == alone
+
+
+@pytest.mark.parametrize("count", [4, 6])
+def test_study_refuses_a_sample_path_count_other_than_runs(count, each_path, tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("a worker was forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    with pytest.raises(ValueError, match=rf"^sample_paths must hold one path per run \(5\), got {count}$"):
+        convergence_study(LAW, 5, 300, [1, 2, 3], seed=23, sample_paths=[tmp_path / f"{k}.txt" for k in range(count)])
+    assert list(tmp_path.iterdir()) == [] and multiprocessing.active_children() == []
 
 
 def test_saving_samples_keeps_a_flat_memory_peak(tmp_path):

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import mh_reference as ref
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mh_reference import acceptance_prob, mean_acceptance_exact, mh_transition_matrix, stationary_oracle
 
+from hapaxchain import persist
 from hapaxchain.mh_sampler import (
     convergence_study,
     iid_sample,
@@ -35,6 +37,13 @@ def random_target(rng, size):
     if np.any(np.diff(raw) >= 0):  # nudge exact ties apart
         raw = raw + np.linspace(size * 1e-9, 0.0, size)
     return TargetDistribution(probs=raw / raw.sum())
+
+
+def study_with_chains(directory, f, runs, *args, **kwargs):
+    """``convergence_study(f, runs, ...)`` with chain k saved to ``directory/k.txt``, and the chains read back."""
+    paths = [Path(directory) / f"{k}.txt" for k in range(runs)]
+    report = convergence_study(f, runs, *args, sample_paths=paths, **kwargs)
+    return report, [persist.read_rank_sequence(path) for path in paths]
 
 
 # --------------------------------------------------------------- acceptance
@@ -405,14 +414,13 @@ def test_study_flags_wrong_reference():
     assert np.mean(report_flat.ks_statistics) < np.mean(report.ks_statistics) / 5
 
 
-def test_study_hands_each_run_to_callback(tmp_path):
+def test_study_writes_each_run_to_its_path(tmp_path):
     f = target(0.5, 0.3, 0.2)
-    report = convergence_study(f, 3, 400, [1, 2, 3], seed=4, on_run=ref.save_chains(tmp_path))
-    seen = ref.saved_chains(tmp_path)
-    assert sorted(seen) == [0, 1, 2]  # each k once: a second call for one k raises
-    for k, result in seen.items():
+    report, seen = study_with_chains(tmp_path, f, 3, 400, [1, 2, 3], seed=4)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["0.txt", "1.txt", "2.txt"]
+    for k, samples in enumerate(seen):
         alone = run_chain(f, n_steps=400, seed=np.random.SeedSequence(entropy=4, spawn_key=(k,)))
-        assert np.array_equal(result.samples, alone.samples)
+        assert np.array_equal(samples, alone.samples)
     assert report == convergence_study(f, 3, 400, [1, 2, 3], seed=4)
 
 
@@ -421,12 +429,10 @@ def test_study_records_integral_seeds(tmp_path):
     report = convergence_study(f, 2, 500, [1, 2, 3], seed=np.int64(7))
     assert report == convergence_study(f, 2, 500, [1, 2, 3], seed=7)
     # A sequence of integers is a master seed too: run k draws from its child k.
-    convergence_study(f, 2, 500, [1, 2, 3], seed=[7, 8], on_run=ref.save_chains(tmp_path))
-    seen = ref.saved_chains(tmp_path)
-    assert sorted(seen) == [0, 1]
-    for k, result in seen.items():
+    _, seen = study_with_chains(tmp_path, f, 2, 500, [1, 2, 3], seed=[7, 8])
+    for k, samples in enumerate(seen):
         alone = run_chain(f, n_steps=500, seed=np.random.SeedSequence([7, 8], spawn_key=(k,)))
-        assert np.array_equal(result.samples, alone.samples)
+        assert np.array_equal(samples, alone.samples)
 
 
 def test_study_takes_a_seed_sequence_as_master_seed(tmp_path):
@@ -435,12 +441,10 @@ def test_study_takes_a_seed_sequence_as_master_seed(tmp_path):
     assert report.ks_statistics == convergence_study(f, 2, 500, [1, 2, 3], seed=7).ks_statistics
     # A spawned sequence hands run k the stream of its child k.
     master = np.random.SeedSequence(7).spawn(3)[2]
-    convergence_study(f, 2, 500, [1, 2, 3], seed=master, on_run=ref.save_chains(tmp_path))
-    seen = ref.saved_chains(tmp_path)
-    assert sorted(seen) == [0, 1]
-    for k, result in seen.items():
+    _, seen = study_with_chains(tmp_path, f, 2, 500, [1, 2, 3], seed=master)
+    for k, samples in enumerate(seen):
         alone = run_chain(f, n_steps=500, seed=np.random.SeedSequence(7, spawn_key=(2, k)))
-        assert np.array_equal(result.samples, alone.samples)
+        assert np.array_equal(samples, alone.samples)
     assert master.n_children_spawned == 0
 
 
@@ -452,30 +456,24 @@ def test_study_ks_equals_the_sort_based_statistic(r_bar, gamma, runs, n_steps, d
     f = target_distribution(ZMParams(1.0, 0.0, gamma), r_bar)
     reference = data.draw(st.lists(st.integers(min_value=1, max_value=r_bar), min_size=1, max_size=300))
     with tempfile.TemporaryDirectory() as chains:  # one per example: tmp_path is one per test
-        report = convergence_study(f, runs, n_steps, reference, seed=data.draw(st.integers(0, 2**32)),
-                                   on_run=ref.save_chains(chains))
-        seen = ref.saved_chains(chains)
-    assert sorted(seen) == list(range(runs))
-    assert report.ks_statistics == [stats_reference.ks_two_sample(seen[k].samples, reference) for k in range(runs)]
+        report, seen = study_with_chains(chains, f, runs, n_steps, reference, seed=data.draw(st.integers(0, 2**32)))
+    assert report.ks_statistics == [stats_reference.ks_two_sample(samples, reference) for samples in seen]
 
 
 def test_study_ks_equals_the_sort_based_statistic_at_paper_law(tmp_path):
     f = target_distribution(REFERENCE_PARAMS, 300)
     reference = iid_sample(f, 3000, seed=5)
-    report = convergence_study(f, 4, 20_000, reference, seed=3, on_run=ref.save_chains(tmp_path))
-    seen = ref.saved_chains(tmp_path)
-    assert sorted(seen) == [0, 1, 2, 3]
-    assert report.ks_statistics == [stats_reference.ks_two_sample(seen[k].samples, reference) for k in range(4)]
+    report, seen = study_with_chains(tmp_path, f, 4, 20_000, reference, seed=3)
+    assert report.ks_statistics == [stats_reference.ks_two_sample(samples, reference) for samples in seen]
 
 
 @pytest.mark.parametrize("reference, bad", [
     ([1, 2, 0], "0"), ([3, -1], "-1"), ([1, 301, 302], "301"), ([1, 2.5], "2.5"), ([1.0, float("nan")], "nan")])
-def test_study_rejects_references_that_are_not_ranks(reference, bad):
-    ran = []
+def test_study_rejects_references_that_are_not_ranks(reference, bad, tmp_path):
     with pytest.raises(ValueError, match=rf"^reference ranks must be integers in 1\.\.300, got {bad}$"):
         convergence_study(target_distribution(REFERENCE_PARAMS, 300), 1, 10, reference,
-                          on_run=lambda k, r: ran.append(k))
-    assert ran == []
+                          sample_paths=[tmp_path / "0.txt"])
+    assert list(tmp_path.iterdir()) == []  # rejected before any chain runs
 
 
 def test_study_takes_integral_float_ranks_as_ranks():
@@ -494,8 +492,9 @@ def test_study_validates_inputs():
 @pytest.mark.parametrize("levels", [(), (0.05, 0.05)])
 def test_study_rejects_empty_or_repeated_levels(levels, tmp_path):
     with pytest.raises(ValueError, match="non-empty, distinct"):
-        convergence_study(target(0.6, 0.4), 2, 100, [1, 2, 3], levels=levels, on_run=ref.save_chains(tmp_path))
-    assert ref.saved_chains(tmp_path) == {}  # rejected before any chain runs
+        convergence_study(target(0.6, 0.4), 2, 100, [1, 2, 3], levels=levels,
+                          sample_paths=[tmp_path / "0.txt", tmp_path / "1.txt"])
+    assert list(tmp_path.iterdir()) == []  # rejected before any chain runs
 
 
 # -------------------------------------------------------------- iid sample
