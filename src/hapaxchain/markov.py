@@ -195,7 +195,7 @@ def simulate_order1(tm: TransitionMatrix1, length: int, seed) -> np.ndarray:
     path = [current]
     if length > 1:
         cum, columns = tm._walk
-        for u in rng.random(length - 1).tolist():
+        for u in memoryview(rng.random(length - 1)):
             current = columns[current][bisect_right(cum[current], u)]
             path.append(current)
     return tm.states[path]
@@ -219,7 +219,7 @@ def simulate_order2(tm: TransitionMatrix2, length: int, seed) -> np.ndarray:
         row_of, indptr, indices, cum = tm._walk
         fallback_row = tm.pair_codes.size
         last = n - 1
-        for u in rng.random(length - 2).tolist():
+        for u in memoryview(rng.random(length - 2)):
             r = row_of.get(prev * n + current, fallback_row + current)
             hi = indptr[r + 1]
             k = bisect_right(cum, u, indptr[r], hi)

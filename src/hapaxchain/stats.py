@@ -221,11 +221,12 @@ def _usable_cpus() -> int:
 
 
 def _map_on_cpus(fn, items) -> list:
-    """``[fn(x) for x in items]``, in item order, over one forked worker per
-    usable CPU and at most one per item.  Each worker inherits ``fn`` at the
-    fork, so it may close over arrays; only items and results are pickled.
-    Runs in this process when fewer than two workers would start or ``fork``
-    is missing.  An exception ``fn`` raises reaches the caller, and a worker
+    """``[fn(x) for x in items]``, in item order, over blocks of ⌈items /
+    usable CPUs⌉ items, each sent as one pool task to a forked worker of
+    its own.  Each worker inherits ``fn`` at the fork, so it may close over
+    arrays; only items and results are pickled.  Runs in this process when
+    fewer than two blocks would be cut or ``fork`` is missing.  The earliest
+    item's exception reaches the caller as ``fn`` raised it, and a worker
     that dies raises ``BrokenProcessPool``; every worker has exited when
     this returns."""
     # Imported here: only the stages that map over CPUs pay the 4 ms and 0.6 MB they cost.
@@ -233,12 +234,13 @@ def _map_on_cpus(fn, items) -> list:
     from concurrent.futures import ProcessPoolExecutor
 
     items = list(items)
-    workers = min(_usable_cpus(), len(items))
+    block = -(-len(items) // _usable_cpus()) or 1
+    workers = -(-len(items) // block)  # one per block, so no worker is forked idle
     if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
         return [fn(x) for x in items]
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                              initializer=_set_task, initargs=(fn,)) as pool:
-        return list(pool.map(_run_task, items))
+        return list(pool.map(_run_task, items, chunksize=block))
 
 
 def chi_square_gof(observed_counts, expected_probs) -> tuple[float, int]:

@@ -87,16 +87,42 @@ def test_a_single_item_runs_in_this_process():
     assert _map_on_cpus(lambda _: os.getpid(), [0]) == [os.getpid()]
 
 
-def test_an_exception_in_a_task_reaches_the_caller_as_it_was(each_path):
+# On two CPUs, item 3 fails only in the later block, after the earlier one
+# succeeded; items 1 and 4 fail one in each block, and the earlier wins, as in the loop.
+@pytest.mark.parametrize("bad, first", [({3}, 3), ({1, 4}, 1)])
+def test_an_exception_in_a_task_reaches_the_caller_as_it_was(bad, first, each_path):
     def task(x):
-        if x == 3:
+        if x in bad:
             raise ValueError(f"item {x} is bad")
         return x
 
     with pytest.raises(ValueError) as info:
         _map_on_cpus(task, range(6))
-    assert str(info.value) == "item 3 is bad"
+    assert str(info.value) == f"item {first} is bad"
     assert multiprocessing.active_children() == []
+
+
+@needs_two_cpus
+def test_each_block_runs_whole_in_one_worker(monkeypatch):
+    # Two CPUs give blocks of 4 and 3 items.  Which worker takes a block is
+    # the executor's choice: one worker may run both, so two pids are not asserted.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    pids = _map_on_cpus(lambda k: os.getpid(), range(7))
+    assert len(set(pids[:4])) == 1 and len(set(pids[4:])) == 1
+    assert os.getpid() not in pids
+    assert multiprocessing.active_children() == []
+
+
+@needs_two_cpus
+def test_no_more_workers_are_forked_than_blocks(monkeypatch):
+    # Three CPUs and four items give blocks of 2, so two workers, not three.
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    assert _map_on_cpus(lambda k: k * k, range(4)) == [0, 1, 4, 9]
+    assert len(forks) == 2 and multiprocessing.active_children() == []
 
 
 @needs_two_cpus
