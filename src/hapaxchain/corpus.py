@@ -19,7 +19,7 @@ import unicodedata
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, count, filterfalse, repeat
 from pathlib import Path
 
@@ -206,11 +206,11 @@ def document_paths(input_dir: str | Path, manifest: str | Path | None = None) ->
     return paths
 
 
-def _load_chunk(paths: list[Path]) -> tuple[list[str], str, np.ndarray, np.ndarray]:
+def _load_chunk(paths: list[Path], joined: bool) -> tuple[list[str], str | dict[str, int], np.ndarray, np.ndarray]:
     """Read, hash and tokenize the documents at ``paths``, in order: their digests, the
     chunk's hapax words in first-seen order, and its hapax ids with each document's end.
-    The words come as one space-joined string, as no token holds whitespace: from a
-    worker, one string pickles in a tenth of the time a list of them takes."""
+    The words come as their id dict or, ``joined``, as one space-joined string, as no token
+    holds whitespace: from a worker, one string pickles in a tenth of the time a list takes."""
     digests = []
 
     def hapax_lists():
@@ -227,7 +227,7 @@ def _load_chunk(paths: list[Path]) -> tuple[list[str], str, np.ndarray, np.ndarr
 
     ids: dict[str, int] = {}
     codes, ends = _number(hapax_lists(), ids)
-    return digests, " ".join(ids), codes, ends
+    return digests, " ".join(ids) if joined else ids, codes, ends
 
 
 def load_documents(input_dir: str | Path, manifest: str | Path | None = None) -> Corpus:
@@ -237,10 +237,10 @@ def load_documents(input_dir: str | Path, manifest: str | Path | None = None) ->
     The documents load in contiguous chunks, one per usable CPU (``stats._map_on_cpus``);
     each chunk's words are then renumbered into the corpus's first-seen order."""
     paths = document_paths(input_dir, manifest)
-    n = min(_usable_cpus(), len(paths))
-    chunks = _map_on_cpus(_load_chunk, [paths[len(paths) * k // n:len(paths) * (k + 1) // n] for k in range(n)])
-    digests, words, codes, ends = zip(*chunks)
-    ids = dict(zip(words[0].split(), count()))  # the first chunk's ids are the corpus's
+    n = min(len(_usable_cpus()), len(paths))
+    chunks = [paths[len(paths) * k // n:len(paths) * (k + 1) // n] for k in range(n)]
+    digests, words, codes, ends = zip(*_map_on_cpus(partial(_load_chunk, joined=n > 1), chunks))
+    ids = dict(zip(words[0].split(), count())) if n > 1 else words[0]  # the first chunk's ids are the corpus's
     later, word_ends = _number([w.split() for w in words[1:]], ids)  # each later chunk's words as corpus ids
     codes = [codes[0], *(later[start:end][c] for start, end, c in zip([0, *word_ends[:-1]], word_ends, codes[1:]))]
     ends = [e + start for start, e in zip(np.cumsum([0, *map(len, codes[:-1])]), ends)]

@@ -207,40 +207,51 @@ def child_seed(seed, *key: int) -> np.random.SeedSequence:
 _task = None  # set only in a forked worker, which serves one _map_on_cpus call
 
 
-def _set_task(fn) -> None:
+def _set_task(fn, cpus: list[int], block: int) -> None:
     global _task
-    _task = fn
+    _task = fn, cpus, block
 
 
-def _run_task(item):
-    return _task(item)
+def _run_task(index: int, item):
+    """``fn(item)``; the first item of block ``b`` first moves this worker onto
+    ``cpus[b]`` and hands the full set back, so the kernel may still migrate it."""
+    fn, cpus, block = _task
+    if index % block == 0 and hasattr(os, "sched_setaffinity"):
+        try:
+            os.sched_setaffinity(0, {cpus[index // block]})
+            os.sched_setaffinity(0, cpus)
+        except OSError:  # a CPU this process may not take
+            pass
+    return fn(item)
 
 
-def _usable_cpus() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+def _usable_cpus() -> list[int]:
+    """The sorted ids of the CPUs this process may run on."""
+    return sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else list(range(os.cpu_count() or 1))
 
 
 def _map_on_cpus(fn, items) -> list:
     """``[fn(x) for x in items]``, in item order, over blocks of ⌈items /
     usable CPUs⌉ items, each sent as one pool task to a forked worker of
-    its own.  Each worker inherits ``fn`` at the fork, so it may close over
-    arrays; only items and results are pickled.  Runs in this process when
-    fewer than two blocks would be cut or ``fork`` is missing.  The earliest
-    item's exception reaches the caller as ``fn`` raised it, and a worker
-    that dies raises ``BrokenProcessPool``; every worker has exited when
-    this returns."""
+    its own, which starts the block on a CPU of its own: forked workers
+    otherwise start, and stay, on this process's CPU.  Each worker inherits
+    ``fn`` at the fork, so it may close over arrays; only items and results
+    are pickled.  Runs in this process when fewer than two blocks would be
+    cut or ``fork`` is missing.  The earliest item's exception reaches the
+    caller as ``fn`` raised it, and a worker that dies raises
+    ``BrokenProcessPool``; every worker has exited when this returns."""
     # Imported here: only the stages that map over CPUs pay the 4 ms and 0.6 MB they cost.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    items = list(items)
-    block = -(-len(items) // _usable_cpus()) or 1
+    items, cpus = list(items), _usable_cpus()
+    block = -(-len(items) // len(cpus)) or 1
     workers = -(-len(items) // block)  # one per block, so no worker is forked idle
     if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
         return [fn(x) for x in items]
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_set_task, initargs=(fn,)) as pool:
-        return list(pool.map(_run_task, items, chunksize=block))
+                             initializer=_set_task, initargs=(fn, cpus, block)) as pool:
+        return list(pool.map(_run_task, range(len(items)), items, chunksize=block))
 
 
 def chi_square_gof(observed_counts, expected_probs) -> tuple[float, int]:

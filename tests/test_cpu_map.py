@@ -1,8 +1,9 @@
 """The forked map that loads the corpus and runs the order-test simulations
 and the MH chains on every usable CPU: its results equal the serial loop's,
 and no worker outlives a call, whether it ends in a result, an exception or
-a dead worker.  The processes' memory: the peak of saved chains, and the
-freed pages that ``mcmc`` keeps for its chains."""
+a dead worker, and each block starts on a CPU of its own.  The processes'
+memory: the peak of saved chains, and the freed pages that ``mcmc`` keeps
+for its chains."""
 
 import dataclasses
 import multiprocessing
@@ -30,6 +31,7 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 needs_two_cpus = pytest.mark.skipif(CPUS < 2 or "fork" not in multiprocessing.get_all_start_methods(),
                                     reason="the forked path needs two usable CPUs and fork")
+on_linux = pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux's CPU placement")
 
 
 def allow_one_cpu(patch) -> None:
@@ -123,6 +125,44 @@ def test_no_more_workers_are_forked_than_blocks(monkeypatch):
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     assert _map_on_cpus(lambda k: k * k, range(4)) == [0, 1, 4, 9]
     assert len(forks) == 2 and multiprocessing.active_children() == []
+
+
+def cpu_and_mask() -> tuple[int, set[int]]:
+    """The CPU this process runs on (field 39 of ``/proc/self/stat``) and its affinity mask."""
+    with open("/proc/self/stat", encoding="utf-8") as stat:
+        return int(stat.read().rsplit(")", 1)[1].split()[36]), os.sched_getaffinity(0)
+
+
+@needs_two_cpus
+@on_linux
+def test_each_block_starts_on_a_cpu_of_its_own_and_keeps_every_cpu():
+    # Forked workers would otherwise start, and stay, on this process's CPU.
+    mask, items = os.sched_getaffinity(0), range(2 * CPUS)  # one block of 2 items per CPU
+    out = _map_on_cpus(lambda k: (k * k, *cpu_and_mask()), items)
+    assert [v for v, _, _ in out] == [k * k for k in items]
+    assert [cpu for _, cpu, _ in out[::2]] == sorted(mask)
+    assert all(got == mask for _, _, got in out)
+    assert multiprocessing.active_children() == []
+
+
+@needs_two_cpus
+@on_linux
+def test_a_cpu_the_process_cannot_take_leaves_the_results_alone(monkeypatch):
+    # The last block is placed on a CPU id no machine has; the worker keeps its mask.
+    mask, missing, getaffinity = os.sched_getaffinity(0), 1 << 16, os.sched_getaffinity
+    with pytest.raises(OSError):
+        os.sched_setaffinity(0, {missing})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: mask | {missing})
+    items = range(2 * (CPUS + 1))
+    assert _map_on_cpus(lambda k: (k * k, getaffinity(0)), items) == [(k * k, mask) for k in items]
+    assert multiprocessing.active_children() == []
+
+
+@needs_two_cpus
+def test_a_platform_without_sched_setaffinity_maps_unplaced(monkeypatch):
+    monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    assert _map_on_cpus(lambda k: k * k, range(7)) == [k * k for k in range(7)]
+    assert multiprocessing.active_children() == []
 
 
 @needs_two_cpus
