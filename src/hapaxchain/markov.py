@@ -18,8 +18,9 @@ from itertools import accumulate, chain, pairwise
 
 import numpy as np
 
-from .stats import (DEFAULT_LEVELS, _describe, _ks_from_counts, _map_on_cpus, _tally, _wmw_from_counts, check_levels,
-                    child_seed, chi_square_gof, chi_square_threshold, ks_threshold, pass_fractions, shannon_entropy)
+from .stats import (DEFAULT_LEVELS, _describe, _distinct, _ks_from_counts, _map_on_cpus, _tally, _wmw_from_counts,
+                    check_levels, child_seed, chi_square_gof, chi_square_threshold, ks_threshold, pass_fractions,
+                    shannon_entropy)
 
 __all__ = [
     "TransitionMatrix1",
@@ -112,13 +113,29 @@ class TransitionMatrix2(_TransitionRows):
         )
 
 
+def _as_states(seq) -> np.ndarray:
+    """``seq`` as int64 states; a ``ValueError`` names its first value that is not an integer (integer-valued
+    floats and bools are taken as they are)."""
+    given = np.asarray(seq)
+    with np.errstate(invalid="ignore"):  # NaN and infinities are named below
+        values = np.asarray(given, dtype=np.int64)
+    if given.dtype.kind in "fcO":
+        bad = np.flatnonzero(values != given)
+        if bad.size:
+            raise ValueError(f"states must be integers, got {given[bad[0]]} at position {bad[0]}")
+    return values
+
+
 def _count_pairs(values: np.ndarray):
     """The one counting pass over a sequence: its sorted distinct
     ``states``, the state index ``idx`` of each observation, the sorted
     codes ``i * n + j`` of the observed transitions ``pair_codes``, the
-    row in ``pair_codes`` of each step, and the ``pair_counts``."""
-    states, idx = np.unique(values, return_inverse=True)
-    return states, idx, *np.unique(idx[:-1] * states.size + idx[1:], return_inverse=True, return_counts=True)
+    row in ``pair_codes`` of each step, and the ``pair_counts``.  Both
+    counts are ``stats._distinct``'s, so temporaries are O(length): a
+    bincount for dense ranks, and for their pair codes while states² stays
+    within the length, a sort for sparse or huge ids."""
+    states, idx, _ = _distinct(values)
+    return states, idx, *_distinct(idx[:-1] * states.size + idx[1:])
 
 
 def _count_rows(codes: np.ndarray, counts: np.ndarray, n_rows: int, n_states: int):
@@ -154,7 +171,7 @@ def estimate_order1(seq) -> TransitionMatrix1:
     of the sequence) gets a self-loop of count 0 and probability 1 so
     the matrix stays stochastic.
     """
-    values = np.asarray(seq, dtype=np.int64)
+    values = _as_states(seq)
     if values.size < 2:
         raise ValueError(f"need a sequence of length >= 2, got {values.size}")
     return _order1(_count_pairs(values))
@@ -164,9 +181,12 @@ def estimate_order2(seq) -> TransitionMatrix2:
     """Estimate next-state probabilities conditioned on the last two states.
 
     Storage is O(observed pairs + observed triples); no table spans all
-    pairs of states.  ``fallback`` is the sequence's first-order matrix.
+    pairs of states.  Temporaries are O(length): states and pairs
+    are counted as in :func:`_count_pairs`, and the triples, whose codes
+    span pairs × states, by one sort.  ``fallback`` is the sequence's
+    first-order matrix.
     """
-    values = np.asarray(seq, dtype=np.int64)
+    values = _as_states(seq)
     if values.size < 3:
         raise ValueError(f"need a sequence of length >= 3, got {values.size}")
     states, idx, pair_codes, pair_rows, pair_counts = counted = _count_pairs(values)
@@ -198,7 +218,7 @@ def simulate_order1(tm: TransitionMatrix1, length: int, seed) -> np.ndarray:
         for u in memoryview(rng.random(length - 1)):
             current = columns[current][bisect_right(cum[current], u)]
             path.append(current)
-    return tm.states[path]
+    return tm.states[np.fromiter(path, np.intp, length)]
 
 
 def simulate_order2(tm: TransitionMatrix2, length: int, seed) -> np.ndarray:
@@ -225,7 +245,7 @@ def simulate_order2(tm: TransitionMatrix2, length: int, seed) -> np.ndarray:
             k = bisect_right(cum, u, indptr[r], hi)
             prev, current = current, (indices[k] if k < hi else last)
             path.append(current)
-    return tm.states[path[:length]]
+    return tm.states[np.fromiter(path, np.intp, length)]
 
 
 @dataclass(frozen=True)
@@ -283,7 +303,7 @@ def order_test(seq, replicates: int = 100, len1: int | None = None, len2: int | 
         if length is not None and length < least:
             raise ValueError(f"{name} must be >= {least}, got {length}")
     levels = check_levels(levels)
-    values = np.asarray(seq, dtype=np.int64)
+    values = _as_states(seq)
     tm2 = estimate_order2(values)
     tm1 = tm2.fallback
     len1 = len1 if len1 is not None else int(values.size)

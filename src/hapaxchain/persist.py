@@ -21,6 +21,7 @@ import numpy as np
 
 from .corpus import HapaxTable
 from .ranksize import TargetDistribution
+from .stats import _distinct
 
 __all__ = [
     "atomic_write_text",
@@ -193,7 +194,7 @@ def read_hapax_table(path: str | Path) -> HapaxTable:
 
 def write_rank_sequence(path: str | Path, values) -> Path:
     values = np.asarray(values, dtype=np.int64)
-    distinct, inverse = np.unique(values, return_inverse=True)
+    distinct, inverse, _ = _distinct(values)
     lines = np.array([f"{r}\n" for r in distinct.tolist()], dtype=object)  # one string per distinct value
     return atomic_write_text(path, "".join(lines[inverse].tolist()))
 

@@ -5,9 +5,9 @@ indicators, the two-sample Kolmogorov-Smirnov statistic with its
 closed-form threshold family, a chi-square goodness-of-fit statistic,
 the Wilcoxon-Mann-Whitney rank-sum test (normal approximation with tie
 correction), Shannon entropy, the check on significance levels, per-level
-pass fractions, the child seeds that replicates and runs draw from, and
-the map that spreads those independent draws, and the corpus's documents,
-over the usable CPUs.
+pass fractions, the distinct values of an integer array, the child seeds
+that replicates and runs draw from, and the map that spreads those
+independent draws, and the corpus's documents, over the usable CPUs.
 """
 
 from __future__ import annotations
@@ -61,7 +61,8 @@ class DescriptiveStats:
 
 def _tally(*samples) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct values of the pooled samples, and one row per sample of
-    its count of each (as floats): the only place this module sorts a sample.
+    its count of each (as floats): the one place this module sorts pooled
+    samples (``_distinct`` sorts only spans beyond its bincount bound).
     Each is sorted in its own dtype; the counts of its values that round to
     one float (ints beyond 2**53) are added up."""
     tallies = [np.unique(np.asarray(s).ravel(), return_counts=True) for s in samples]
@@ -69,6 +70,21 @@ def _tally(*samples) -> tuple[np.ndarray, np.ndarray]:
     values = np.unique(np.concatenate([seen for seen, _ in tallies]))
     counts = [np.bincount(np.searchsorted(values, seen), weights=c, minlength=values.size) for seen, c in tallies]
     return values, np.array(counts)
+
+
+def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.unique(a, return_inverse=True, return_counts=True)`` of a 1-d integer array, with the same values and
+    dtypes: one ``bincount`` when the values span at most ``a.size``, as dense ranks do, else the sort.
+    Temporaries are O(``a.size``)."""
+    lo, hi = (int(a.min()), int(a.max())) if a.size else (0, 0)
+    if not a.size or hi - lo > a.size:  # in Python ints: the span may pass 2**63
+        return np.unique(a, return_inverse=True, return_counts=True)
+    shifted = a - lo
+    counts = np.bincount(shifted)
+    seen = np.flatnonzero(counts)
+    index = np.zeros(counts.size, np.intp)
+    index[seen] = np.arange(seen.size)
+    return (seen + lo).astype(a.dtype), index[shifted], counts[seen]
 
 
 def derived_indicators(mean: float, std_dev: float, median: float, n: int) -> tuple[float, float, float]:

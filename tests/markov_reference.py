@@ -80,6 +80,13 @@ class DenseTransitionMatrix2:
         return int(self.states.size)
 
 
+def count_pairs(values: np.ndarray):
+    """States, each observation's state index, and the observed pair codes ``i * n + j`` with each step's
+    row among them and their counts, by two sorts."""
+    states, idx = np.unique(values, return_inverse=True)
+    return states, idx, *np.unique(idx[:-1] * states.size + idx[1:], return_inverse=True, return_counts=True)
+
+
 def estimate_order1(seq) -> DenseTransitionMatrix1:
     values = np.asarray(seq, dtype=np.int64)
     if values.size < 2:
@@ -103,12 +110,8 @@ def estimate_order2(seq) -> DenseTransitionMatrix2:
     values = np.asarray(seq, dtype=np.int64)
     if values.size < 3:
         raise ValueError(f"need a sequence of length >= 3, got {values.size}")
-    states, idx = np.unique(values, return_inverse=True)
+    states, idx, observed_pairs, pair_rows, pair_counts = count_pairs(values)
     n = states.size
-    pair_codes = idx[:-1] * n + idx[1:]
-    observed_pairs, pair_rows, pair_counts = np.unique(
-        pair_codes, return_inverse=True, return_counts=True
-    )
     counts = np.zeros((observed_pairs.size, n), dtype=np.int64)
     np.add.at(counts, (pair_rows[:-1], idx[2:]), 1)
     probs = np.zeros_like(counts, dtype=float)
@@ -124,7 +127,7 @@ def estimate_order2(seq) -> DenseTransitionMatrix2:
         pair_index=pair_index,
         counts=counts,
         probs=probs,
-        pair_marginal=pair_counts / pair_codes.size,
+        pair_marginal=pair_counts / pair_rows.size,
         fallback=estimate_order1(values),
     )
 

@@ -132,6 +132,26 @@ def test_estimate_order2_too_short():
         estimate_order2(seq([1, 2]))
 
 
+@pytest.mark.parametrize("estimate", [
+    estimate_order1,
+    estimate_order2,
+    lambda values: order_test(values, replicates=1),
+], ids=["estimate_order1", "estimate_order2", "order_test"])
+def test_states_that_are_not_integers_are_rejected(estimate):
+    # They used to be truncated: this order test estimated the states 1 and 2, with an observed mean of 1.5.
+    with pytest.raises(ValueError, match=r"^states must be integers, got 1\.5 at position 0$"):
+        estimate([1.5, 2.7, 1.2, 2.9, 1.5, 2.2] * 5)
+    with pytest.raises(ValueError, match=r"^states must be integers, got nan at position 3$"):
+        estimate(np.array([1.0, 2.0, 1.0, np.nan, 2.0, 1.0]))
+    # Integer-valued floats and bools are the integers they equal.
+    as_ints = [1, 2, 1, 1, 2, 2, 1, 2] * 4
+    for values in ([float(v) for v in as_ints], [v == 2 for v in as_ints]):
+        want = estimate(np.asarray(values, dtype=np.int64))
+        got = estimate(values)
+        for field in dataclasses.fields(got):
+            assert repr(getattr(got, field.name)) == repr(getattr(want, field.name))
+
+
 @settings(max_examples=50)
 @given(st.lists(st.integers(min_value=1, max_value=5), min_size=3, max_size=200))
 def test_estimated_rows_are_stochastic(values):
@@ -242,8 +262,14 @@ def assert_simulations_match(values, length, seed, start=None):
     assert got.tolist() == want.tolist()
 
 
-@settings(max_examples=60)
-@given(st.lists(st.integers(min_value=1, max_value=6), min_size=3, max_size=120), st.integers(0, 2**32 - 1))
+# A few ranks spread up to 2**62 span more than stats._distinct's bincount bound, so their states take its sort.
+SPREAD_RANKS = st.lists(st.integers(1, 2**62), min_size=1, max_size=6, unique=True)
+
+
+@settings(max_examples=120)
+@given(st.one_of(st.lists(st.integers(min_value=1, max_value=6), min_size=3, max_size=120),
+                 SPREAD_RANKS.flatmap(lambda ranks: st.lists(st.sampled_from(ranks), min_size=3, max_size=120))),
+       st.integers(0, 2**32 - 1))
 def test_estimates_equal_dense_reference(values, seed):
     tm, dense = estimate_order2(values), ref.estimate_order2(values)
     tm1, dense1 = estimate_order1(values), ref.estimate_order1(values)
@@ -257,6 +283,17 @@ def test_estimates_equal_dense_reference(values, seed):
         assert dense_row(tm, pair_row(tm, i, j), "counts").tolist() == dense.counts[r].tolist()
     assert len(dense.pair_index) == tm.pair_codes.size
     assert_simulations_match(values, 60, seed)
+
+
+def test_count_pairs_equals_sort_based_counting():
+    # 300 states over 20 000 steps: the states take the bincount, and their pair codes, which span
+    # about 90 000 > 19 999 pairs, the sort.
+    values = np.random.default_rng(29).integers(1, 301, size=20_000)
+    got, want = markov._count_pairs(values), ref.count_pairs(values)
+    assert got[0].size == 300 and got[2].max() - got[2].min() > values.size - 1
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype
+        assert g.tolist() == w.tolist()
 
 
 def test_simulations_equal_dense_reference_with_drawn_initial_pair():

@@ -5,6 +5,7 @@ import dataclasses
 import inspect
 import math
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+from hapaxchain import stats
 from hapaxchain.stats import (
     check_levels,
     chi_square_gof,
@@ -387,6 +389,61 @@ def test_wmw_null_calibration():
         _, p = wmw_test(a, b)
         below += p < 0.05
     assert 0.03 <= below / reps <= 0.07
+
+
+# ---------------------------------------------------------------- distinct
+
+
+def assert_distinct_equals_unique(a):
+    got, want = stats._distinct(a), np.unique(a, return_inverse=True, return_counts=True)
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype
+        assert g.tolist() == w.tolist()
+
+
+def distinct_sorts(a) -> bool:
+    """Whether ``stats._distinct(a)`` takes the sort rather than the bincount."""
+    with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+        stats._distinct(a)
+    return unique.called
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_distinct_equals_unique(data):
+    # Dense spans, spans about the bound, the array's size (a bincount at or below it, the sort
+    # above), and spans up to the whole int64 range, anywhere in it.
+    free = data.draw(st.integers(0, 30))
+    exact = data.draw(st.booleans())  # the span is exactly ``span``
+    size = free + 2 * exact
+    span = data.draw(st.one_of(st.integers(0, 40), st.integers(max(size - 2, 0), size + 2), st.integers(0, 2**64 - 1)))
+    lo = data.draw(st.integers(-(2**63), 2**63 - 1 - span))
+    offsets = data.draw(st.lists(st.integers(0, span), min_size=free, max_size=free)) + [0, span] * exact
+    assert_distinct_equals_unique(np.array(data.draw(st.permutations([lo + o for o in offsets])), dtype=np.int64))
+
+
+@pytest.mark.parametrize(("values", "sorts"), [
+    ([-(2**63), 2**63 - 1], True),
+    ([-(2**63), -(2**63) + 3, -(2**63)], False),
+    ([2**63 - 1], False),
+    ([-5], False),
+    ([], True),
+    ([-3, 0, 0], False),  # a span of 3 over 3 values, the bound
+    ([-3, 1, 0], True),
+])
+def test_distinct_equals_unique_on_edges(values, sorts):
+    a = np.array(values, dtype=np.int64)
+    assert distinct_sorts(a) == sorts
+    assert_distinct_equals_unique(a)
+
+
+@pytest.mark.parametrize("span", [69_999, 70_000, 70_001])
+def test_distinct_bound_grows_with_the_size(span):
+    # 70 000 values: spans up to their number take the bincount, longer ones the sort.
+    values = np.random.default_rng(span).integers(0, span + 1, size=70_000)
+    values[:2] = 0, span
+    assert distinct_sorts(values) == (span > 70_000)
+    assert_distinct_equals_unique(values)
 
 
 # ----------------------------------------------------------------- entropy
