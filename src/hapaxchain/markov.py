@@ -10,17 +10,16 @@ indicators), yielding pass fractions against the configured thresholds.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import accumulate, chain, pairwise
+from functools import cache, cached_property, partial
+from itertools import pairwise
 
 import numpy as np
 
-from .stats import (DEFAULT_LEVELS, _describe, _distinct, _ks_from_counts, _map_on_cpus, _tally, _wmw_from_counts,
-                    check_levels, child_seed, chi_square_gof, chi_square_threshold, ks_threshold, pass_fractions,
-                    shannon_entropy)
+from .stats import (DEFAULT_LEVELS, _as_ints, _describe, _distinct, _ks_from_counts, _map_on_cpus, _tally,
+                    _wmw_from_counts, check_levels, child_seed, chi_square_gof, chi_square_threshold, ks_threshold,
+                    pass_fractions, shannon_entropy)
 
 __all__ = [
     "TransitionMatrix1",
@@ -36,11 +35,17 @@ __all__ = [
 INDICATOR_NAMES = ("mean", "std_dev", "kurtosis", "skewness", "entropy")
 
 
-def _running_sums(probs: np.ndarray, indptr: list[int]) -> array:
+def _running_sums(probs: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     """Each CSR row's running sum, added left to right as a dense ``row.cumsum()`` adds (its zero cells add
-    exactly ``+0.0``), so every value equals the dense cumulative value at its column."""
-    values = memoryview(probs)
-    return array("d", chain.from_iterable(accumulate(values[lo:hi]) for lo, hi in pairwise(indptr)))
+    exactly ``+0.0``), so every value equals the dense cumulative value at its column.  Step k adds the sum
+    at column k - 1 into column k of every row longer than k at once."""
+    lengths = np.diff(indptr)
+    longest_first = np.argsort(-lengths)  # so the rows longer than k are a prefix
+    starts, cum = indptr[:-1][longest_first], np.array(probs, dtype=float)
+    for k, longer in enumerate(np.searchsorted(-lengths[longest_first], -np.arange(1, lengths.max(initial=0))), 1):
+        at = starts[:longer] + k
+        cum[at] += cum[at - 1]
+    return cum
 
 
 @dataclass(frozen=True)
@@ -75,7 +80,7 @@ class TransitionMatrix1(_TransitionRows):
         Python lists; the column list ends in the last state, taken by a
         draw at or above the row's sum."""
         indptr = self.indptr.tolist()
-        cum, indices, last = _running_sums(self.probs, indptr).tolist(), self.indices.tolist(), [self.n_states - 1]
+        cum, indices, last = _running_sums(self.probs, self.indptr).tolist(), self.indices.tolist(), [self.n_states - 1]
         return [cum[lo:hi] for lo, hi in pairwise(indptr)], [indices[lo:hi] + last for lo, hi in pairwise(indptr)]
 
 
@@ -94,36 +99,23 @@ class TransitionMatrix2(_TransitionRows):
     fallback: TransitionMatrix1
 
     @cached_property
-    def _walk(self) -> tuple[dict[int, int], list[int], list[int], array]:
+    def _walk(self) -> tuple[dict[int, int], memoryview, memoryview, memoryview]:
         """Row lookup, and ``(indptr, indices, cum)`` of the order-2 rows
-        followed by the fallback rows: lists for what each step indexes
-        once, an ``array('d')`` of the sums it bisects.
+        followed by the fallback rows, as views of numpy arrays: a step
+        indexes them as it would lists, and they take no Python object a cell.
 
         The lookup maps the code of each pair with an observed
         continuation to its row; the fallback row of state ``j`` is
         ``pair_codes.size + j``.
         """
         rows = np.flatnonzero(np.diff(self.indptr))
-        indptr = np.concatenate((self.indptr, self.fallback.indptr[1:] + self.indptr[-1])).tolist()
+        indptr = np.concatenate((self.indptr, self.fallback.indptr[1:] + self.indptr[-1]))
         return (
             dict(zip(self.pair_codes[rows].tolist(), rows.tolist())),
-            indptr,
-            np.concatenate((self.indices, self.fallback.indices)).tolist(),
-            _running_sums(np.concatenate((self.probs, self.fallback.probs)), indptr),
+            memoryview(indptr),
+            memoryview(np.concatenate((self.indices, self.fallback.indices))),
+            memoryview(_running_sums(np.concatenate((self.probs, self.fallback.probs)), indptr)),
         )
-
-
-def _as_states(seq) -> np.ndarray:
-    """``seq`` as int64 states; a ``ValueError`` names its first value that is not an integer (integer-valued
-    floats and bools are taken as they are)."""
-    given = np.asarray(seq)
-    with np.errstate(invalid="ignore"):  # NaN and infinities are named below
-        values = np.asarray(given, dtype=np.int64)
-    if given.dtype.kind in "fcO":
-        bad = np.flatnonzero(values != given)
-        if bad.size:
-            raise ValueError(f"states must be integers, got {given[bad[0]]} at position {bad[0]}")
-    return values
 
 
 def _count_pairs(values: np.ndarray):
@@ -171,7 +163,7 @@ def estimate_order1(seq) -> TransitionMatrix1:
     of the sequence) gets a self-loop of count 0 and probability 1 so
     the matrix stays stochastic.
     """
-    values = _as_states(seq)
+    values = _as_ints(seq, "states must be integers")
     if values.size < 2:
         raise ValueError(f"need a sequence of length >= 2, got {values.size}")
     return _order1(_count_pairs(values))
@@ -186,10 +178,21 @@ def estimate_order2(seq) -> TransitionMatrix2:
     span pairs × states, by one sort.  ``fallback`` is the sequence's
     first-order matrix.
     """
-    values = _as_states(seq)
+    counted = _count_pairs(_order2_states(seq))
+    return _order2(counted, _order1(counted))
+
+
+def _order2_states(seq) -> np.ndarray:
+    """``seq`` as int64 states, refused when shorter than an order-2 matrix needs."""
+    values = _as_ints(seq, "states must be integers")
     if values.size < 3:
         raise ValueError(f"need a sequence of length >= 3, got {values.size}")
-    states, idx, pair_codes, pair_rows, pair_counts = counted = _count_pairs(values)
+    return values
+
+
+def _order2(counted, fallback: TransitionMatrix1) -> TransitionMatrix2:
+    """Second-order matrix of a sequence counted by :func:`_count_pairs`, over its first-order ``fallback``."""
+    states, idx, pair_codes, pair_rows, pair_counts = counted
     n = states.size
     codes, counts = np.unique(pair_rows[:-1] * n + idx[2:], return_counts=True)
     return TransitionMatrix2(
@@ -197,7 +200,7 @@ def estimate_order2(seq) -> TransitionMatrix2:
         *_count_rows(codes, counts, pair_codes.size, n),
         pair_codes=pair_codes,
         pair_marginal=pair_counts / pair_rows.size,
-        fallback=_order1(counted),
+        fallback=fallback,
     )
 
 
@@ -294,8 +297,11 @@ def order_test(seq, replicates: int = 100, len1: int | None = None, len2: int | 
     from children (1, k) and (2, k) of the master seed ``seed`` (an
     integer, a sequence of them, or a ``SeedSequence``), so the
     simulations run on every usable CPU (``stats._map_on_cpus``) with
-    the same results as one by one.  ``halve_alpha`` selects the KS
-    threshold parameterization.
+    the same results as one by one.  This process counts the sequence and
+    builds the first-order matrix before the walks start; each process
+    that runs an order-2 walk (a forked worker, or this one when the walks
+    run here) builds the second-order matrix from those counts, once.
+    ``halve_alpha`` selects the KS threshold parameterization.
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
@@ -303,20 +309,21 @@ def order_test(seq, replicates: int = 100, len1: int | None = None, len2: int | 
         if length is not None and length < least:
             raise ValueError(f"{name} must be >= {least}, got {length}")
     levels = check_levels(levels)
-    values = _as_states(seq)
-    tm2 = estimate_order2(values)
-    tm1 = tm2.fallback
+    values = _order2_states(seq)
+    counted = _count_pairs(values)
+    tm1 = _order1(counted)
     len1 = len1 if len1 is not None else int(values.size)
     len2 = len2 if len2 is not None else min(100_000, int(values.size))
     # The chi-square's states are the tally's: ranks that round to one float (ints beyond 2**53) are one.
     x, (_, observed) = _tally(tm1.states, values)
     df = x.size - 1
-    simulations = {1: (simulate_order1, tm1, len1), 2: (simulate_order2, tm2, len2)}
+    tm2 = cache(partial(_order2, counted, tm1))  # built by the first order-2 walk of the process that runs it
+    simulations = {1: (simulate_order1, lambda: tm1, len1), 2: (simulate_order2, tm2, len2)}
 
     def counts(task: tuple[int, int]) -> np.ndarray:
         order, k = task
-        simulate, tm, length = simulations[order]
-        return _tally(tm1.states, simulate(tm, length, child_seed(seed, order, k)))[1][1]
+        simulate, matrix, length = simulations[order]
+        return _tally(tm1.states, simulate(matrix(), length, child_seed(seed, order, k)))[1][1]
 
     c = _map_on_cpus(counts, [(order, k) for k in range(replicates) for order in (1, 2)])
     rows = [_replicate(c1, c2, x, observed, observed / values.size) for c1, c2 in zip(c[0::2], c[1::2])]

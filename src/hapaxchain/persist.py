@@ -21,7 +21,7 @@ import numpy as np
 
 from .corpus import HapaxTable
 from .ranksize import TargetDistribution
-from .stats import _distinct
+from .stats import _as_ints, _distinct
 
 __all__ = [
     "atomic_write_text",
@@ -193,7 +193,8 @@ def read_hapax_table(path: str | Path) -> HapaxTable:
 
 
 def write_rank_sequence(path: str | Path, values) -> Path:
-    values = np.asarray(values, dtype=np.int64)
+    """One rank a line; a ``ValueError`` names the first value that is not an integer >= 1, before any write."""
+    values = _as_ints(values, "ranks must be integers >= 1", least=1)
     distinct, inverse, _ = _distinct(values)
     lines = np.array([f"{r}\n" for r in distinct.tolist()], dtype=object)  # one string per distinct value
     return atomic_write_text(path, "".join(lines[inverse].tolist()))

@@ -5,9 +5,10 @@ indicators, the two-sample Kolmogorov-Smirnov statistic with its
 closed-form threshold family, a chi-square goodness-of-fit statistic,
 the Wilcoxon-Mann-Whitney rank-sum test (normal approximation with tie
 correction), Shannon entropy, the check on significance levels, per-level
-pass fractions, the distinct values of an integer array, the child seeds
-that replicates and runs draw from, and the map that spreads those
-independent draws, and the corpus's documents, over the usable CPUs.
+pass fractions, the check that values are integers, the distinct values
+of an integer array, the child seeds that replicates and runs draw from,
+and the map that spreads those independent draws, and the corpus's
+documents, over the usable CPUs.
 """
 
 from __future__ import annotations
@@ -70,6 +71,20 @@ def _tally(*samples) -> tuple[np.ndarray, np.ndarray]:
     values = np.unique(np.concatenate([seen for seen, _ in tallies]))
     counts = [np.bincount(np.searchsorted(values, seen), weights=c, minlength=values.size) for seen, c in tallies]
     return values, np.array(counts)
+
+
+def _as_ints(seq, what: str, least: int = -2**63) -> np.ndarray:
+    """``seq`` as int64; a ``ValueError`` that starts with ``what`` names its first value that is not an integer
+    (integer-valued floats and bools are taken as they are) or is below ``least``."""
+    given = np.asarray(seq)
+    with np.errstate(invalid="ignore"):  # NaN and infinities are named below
+        values = np.asarray(given, dtype=np.int64)
+    bad = values < least
+    if given.dtype.kind in "fcO":
+        bad |= values != given
+    if (at := np.flatnonzero(bad)).size:
+        raise ValueError(f"{what}, got {given[at[0]]} at position {at[0]}")
+    return values
 
 
 def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

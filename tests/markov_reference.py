@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, chain, pairwise
 
 import numpy as np
 
@@ -134,6 +135,13 @@ def estimate_order2(seq) -> DenseTransitionMatrix2:
 
 def _cumulative_rows(probs: np.ndarray) -> list[list[float]]:
     return [row.cumsum().tolist() for row in probs]
+
+
+def running_sums(probs: np.ndarray, indptr: np.ndarray) -> list[float]:
+    """Each CSR row's running sum, one row at a time by ``itertools.accumulate``: the loop that
+    ``markov._running_sums``'s column-at-a-time build replaces."""
+    values = memoryview(np.asarray(probs, dtype=float))
+    return list(chain.from_iterable(accumulate(values[lo:hi]) for lo, hi in pairwise(np.asarray(indptr).tolist())))
 
 
 def simulate_order1(tm: DenseTransitionMatrix1, length: int, seed) -> np.ndarray:

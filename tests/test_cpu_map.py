@@ -13,6 +13,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import corpus_reference
@@ -20,7 +21,7 @@ import markov_reference
 import numpy as np
 import pytest
 
-from hapaxchain import persist
+from hapaxchain import markov, persist
 from hapaxchain.corpus import IngestionError, load_documents
 from hapaxchain.markov import order_test
 from hapaxchain.mh_sampler import convergence_study, iid_sample, run_chain
@@ -273,6 +274,36 @@ def test_order_test_equals_the_replicate_loop(replicates, each_path):
     assert multiprocessing.active_children() == []
     np.testing.assert_equal(dataclasses.asdict(report),
                             dataclasses.asdict(markov_reference.order_test(values, replicates, 2000, 1500, 17)))
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("replicates", [1, 3])
+def test_order2_is_built_in_the_workers_that_step_it(replicates, tmp_path, monkeypatch):
+    # Each _order2 call appends its pid; the workers inherit the patch at the fork.
+    log, order2 = tmp_path / "builds.txt", markov._order2
+
+    def order2_logged(*args):
+        with open(log, "a", encoding="utf-8") as f:
+            f.write(f"{os.getpid()}\n")
+        return order2(*args)
+
+    def report_and_builds():
+        log.unlink(missing_ok=True)
+        report = order_test(rank_sequence(), replicates=replicates, len1=2000, len2=1500, seed=17)
+        assert multiprocessing.active_children() == []
+        return report, Counter(int(pid) for pid in log.read_text(encoding="utf-8").split())
+
+    monkeypatch.setattr(markov, "_order2", order2_logged)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    forked, builds = report_and_builds()
+    assert os.getpid() not in builds and set(builds.values()) == {1}
+    if replicates == 1:  # one task a worker: the order-1 worker builds none
+        assert len(builds) == 1
+    allow_one_cpu(monkeypatch)
+    serial, builds = report_and_builds()
+    assert builds == {os.getpid(): 1}
+    assert forked == serial
 
 
 def test_convergence_study_equals_the_chain_loop(each_path, tmp_path):

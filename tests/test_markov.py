@@ -1,6 +1,7 @@
 """Transition estimation, chain simulation and order-test battery tests."""
 
 import dataclasses
+import os
 import tracemalloc
 
 import markov_reference as ref
@@ -390,6 +391,26 @@ def test_walk_sums_equal_dense_cumulative_rows_that_end_below_one():
     assert_walk_sums_equal_reference(tm, dense)
 
 
+def csr(rows):
+    """``(probs, indptr)`` of rows given as lists of floats."""
+    return np.array([x for row in rows for x in row], dtype=float), np.cumsum([0, *map(len, rows)])
+
+
+@settings(max_examples=150)
+@given(st.lists(st.lists(st.floats(0.0, 1.0), max_size=40), max_size=30))
+@example([])  # no rows at all
+@example([[], [], []])  # only empty rows
+@example([[0.5] * 30, [], [], [0.25] * 7, [], [0.125] * 40])  # empty rows between long ones
+@example([[1 / 300] * 300])  # one 300-cell row
+@example([[0.1] * 9, [0.3, 0.3], [1e-300, 0.2]])  # rows that sum to less than 1
+def test_running_sums_equal_the_row_by_row_loop(rows):
+    # CSR inputs that no estimate makes; each sum is compared bit for bit with the accumulate loop.
+    probs, indptr = csr(rows)
+    got = markov._running_sums(probs, indptr)
+    assert got.dtype == np.float64 and got.size == probs.size
+    assert [x.hex() for x in got.tolist()] == [x.hex() for x in ref.running_sums(probs, indptr)]
+
+
 def test_order2_on_thousands_of_states_stays_small():
     # A dense (observed pairs x states) table would need about 5 GB here.
     values = np.random.default_rng(4).integers(1, 2_101, size=150_000)
@@ -456,6 +477,21 @@ def test_order_test_estimates_order1_once(monkeypatch):
     monkeypatch.setattr(markov, "_count_pairs", counted)
     order_test(order1_source(n=500), replicates=2, seed=0)
     assert len(calls) == 1
+
+
+def test_order_test_estimates_order1_once_on_one_cpu(monkeypatch):
+    # In-process, the order-2 matrix is built once, on the one first-order matrix.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    calls = []
+    for name in ("_count_pairs", "_order1", "_order2"):
+        def counted(*args, _name=name, _built=getattr(markov, name)):
+            calls.append(_name)
+            return _built(*args)
+
+        monkeypatch.setattr(markov, name, counted)
+    order_test(order1_source(n=500), replicates=2, seed=0)
+    assert sorted(calls) == ["_count_pairs", "_order1", "_order2"]
 
 
 def test_order_test_reproducible():

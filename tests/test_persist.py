@@ -316,11 +316,22 @@ def test_rank_sequence_round_trip(tmp_path_factory, values):
     assert back.dtype == np.int64 and back.tolist() == values
 
 
-@pytest.mark.parametrize("values, text", [([2**40], "1099511627776\n"), ([3, -1, 2], "3\n-1\n2\n")])
+@pytest.mark.parametrize("values, text", [([2**40], "1099511627776\n"), ([3, 1, 3, 2.0], "3\n1\n3\n2\n")])
 def test_rank_sequence_writer_formats_each_value(tmp_path, values, text):
     # one string per distinct value: a large rank costs no more than a small one,
-    # and a value below 0 is written as itself
+    # and an integer-valued float is written as its integer
     assert write_rank_sequence(tmp_path / "s.txt", values).read_text(encoding="utf-8") == text
+
+
+@pytest.mark.parametrize("values, bad", [
+    ([1.5, 2.7, 0, -3], "1.5 at position 0"), ([3, -1, 2], "-1 at position 1"), ([2, 0, 1.5], "0.0 at position 1"),
+    ([1, 2, float("nan")], "nan at position 2"), ([True, False], "False at position 1"),
+])
+def test_rank_sequence_writer_refuses_what_its_reader_refuses(tmp_path, values, bad):
+    # Written truncated, [1.5, 2.7, 0, -3] read back as a line the reader refuses: "1\n2\n0\n-3\n".
+    with pytest.raises(ValueError, match=rf"^ranks must be integers >= 1, got {re.escape(bad)}$"):
+        write_rank_sequence(tmp_path / "out" / "s.txt", values)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_rank_sequence_reader_takes_what_int_takes(tmp_path):
