@@ -13,7 +13,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
-from itertools import pairwise
 
 import numpy as np
 
@@ -33,6 +32,9 @@ __all__ = [
 ]
 
 INDICATOR_NAMES = ("mean", "std_dev", "kurtosis", "skewness", "entropy")
+
+_PIECE = 1024  # steps of one piece of an order-1 walk
+_LOCKSTEP_PIECES = 64  # from this many pieces on, numpy steps them together first
 
 
 def _running_sums(probs: np.ndarray, indptr: np.ndarray) -> np.ndarray:
@@ -75,13 +77,35 @@ class TransitionMatrix1(_TransitionRows):
     marginal: np.ndarray
 
     @cached_property
-    def _walk(self) -> tuple[list[list[float]], list[list[int]]]:
-        """Each row's running sums (:func:`_running_sums`) and columns as
-        Python lists; the column list ends in the last state, taken by a
-        draw at or above the row's sum."""
-        indptr = self.indptr.tolist()
-        cum, indices, last = _running_sums(self.probs, self.indptr).tolist(), self.indices.tolist(), [self.n_states - 1]
-        return [cum[lo:hi] for lo, hi in pairwise(indptr)], [indices[lo:hi] + last for lo, hi in pairwise(indptr)]
+    def _walk(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(starts, sums, columns, guide)``, one flat table for both passes of :func:`simulate_order1`.
+
+        Row ``r`` holds its running sums (:func:`_running_sums`) at ``sums[starts[r]:starts[r + 1]]``,
+        closed by ``inf``, and beside them in ``columns`` its columns, closed by the last state, which a
+        draw at or above the row's sum takes: a draw ``u`` steps to ``columns[bisect_right(sums, u,
+        starts[r], starts[r + 1])]``.  A row of ``G`` entries (the sentinel too) has ``G`` buckets,
+        ``_bucket(x, G)``; ``guide[starts[r] + b]`` is its first entry in bucket ``b`` or above, and one
+        last entry closes the table.
+        """
+        n, lengths = self.n_states, np.diff(self.indptr)
+        starts = self.indptr + np.arange(n + 1)
+        cells = np.ones(starts[-1], bool)
+        cells[starts[1:] - 1] = False
+        sums = np.full(starts[-1], np.inf)
+        sums[cells] = _running_sums(self.probs, self.indptr)
+        columns = np.full(starts[-1], n - 1, np.intp)
+        columns[cells] = self.indices
+        row = np.repeat(np.arange(n), lengths)
+        buckets = starts[row] + _bucket(sums[cells], lengths[row] + 1)  # nondecreasing, as the sums of a row are
+        entries = np.arange(starts[-1] + 1)
+        guide = np.searchsorted(buckets, entries) + np.repeat(np.arange(n + 1), np.append(lengths + 1, 1))
+        return starts, sums, columns, guide
+
+
+def _bucket(x: np.ndarray, buckets: np.ndarray) -> np.ndarray:
+    """``min(floor(x · buckets), buckets − 1)`` for ``x ≥ 0``: monotone in ``x``, so the entries of a row in
+    lower buckets than a draw's are below it, and those in higher buckets above it."""
+    return np.minimum((x * buckets).astype(np.intp), buckets - 1)
 
 
 @dataclass(frozen=True)
@@ -210,18 +234,61 @@ def simulate_order1(tm: TransitionMatrix1, length: int, seed) -> np.ndarray:
     The first state is drawn from ``tm.marginal``.  Each step takes the
     first non-zero column whose cumulative probability exceeds a uniform
     draw (the last state if the row's sum falls short of it).
+
+    The steps are cut into pieces of ``_PIECE``.  With at least
+    ``_LOCKSTEP_PIECES`` of them, numpy first steps all pieces together,
+    each from state 0 (:func:`_lockstep`).  Then each piece in turn is
+    walked again one step at a time, from the true end of the piece
+    before it, until it meets its lockstep path: two walks fed the same
+    draws stay together once they meet, so from there on that path is
+    the true one.  With fewer pieces that walk is the whole walk.
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     rng = np.random.default_rng(seed)
-    current = int(rng.choice(tm.n_states, p=tm.marginal))
-    path = [current]
-    if length > 1:
-        cum, columns = tm._walk
-        for u in memoryview(rng.random(length - 1)):
-            current = columns[current][bisect_right(cum[current], u)]
-            path.append(current)
-    return tm.states[np.fromiter(path, np.intp, length)]
+    n = tm.n_states
+    current = int(rng.choice(n, p=tm.marginal))
+    pieces = -(-(length - 1) // _PIECE)
+    path = np.empty(1 + pieces * _PIECE, np.min_scalar_type(n))
+    path[0] = current
+    if pieces:
+        uniforms = rng.random(pieces * _PIECE)
+        if pieces >= _LOCKSTEP_PIECES:
+            begin = 0
+            _lockstep(tm._walk, uniforms.reshape(pieces, _PIECE), path[1:].reshape(pieces, _PIECE))
+        else:
+            begin = path[1:] = n  # no state, so every piece is walked whole
+        starts, sums, columns = map(memoryview, tm._walk[:3])
+        draws, walked = memoryview(uniforms), memoryview(path)
+        for lo in range(1, length, _PIECE):
+            hi = min(lo + _PIECE, length)
+            if current != begin:
+                for t, u in zip(range(lo, hi), draws[lo - 1:hi - 1]):
+                    current = columns[bisect_right(sums, u, starts[current], starts[current + 1])]
+                    if current == walked[t]:
+                        break
+                    walked[t] = current
+            current = walked[hi - 1]
+    return tm.states[path[:length]]
+
+
+def _lockstep(walk, uniforms: np.ndarray, lanes: np.ndarray) -> None:
+    """Write into each row of ``lanes`` the walk from state 0 that the same row of ``uniforms`` drives,
+    one step of every row at a time.  A step starts at the guide entry of its draw's bucket and takes
+    one step of the scan over its row's sums; the few lanes still short of their column then bisect
+    within the bucket, one at a time."""
+    starts, sums, columns, guide = walk
+    widths, row_sums = np.diff(starts), memoryview(sums)
+    current = np.zeros(len(lanes), np.intp)
+    for u, out in zip(uniforms.T, lanes.T):
+        bucket = starts[current] + _bucket(u, widths[current])
+        entry = guide[bucket]
+        entry += sums[entry] <= u
+        if (short := np.flatnonzero(sums[entry] <= u)).size:
+            entry[short] = [bisect_right(row_sums, *lane) for lane in
+                            zip(u[short].tolist(), entry[short].tolist(), guide[bucket[short] + 1].tolist())]
+        current = columns[entry]
+        out[:] = current
 
 
 def simulate_order2(tm: TransitionMatrix2, length: int, seed) -> np.ndarray:

@@ -75,16 +75,29 @@ def _tally(*samples) -> tuple[np.ndarray, np.ndarray]:
 
 def _as_ints(seq, what: str, least: int = -2**63) -> np.ndarray:
     """``seq`` as int64; a ``ValueError`` that starts with ``what`` names its first value that is not an integer
-    (integer-valued floats and bools are taken as they are) or is below ``least``."""
+    int64 holds (integer-valued floats and bools are taken as they are; text is not) or is below ``least``."""
     given = np.asarray(seq)
+    if given.dtype.kind in "OSU":  # ints beyond int64, text or None: each value on its own
+        flat = given.ravel().tolist()
+        if (at := next((k for k, v in enumerate(flat) if not _fits_int64(v)), None)) is not None:
+            raise ValueError(f"{what}, got {flat[at]!r} at position {at}")
     with np.errstate(invalid="ignore"):  # NaN and infinities are named below
         values = np.asarray(given, dtype=np.int64)
     bad = values < least
-    if given.dtype.kind in "fcO":
+    if given.dtype.kind in "fcu":  # uint64 beyond int64 wraps
         bad |= values != given
     if (at := np.flatnonzero(bad)).size:
         raise ValueError(f"{what}, got {given[at[0]]} at position {at[0]}")
     return values
+
+
+def _fits_int64(value) -> bool:
+    """Whether ``value`` equals the int64 it converts to."""
+    try:
+        with np.errstate(invalid="ignore"):
+            return bool(np.asarray(value, dtype=np.int64) == value)
+    except (OverflowError, TypeError, ValueError):
+        return False
 
 
 def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -2,7 +2,9 @@
 
 import dataclasses
 import os
+import re
 import tracemalloc
+from bisect import bisect_right
 
 import markov_reference as ref
 import numpy as np
@@ -144,6 +146,12 @@ def test_states_that_are_not_integers_are_rejected(estimate):
         estimate([1.5, 2.7, 1.2, 2.9, 1.5, 2.2] * 5)
     with pytest.raises(ValueError, match=r"^states must be integers, got nan at position 3$"):
         estimate(np.array([1.0, 2.0, 1.0, np.nan, 2.0, 1.0]))
+    # Ints int64 cannot hold, text and None: they used to end in OverflowError, "invalid literal" or TypeError.
+    for values, bad in (([1, 2, 2**70, 1], "1180591620717411303424 at position 2"), (["a", "b", "c"], "'a' at position 0"),
+                        (["1", "2", "3"], "'1' at position 0"), ([1, None, 2], "None at position 1"),
+                        (np.array([1, 2, 2**63, 1], dtype=np.uint64), "9223372036854775808 at position 2")):
+        with pytest.raises(ValueError, match=rf"^states must be integers, got {re.escape(bad)}$"):
+            estimate(values)
     # Integer-valued floats and bools are the integers they equal.
     as_ints = [1, 2, 1, 1, 2, 2, 1, 2] * 4
     for values in ([float(v) for v in as_ints], [v == 2 for v in as_ints]):
@@ -355,11 +363,16 @@ def test_simulations_equal_dense_reference_when_rows_sum_below_one():
 
 def assert_walk_sums_equal_reference(tm, dense):
     """The running sums that both walk tables bisect equal the dense reference's cumulative rows at
-    each row's columns, bit for bit: order 1 on ``tm.fallback``, order 2 on ``tm`` then the fallback."""
-    cum1, columns = tm.fallback._walk
+    each row's columns, bit for bit: order 1 on ``tm.fallback``, order 2 on ``tm`` then the fallback.
+    Each order-1 row closes with ``inf`` beside the last state."""
+    starts, sums1, columns, _ = tm.fallback._walk
+    n, ends = tm.n_states, starts[1:] - 1
+    assert sums1[ends].tolist() == [np.inf] * n and columns[ends].tolist() == [n - 1] * n
+    cells = np.ones(sums1.size, bool)
+    cells[ends] = False
     want1 = ref._cumulative_rows(dense.fallback.probs)
-    assert [[x.hex() for x in row] for row in cum1] == [
-        [want1[i][j].hex() for j in cols[:-1]] for i, cols in enumerate(columns)]  # cols ends in the last state
+    rows1 = np.repeat(np.arange(n), np.diff(starts) - 1).tolist()
+    assert [x.hex() for x in sums1[cells].tolist()] == [want1[r][j].hex() for r, j in zip(rows1, columns[cells])]
     _, indptr, indices, cum2 = tm._walk
     want2 = ref._cumulative_rows(np.vstack((dense.probs, dense.fallback.probs)))
     rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)).tolist()
@@ -376,9 +389,10 @@ def test_walk_sums_equal_dense_cumulative_rows(values):
 def test_walk_sums_equal_dense_cumulative_rows_that_end_below_one():
     values = [v for k in range(2, 12) for v in (1, k)]  # 1 moves to ten states once each; 11 ends the sequence
     tm, dense = estimate_order2(values), ref.estimate_order2(values)
-    cum1, columns = tm.fallback._walk
-    assert cum1[0][-1] < 1.0  # ten additions of 0.1 fall short of 1
-    assert cum1[-1] == [1.0] and columns[-1] == [tm.n_states - 1] * 2  # the terminal self-loop
+    starts, sums, columns, _ = tm.fallback._walk
+    assert sums[starts[1] - 2] < 1.0  # ten additions of 0.1 fall short of 1
+    assert sums[starts[-2]:].tolist() == [1.0, np.inf]  # the terminal self-loop, then the row's close
+    assert columns[starts[-2]:].tolist() == [tm.n_states - 1] * 2
     assert_walk_sums_equal_reference(tm, dense)
 
     # Rows scaled to end well below 1, over a fallback given by a dense table.
@@ -409,6 +423,95 @@ def test_running_sums_equal_the_row_by_row_loop(rows):
     got = markov._running_sums(probs, indptr)
     assert got.dtype == np.float64 and got.size == probs.size
     assert [x.hex() for x in got.tolist()] == [x.hex() for x in ref.running_sums(probs, indptr)]
+
+
+def walk_table(rows):
+    """A first-order matrix with ``rows`` (lists of floats, each cell in column 0) as its CSR rows."""
+    probs, indptr = csr(rows)
+    n = max(len(rows), 1)
+    return markov.TransitionMatrix1(np.arange(n), indptr, np.zeros(probs.size, np.int64), np.zeros(probs.size),
+                                    probs, np.full(n, 1.0 / n))
+
+
+@settings(max_examples=100)
+@given(st.lists(st.lists(st.floats(0.0, 1.0), max_size=40), min_size=1, max_size=20))
+@example([[]])  # an empty row: its one bucket holds only the close
+@example([[0.5, 0.5], [0.25] * 4, [1 / 3] * 3])  # sums that end at 1 fall in the last bucket
+@example([[0.1] * 9, [1e-300, 0.2]])  # rows that end below 1
+@example([[1 / 300] * 300])  # one 300-cell row
+def test_walk_guide_points_at_each_buckets_first_entry(rows):
+    starts, sums, _, guide = walk_table(rows)._walk
+    want = []
+    for lo, hi in zip(starts[:-1].tolist(), starts[1:].tolist()):
+        width = hi - lo
+        buckets = [min(int(x * width), width - 1) for x in sums[lo:hi - 1].tolist()]
+        want += [lo + sum(b < bucket for b in buckets) for bucket in range(width)]
+    assert guide.tolist() == [*want, sums.size]
+
+
+def test_a_draw_just_below_one_takes_the_last_bucket():
+    # The largest draw falls in a row's last bucket by itself; a running sum of exactly 1.0 only by the clamp,
+    # and unclamped its guide entry would be the next row's first.
+    u, buckets = 1 - 2**-53, np.arange(1, 100_001)
+    assert markov._bucket(np.full(buckets.size, u), buckets).tolist() == (buckets - 1).tolist()
+    assert (np.floor(u * buckets) == buckets - 1).all() and (np.floor(1.0 * buckets) == buckets).all()
+    assert markov._bucket(np.ones(buckets.size), buckets).tolist() == (buckets - 1).tolist()
+    probs = np.array([[0.5, 0.5, 0.0], [0.0, 0.25, 0.25], [1 / 3, 1 / 3, 1 / 3]])  # the middle row ends at 0.5
+    lanes = np.empty((2, 4), np.intp)
+    markov._lockstep(ref.from_dense(np.array([1, 2, 3]), probs)._walk, np.full((2, 4), u), lanes)
+    cum, state, want = ref._cumulative_rows(probs), 0, []
+    for _ in range(4):
+        state = min(bisect_right(cum[state], u), 2)
+        want.append(state)
+    assert want == [1, 2, 2, 2] and lanes.tolist() == [want, want]
+
+
+def zm_rows(n, alpha, beta, gamma):
+    """``n`` equal rows of the ZM(alpha, beta, gamma) law over ``n`` ranks."""
+    f = alpha / (beta + np.arange(1, n + 1)) ** gamma
+    return np.tile(f / f.sum(), (n, 1))
+
+
+# Chains whose pieces are slow to meet, or whose draws crowd a bucket.
+LOCKSTEP_CHAINS = {
+    "periodic": np.roll(np.eye(3), 1, axis=1),  # state i moves to i + 1 (mod 3): pieces in the wrong phase never meet
+    "sticky": 0.9 * np.eye(40) + 0.1 / 40,  # stays put with probability 0.9, else moves to any state
+    "steep": zm_rows(300, 1.0, 0.0, 2.0),  # ZM(1, 0, 2): 187 of a row's 300 sums share its last bucket
+    "short": np.array([[0.2, 0.3, 0.0], [0.0, 0.25, 0.0], [0.1, 0.0, 0.3]]),  # rows that sum below one
+}
+PIECE_LENGTHS = [1, 2, 1024, 1025, 2049]  # no step, one, a whole piece, and one step into a second and a third
+
+
+def walk_in_lockstep(tm, length, seed):
+    """``simulate_order1`` with the lockstep pass taken from one piece on."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(markov, "_LOCKSTEP_PIECES", 1)
+        return simulate_order1(tm, length, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(LOCKSTEP_CHAINS)), st.sampled_from(PIECE_LENGTHS), st.integers(0, 2**32 - 1))
+def test_lockstep_walk_equals_the_reference_loop(chain, length, seed):
+    probs = LOCKSTEP_CHAINS[chain]
+    states = np.arange(1, len(probs) + 1) * 7
+    got = walk_in_lockstep(ref.from_dense(states, probs), length, seed)
+    assert got.tolist() == ref.simulate_order1(ref.DenseTransitionMatrix1(states, None, probs), length, seed).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=8), min_size=2, max_size=200), st.sampled_from(PIECE_LENGTHS),
+       st.integers(0, 2**32 - 1))
+def test_lockstep_walk_of_an_estimate_equals_the_reference_loop(values, length, seed):
+    got = walk_in_lockstep(estimate_order1(values), length, seed)
+    assert got.tolist() == ref.simulate_order1(ref.estimate_order1(values), length, seed).tolist()
+
+
+def test_walk_of_lockstep_length_equals_the_reference_loop():
+    # The fewest pieces that step in lockstep with the module's own constants.
+    values = np.random.default_rng(30).integers(1, 301, size=20_000)
+    length = markov._LOCKSTEP_PIECES * markov._PIECE + 1
+    got = simulate_order1(estimate_order1(values), length, seed=31)
+    assert got.tolist() == ref.simulate_order1(ref.estimate_order1(values), length, seed=31).tolist()
 
 
 def test_order2_on_thousands_of_states_stays_small():

@@ -326,6 +326,8 @@ def test_rank_sequence_writer_formats_each_value(tmp_path, values, text):
 @pytest.mark.parametrize("values, bad", [
     ([1.5, 2.7, 0, -3], "1.5 at position 0"), ([3, -1, 2], "-1 at position 1"), ([2, 0, 1.5], "0.0 at position 1"),
     ([1, 2, float("nan")], "nan at position 2"), ([True, False], "False at position 1"),
+    ([1, 2**70], "1180591620717411303424 at position 1"), (["a", "b"], "'a' at position 0"),
+    ([3, None], "None at position 1"), (np.array([2**63], dtype=np.uint64), "9223372036854775808 at position 0"),
 ])
 def test_rank_sequence_writer_refuses_what_its_reader_refuses(tmp_path, values, bad):
     # Written truncated, [1.5, 2.7, 0, -3] read back as a line the reader refuses: "1\n2\n0\n-3\n".
