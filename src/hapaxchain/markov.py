@@ -37,17 +37,30 @@ _PIECE = 1024  # steps of one piece of an order-1 walk
 _LOCKSTEP_PIECES = 64  # from this many pieces on, numpy steps them together first
 
 
-def _running_sums(probs: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Each CSR row's running sum, added left to right as a dense ``row.cumsum()`` adds (its zero cells add
-    exactly ``+0.0``), so every value equals the dense cumulative value at its column.  Step k adds the sum
-    at column k - 1 into column k of every row longer than k at once."""
+def _closed_rows(indptr: np.ndarray, indices: np.ndarray, probs: np.ndarray, last: int):
+    """``(starts, sums, columns)``: the walk table of the CSR rows ``indptr``, ``indices``, ``probs``.
+
+    Row ``r`` holds its running sums at ``sums[starts[r]:starts[r + 1]]``, closed by ``inf``, and beside
+    them in ``columns`` (the smallest unsigned ints that hold ``last``) its columns, closed by ``last``,
+    which a draw at or above the row's sum takes: a draw ``u`` steps to ``columns[bisect_right(sums, u,
+    starts[r], starts[r + 1])]``.  The sums are added left to right as a dense ``row.cumsum()`` adds (its
+    zero cells add exactly ``+0.0``), so every value equals the dense cumulative value at its column: step
+    k adds the sum at column k - 1 into column k of every row longer than k at once.
+    """
     lengths = np.diff(indptr)
+    starts = indptr + np.arange(indptr.size)
+    cells = np.ones(starts[-1], bool)
+    cells[starts[1:] - 1] = False
+    sums = np.full(starts[-1], np.inf)
+    sums[cells] = probs
+    columns = np.full(starts[-1], last, np.min_scalar_type(last))
+    columns[cells] = indices
     longest_first = np.argsort(-lengths)  # so the rows longer than k are a prefix
-    starts, cum = indptr[:-1][longest_first], np.array(probs, dtype=float)
+    firsts = starts[:-1][longest_first]
     for k, longer in enumerate(np.searchsorted(-lengths[longest_first], -np.arange(1, lengths.max(initial=0))), 1):
-        at = starts[:longer] + k
-        cum[at] += cum[at - 1]
-    return cum
+        at = firsts[:longer] + k
+        sums[at] += sums[at - 1]
+    return starts, sums, columns
 
 
 @dataclass(frozen=True)
@@ -78,34 +91,22 @@ class TransitionMatrix1(_TransitionRows):
 
     @cached_property
     def _walk(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(starts, sums, columns, guide)``, one flat table for both passes of :func:`simulate_order1`.
-
-        Row ``r`` holds its running sums (:func:`_running_sums`) at ``sums[starts[r]:starts[r + 1]]``,
-        closed by ``inf``, and beside them in ``columns`` its columns, closed by the last state, which a
-        draw at or above the row's sum takes: a draw ``u`` steps to ``columns[bisect_right(sums, u,
-        starts[r], starts[r + 1])]``.  A row of ``G`` entries (the sentinel too) has ``G`` buckets,
-        ``_bucket(x, G)``; ``guide[starts[r] + b]`` is its first entry in bucket ``b`` or above, and one
-        last entry closes the table.
+        """``(starts, sums, columns, guide)``, one flat table for both passes of :func:`simulate_order1`:
+        :func:`_closed_rows` over the rows, and a guide.  A row of ``G`` entries (the close too) has ``G``
+        buckets, ``_bucket(x, G)``; ``guide[starts[r] + b]`` is its first entry in bucket ``b`` or above,
+        and one last entry closes the table.
         """
-        n, lengths = self.n_states, np.diff(self.indptr)
-        starts = self.indptr + np.arange(n + 1)
-        cells = np.ones(starts[-1], bool)
-        cells[starts[1:] - 1] = False
-        sums = np.full(starts[-1], np.inf)
-        sums[cells] = _running_sums(self.probs, self.indptr)
-        columns = np.full(starts[-1], n - 1, np.intp)
-        columns[cells] = self.indices
-        row = np.repeat(np.arange(n), lengths)
-        buckets = starts[row] + _bucket(sums[cells], lengths[row] + 1)  # nondecreasing, as the sums of a row are
-        entries = np.arange(starts[-1] + 1)
-        guide = np.searchsorted(buckets, entries) + np.repeat(np.arange(n + 1), np.append(lengths + 1, 1))
+        starts, sums, columns = _closed_rows(self.indptr, self.indices, self.probs, self.n_states - 1)
+        widths = np.diff(starts)
+        row = np.repeat(np.arange(self.n_states), widths)
+        guide = np.searchsorted(starts[row] + _bucket(sums, widths[row]), np.arange(sums.size + 1))
         return starts, sums, columns, guide
 
 
 def _bucket(x: np.ndarray, buckets: np.ndarray) -> np.ndarray:
-    """``min(floor(x · buckets), buckets − 1)`` for ``x ≥ 0``: monotone in ``x``, so the entries of a row in
-    lower buckets than a draw's are below it, and those in higher buckets above it."""
-    return np.minimum((x * buckets).astype(np.intp), buckets - 1)
+    """``min(floor(x · buckets), buckets − 1)`` for ``x ≥ 0``, ``inf`` too: monotone in ``x``, so the entries
+    of a row in lower buckets than a draw's are below it, and those in higher buckets above it."""
+    return np.minimum(x * buckets, buckets - 1).astype(np.intp)
 
 
 @dataclass(frozen=True)
@@ -124,22 +125,15 @@ class TransitionMatrix2(_TransitionRows):
 
     @cached_property
     def _walk(self) -> tuple[dict[int, int], memoryview, memoryview, memoryview]:
-        """Row lookup, and ``(indptr, indices, cum)`` of the order-2 rows
-        followed by the fallback rows, as views of numpy arrays: a step
-        indexes them as it would lists, and they take no Python object a cell.
-
-        The lookup maps the code of each pair with an observed
-        continuation to its row; the fallback row of state ``j`` is
-        ``pair_codes.size + j``.
+        """Row lookup, and :func:`_closed_rows` of the order-2 rows followed by the fallback rows as
+        ``memoryview``s, which a step indexes as it would lists.  The lookup maps the code of each pair
+        with an observed continuation to its row; the fallback row of state ``j`` is ``pair_codes.size + j``.
         """
         rows = np.flatnonzero(np.diff(self.indptr))
-        indptr = np.concatenate((self.indptr, self.fallback.indptr[1:] + self.indptr[-1]))
-        return (
-            dict(zip(self.pair_codes[rows].tolist(), rows.tolist())),
-            memoryview(indptr),
-            memoryview(np.concatenate((self.indices, self.fallback.indices))),
-            memoryview(_running_sums(np.concatenate((self.probs, self.fallback.probs)), indptr)),
-        )
+        table = _closed_rows(np.concatenate((self.indptr, self.fallback.indptr[1:] + self.indptr[-1])),
+                             np.concatenate((self.indices, self.fallback.indices)),
+                             np.concatenate((self.probs, self.fallback.probs)), self.n_states - 1)
+        return dict(zip(self.pair_codes[rows].tolist(), rows.tolist())), *map(memoryview, table)
 
 
 def _count_pairs(values: np.ndarray):
@@ -180,6 +174,14 @@ def _order1(counted) -> TransitionMatrix1:
     )
 
 
+def _states(seq, least: int) -> np.ndarray:
+    """``seq`` as int64 states, refused when shorter than ``least``."""
+    values = _as_ints(seq, "states must be integers")
+    if values.size < least:
+        raise ValueError(f"need a sequence of length >= {least}, got {values.size}")
+    return values
+
+
 def estimate_order1(seq) -> TransitionMatrix1:
     """Estimate transition probabilities from consecutive observations.
 
@@ -187,10 +189,7 @@ def estimate_order1(seq) -> TransitionMatrix1:
     of the sequence) gets a self-loop of count 0 and probability 1 so
     the matrix stays stochastic.
     """
-    values = _as_ints(seq, "states must be integers")
-    if values.size < 2:
-        raise ValueError(f"need a sequence of length >= 2, got {values.size}")
-    return _order1(_count_pairs(values))
+    return _order1(_count_pairs(_states(seq, 2)))
 
 
 def estimate_order2(seq) -> TransitionMatrix2:
@@ -202,16 +201,8 @@ def estimate_order2(seq) -> TransitionMatrix2:
     span pairs × states, by one sort.  ``fallback`` is the sequence's
     first-order matrix.
     """
-    counted = _count_pairs(_order2_states(seq))
+    counted = _count_pairs(_states(seq, 3))
     return _order2(counted, _order1(counted))
-
-
-def _order2_states(seq) -> np.ndarray:
-    """``seq`` as int64 states, refused when shorter than an order-2 matrix needs."""
-    values = _as_ints(seq, "states must be integers")
-    if values.size < 3:
-        raise ValueError(f"need a sequence of length >= 3, got {values.size}")
-    return values
 
 
 def _order2(counted, fallback: TransitionMatrix1) -> TransitionMatrix2:
@@ -306,14 +297,11 @@ def simulate_order2(tm: TransitionMatrix2, length: int, seed) -> np.ndarray:
     prev, current = divmod(int(tm.pair_codes[rng.choice(tm.pair_codes.size, p=tm.pair_marginal)]), n)
     path = [prev, current]
     if length > 2:
-        row_of, indptr, indices, cum = tm._walk
+        row_of, starts, sums, columns = tm._walk
         fallback_row = tm.pair_codes.size
-        last = n - 1
         for u in memoryview(rng.random(length - 2)):
             r = row_of.get(prev * n + current, fallback_row + current)
-            hi = indptr[r + 1]
-            k = bisect_right(cum, u, indptr[r], hi)
-            prev, current = current, (indices[k] if k < hi else last)
+            prev, current = current, columns[bisect_right(sums, u, starts[r], starts[r + 1])]
             path.append(current)
     return tm.states[np.fromiter(path, np.intp, length)]
 
@@ -376,7 +364,7 @@ def order_test(seq, replicates: int = 100, len1: int | None = None, len2: int | 
         if length is not None and length < least:
             raise ValueError(f"{name} must be >= {least}, got {length}")
     levels = check_levels(levels)
-    values = _order2_states(seq)
+    values = _states(seq, 3)
     counted = _count_pairs(values)
     tm1 = _order1(counted)
     len1 = len1 if len1 is not None else int(values.size)

@@ -139,7 +139,7 @@ def _cumulative_rows(probs: np.ndarray) -> list[list[float]]:
 
 def running_sums(probs: np.ndarray, indptr: np.ndarray) -> list[float]:
     """Each CSR row's running sum, one row at a time by ``itertools.accumulate``: the loop that
-    ``markov._running_sums``'s column-at-a-time build replaces."""
+    ``markov._closed_rows``'s column-at-a-time build replaces."""
     values = memoryview(np.asarray(probs, dtype=float))
     return list(chain.from_iterable(accumulate(values[lo:hi]) for lo, hi in pairwise(np.asarray(indptr).tolist())))
 

@@ -364,19 +364,19 @@ def test_simulations_equal_dense_reference_when_rows_sum_below_one():
 def assert_walk_sums_equal_reference(tm, dense):
     """The running sums that both walk tables bisect equal the dense reference's cumulative rows at
     each row's columns, bit for bit: order 1 on ``tm.fallback``, order 2 on ``tm`` then the fallback.
-    Each order-1 row closes with ``inf`` beside the last state."""
-    starts, sums1, columns, _ = tm.fallback._walk
-    n, ends = tm.n_states, starts[1:] - 1
-    assert sums1[ends].tolist() == [np.inf] * n and columns[ends].tolist() == [n - 1] * n
-    cells = np.ones(sums1.size, bool)
-    cells[ends] = False
-    want1 = ref._cumulative_rows(dense.fallback.probs)
-    rows1 = np.repeat(np.arange(n), np.diff(starts) - 1).tolist()
-    assert [x.hex() for x in sums1[cells].tolist()] == [want1[r][j].hex() for r, j in zip(rows1, columns[cells])]
-    _, indptr, indices, cum2 = tm._walk
-    want2 = ref._cumulative_rows(np.vstack((dense.probs, dense.fallback.probs)))
-    rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)).tolist()
-    assert [x.hex() for x in cum2] == [want2[r][j].hex() for r, j in zip(rows, indices)]
+    Each row of both tables closes with ``inf`` beside the last state."""
+    n = tm.n_states
+    for table, probs in ((tm.fallback._walk[:3], dense.fallback.probs),
+                         (tm._walk[1:], np.vstack((dense.probs, dense.fallback.probs)))):
+        starts, sums, columns = map(np.asarray, table)
+        ends = starts[1:] - 1
+        assert ends.size == len(probs) and columns.dtype == np.min_scalar_type(n - 1)
+        assert sums[ends].tolist() == [np.inf] * ends.size and columns[ends].tolist() == [n - 1] * ends.size
+        cells = np.ones(sums.size, bool)
+        cells[ends] = False
+        want = ref._cumulative_rows(probs)
+        rows = np.repeat(np.arange(ends.size), np.diff(starts) - 1).tolist()
+        assert [x.hex() for x in sums[cells].tolist()] == [want[r][j].hex() for r, j in zip(rows, columns[cells])]
 
 
 @settings(max_examples=60)
@@ -420,9 +420,12 @@ def csr(rows):
 def test_running_sums_equal_the_row_by_row_loop(rows):
     # CSR inputs that no estimate makes; each sum is compared bit for bit with the accumulate loop.
     probs, indptr = csr(rows)
-    got = markov._running_sums(probs, indptr)
-    assert got.dtype == np.float64 and got.size == probs.size
-    assert [x.hex() for x in got.tolist()] == [x.hex() for x in ref.running_sums(probs, indptr)]
+    starts, sums, _ = markov._closed_rows(indptr, np.zeros(probs.size, np.int64), probs, 0)
+    cells = np.ones(sums.size, bool)
+    cells[starts[1:] - 1] = False
+    assert sums.dtype == np.float64 and sums.size == probs.size + len(rows)
+    assert sums[~cells].tolist() == [np.inf] * len(rows)
+    assert [x.hex() for x in sums[cells].tolist()] == [x.hex() for x in ref.running_sums(probs, indptr)]
 
 
 def walk_table(rows):
@@ -512,6 +515,26 @@ def test_walk_of_lockstep_length_equals_the_reference_loop():
     length = markov._LOCKSTEP_PIECES * markov._PIECE + 1
     got = simulate_order1(estimate_order1(values), length, seed=31)
     assert got.tolist() == ref.simulate_order1(ref.estimate_order1(values), length, seed=31).tolist()
+
+
+@pytest.mark.parametrize("n", [255, 256, 257])
+@pytest.mark.parametrize("scale", [1.0, 0.5])
+def test_walks_equal_the_reference_loops_where_the_table_dtypes_change(n, scale):
+    # The columns move from uint8 to uint16 at n - 1 = 256, the order-1 path at n = 256.  Each state moves
+    # 0, 1 or 2 states on (mod n), so the dense order-2 reference stays small; rows scaled to sum to
+    # one half send half the draws to the last state through each row's close.
+    values = np.cumsum(np.random.default_rng(n).integers(0, 3, size=20_000)) % n + 1
+    tm, dense = estimate_order2(values), ref.estimate_order2(values)
+    tm1 = dataclasses.replace(tm.fallback, probs=tm.fallback.probs * scale)
+    dense1 = dataclasses.replace(dense.fallback, probs=dense.fallback.probs * scale)
+    tm = dataclasses.replace(tm, probs=tm.probs * scale, fallback=tm1)
+    dense = dataclasses.replace(dense, probs=dense.probs * scale, fallback=dense1)
+    assert tm.n_states == n
+    want = np.uint8 if n <= 256 else np.uint16
+    assert tm1._walk[2].dtype == want and np.asarray(tm._walk[3]).dtype == want
+    length = markov._LOCKSTEP_PIECES * markov._PIECE + 1
+    assert simulate_order1(tm1, length, seed=n).tolist() == ref.simulate_order1(dense1, length, seed=n).tolist()
+    assert simulate_order2(tm, 5_000, seed=n).tolist() == ref.simulate_order2(dense, 5_000, seed=n).tolist()
 
 
 def test_order2_on_thousands_of_states_stays_small():
